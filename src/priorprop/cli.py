@@ -162,6 +162,12 @@ def cmd_analyze(args) -> int:
     labels.validate_against(graph.node_count)
     truth = fileio.load_labels(args.truth)
     y = _truth_vector(truth, graph.node_count)
+    wrong = np.flatnonzero(y[labels.indices] != labels.values)
+    if wrong.size:
+        # compute_bound reads the truth at labeled nodes, so the report would
+        # describe a different problem than the one these labels pose
+        i = int(labels.indices[wrong[0]])
+        raise ValueError(f"label of node {i} contradicts --truth ({int(y[i])})")
     config = _solver_config(args)
 
     if args.votes:

@@ -11,9 +11,9 @@ weighted-neighbor-average update
 
 The direct method solves the symmetric positive-definite system over the
 unlabeled nodes (dense Cholesky below ``DENSE_LIMIT`` unknowns, Jacobi
-preconditioned conjugate gradient above); the iterative method applies
-Gauss-Seidel sweeps of the update in fixed node order until the max-norm
-fixed-point residual drops below the configured tolerance.
+preconditioned conjugate gradient above, sparse LU if CG fails); the
+iterative method applies Gauss-Seidel sweeps of the update in fixed node order
+until the max-norm fixed-point residual drops below the configured tolerance.
 
 Nodes whose entire connected component carries neither a label nor any prior
 weight are indeterminate: they receive ``unreachable_fill`` and are flagged,
@@ -153,8 +153,8 @@ def _solve_spd(a_dense_or_sparse, b: np.ndarray, dense: bool) -> np.ndarray:
     m = sp.diags(1.0 / diag)
     x, info = spla.cg(a, b, rtol=1e-13, atol=0.0, maxiter=20 * b.size, M=m)
     if info != 0:
-        # fall back to a dense factorization rather than return a bad iterate
-        x = scipy.linalg.solve(a.toarray(), b, assume_a="pos")
+        # fall back to a sparse LU factorization rather than return a bad iterate
+        x = spla.splu(a.tocsc()).solve(b)
     return x
 
 

@@ -88,3 +88,13 @@ def random_labels(rng, n, max_labeled=3):
     idx = rng.choice(n, size=count, replace=False)
     vals = rng.integers(0, 2, size=count)
     return np.sort(idx), vals[np.argsort(idx)]
+
+
+def loop_gs_sweep(f, indptr, indices, weights, order, base, denom):
+    """Gauss-Seidel sweep node by node: f[i] <- (sum_j w_ij f[j] + base) / denom."""
+    for k in range(order.shape[0]):
+        i = order[k]
+        acc = float(base[k])
+        for p in range(indptr[i], indptr[i + 1]):
+            acc = acc + weights[p] * f[indices[p]]
+        f[i] = acc / denom[k]

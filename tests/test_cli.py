@@ -196,6 +196,18 @@ class TestAnalyze:
                     "--output", workspace / "r.json"]
         assert run(run_args) == 2
 
+    def test_label_contradicting_truth_rejected(self, workspace, capsys):
+        labels = fileio.load_labels(workspace / "labels.txt")
+        values = labels.values.copy()
+        values[5] = 1 - values[5]
+        fileio.save_labels(pp.LabelSet(labels.indices, values), workspace / "flipped.txt")
+        code = run(["analyze", "--graph", workspace / "graph.txt",
+                    "--labels", workspace / "flipped.txt", "--truth", workspace / "truth.txt",
+                    "--output", workspace / "r.json"])
+        assert code == 2
+        assert f"node {labels.indices[5]} " in capsys.readouterr().err
+        assert not (workspace / "r.json").exists()
+
 
 class TestDemo:
     GOLDEN_ARGS = ["demo", "--seed", "0", "--points-per-cluster", "40",

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import priorprop.solver as solver_mod
 from priorprop.graph import Graph, LabelSet
 from priorprop.solver import (
+    DENSE_LIMIT,
     FLAG_NONCONVERGED,
     FLAG_OK,
     FLAG_UNREACHABLE,
@@ -165,6 +167,26 @@ class TestSolveWithPrior:
         assert not pred.converged
         assert np.all(pred.node_flags[1:] == FLAG_NONCONVERGED)
         assert pred.iterations == 2
+
+    def test_failed_cg_falls_back_to_sparse_lu(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        n = DENSE_LIMIT + 100
+        g = Graph.from_edges(n, random_connected_graph(rng, n, extra_edges=2 * n))
+        labels = LabelSet([0, 1, 2], [0, 1, 1])
+        prior = PriorField(rng.uniform(0, 1, n), rng.uniform(0, 1, n))
+        monkeypatch.setattr(solver_mod, "DENSE_LIMIT", n + 1)
+        dense = solve_with_prior(g, labels, prior, SolverConfig(method="direct"))
+        monkeypatch.setattr(solver_mod, "DENSE_LIMIT", DENSE_LIMIT)
+        cg_calls = []
+
+        def failing_cg(a, b, **kwargs):
+            cg_calls.append(b.size)
+            return np.zeros_like(b), 1
+
+        monkeypatch.setattr(solver_mod.spla, "cg", failing_cg)
+        pred = solve_with_prior(g, labels, prior, SolverConfig(method="direct"))
+        assert cg_calls == [n - len(labels)]
+        np.testing.assert_allclose(pred.f, dense.f, rtol=0.0, atol=1e-10)
 
     def test_size_mismatch_rejected(self):
         g = Graph.from_edges(2, [(0, 1, 1.0)])
