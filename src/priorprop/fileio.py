@@ -95,8 +95,10 @@ def load_graph(path, node_count: int | None = None) -> Graph:
     as (largest index + 1).
     """
     declared = node_count
-    edges: list[tuple[int, int, float]] = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    edges = np.empty((len(lines), 3), dtype=np.float64)
+    count = 0
+    for lineno, raw in enumerate(lines, 1):
         comment = raw.strip()
         if comment.startswith("#"):
             parts = comment[1:].split()
@@ -113,9 +115,11 @@ def load_graph(path, node_count: int | None = None) -> Graph:
             i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError as exc:
             raise GraphFormatError(f"{path}:{lineno}: {exc}") from exc
-        edges.append((i, j, w))
+        edges[count] = i, j, w
+        count += 1
+    edges = edges[:count]
     if declared is None:
-        declared = max((max(i, j) for i, j, _ in edges), default=-1) + 1
+        declared = int(edges[:, :2].max()) + 1 if count else 0
     if declared < 1:
         raise GraphFormatError(f"{path}: no nodes")
     return Graph.from_edges(declared, edges)

@@ -21,6 +21,34 @@ class GraphFormatError(ValueError):
     """Malformed, asymmetric, self-looped or negatively weighted edge data."""
 
 
+def _edge_records(edges) -> np.ndarray:
+    """Edge records as an ``(m, 3)`` float array; ragged or non-numeric input raises."""
+    if not isinstance(edges, (np.ndarray, Sequence)):
+        edges = list(edges)
+    try:
+        rec = np.asarray(edges, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise GraphFormatError(f"malformed edge records: {exc}") from exc
+    if rec.ndim == 1 and rec.size == 0:
+        return rec.reshape(0, 3)
+    if rec.ndim != 2 or rec.shape[1] != 3:
+        raise GraphFormatError(f"edge records must be (i, j, w) triples, got shape {rec.shape}")
+    return rec
+
+
+def _raise_invalid(record: np.ndarray, node_count: int) -> None:
+    """Raise the error for a record that fails the per-record checks."""
+    i, j, w = (float(v) for v in record)
+    if not (i.is_integer() and j.is_integer()):
+        raise GraphFormatError(f"edge ({i}, {j}) has a non-integral or non-finite endpoint")
+    i, j = int(i), int(j)
+    if not (0 <= i < node_count and 0 <= j < node_count):
+        raise GraphFormatError(f"edge ({i}, {j}) out of range for {node_count} nodes")
+    if i == j:
+        raise GraphFormatError(f"self-loop on node {i}")
+    raise GraphFormatError(f"edge ({i}, {j}) has invalid weight {w}")
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected, non-negatively weighted graph over ``node_count`` nodes.
@@ -39,65 +67,67 @@ class Graph:
 
     @classmethod
     def from_edges(
-        cls, node_count: int, edges: Iterable[tuple[int, int, float]]
+        cls, node_count: int, edges: Iterable[tuple[int, int, float]] | np.ndarray
     ) -> "Graph":
         """Build a graph from undirected ``(i, j, w)`` records.
 
-        Each undirected edge may be listed once in either orientation (or in
-        both, with equal weight). Self-loops, negative or non-finite weights,
-        out-of-range indices and conflicting duplicate weights are rejected.
-        Zero-weight records are dropped: they contribute nothing to any
-        propagation or flow formula.
+        ``edges`` is a sequence of records or an ``(m, 3)`` array. Each
+        undirected edge may be listed once in either orientation, or several
+        times with equal weights; records of one edge whose weights differ
+        (zero included) conflict, whatever their order. Endpoints must be
+        integral; self-loops, negative or non-finite weights, out-of-range
+        endpoints and conflicts are rejected, naming the first offending
+        record in input order. Zero-weight records are dropped: they
+        contribute nothing to any propagation or flow formula.
         """
         if node_count < 1:
             raise GraphFormatError("node_count must be positive")
-        canonical: dict[tuple[int, int], float] = {}
-        for rec in edges:
-            try:
-                i, j, w = rec
-                i, j, w = int(i), int(j), float(w)
-            except (TypeError, ValueError) as exc:
-                raise GraphFormatError(f"malformed edge record {rec!r}") from exc
-            if not (0 <= i < node_count and 0 <= j < node_count):
-                raise GraphFormatError(f"edge ({i}, {j}) out of range for {node_count} nodes")
-            if i == j:
-                raise GraphFormatError(f"self-loop on node {i}")
-            if not np.isfinite(w) or w < 0:
-                raise GraphFormatError(f"edge ({i}, {j}) has invalid weight {w}")
-            key = (i, j) if i < j else (j, i)
-            if key in canonical:
-                if canonical[key] != w:
-                    raise GraphFormatError(
-                        f"conflicting weights {canonical[key]} and {w} for edge {key}"
-                    )
-                continue
-            if w == 0.0:
-                continue
-            canonical[key] = w
+        rec = _edge_records(edges)
+        i_f, j_f, w = rec[:, 0], rec[:, 1], rec[:, 2]
+        integral = (i_f == np.trunc(i_f)) & (j_f == np.trunc(j_f))
+        in_range = (i_f >= 0) & (i_f < node_count) & (j_f >= 0) & (j_f < node_count)
+        i = np.where(in_range, i_f, 0).astype(np.int64)
+        j = np.where(in_range, j_f, 0).astype(np.int64)
+        invalid = ~(integral & in_range) | (i == j) | ~((w >= 0) & (w < np.inf))
+        # the records before the first invalid one are all valid, so a conflict
+        # among them is reported first, as a record-by-record scan would
+        first_bad = int(np.argmax(invalid)) if invalid.any() else rec.shape[0]
+        lo = np.minimum(i[:first_bad], j[:first_bad])
+        hi = np.maximum(i[:first_bad], j[:first_bad])
+        order = np.lexsort((hi, lo))  # stable: input order within each edge
+        lo, hi, w_s = lo[order], hi[order], w[:first_bad][order]
+        group_first = np.ones(order.size, dtype=bool)
+        group_first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        first_w = w_s[group_first][np.cumsum(group_first) - 1]
+        conflicts = np.flatnonzero(w_s != first_w)
+        if conflicts.size:
+            pos = conflicts[np.argmin(order[conflicts])]
+            raise GraphFormatError(
+                f"conflicting weights {float(first_w[pos])} and {float(w_s[pos])} "
+                f"for edge {(int(lo[pos]), int(hi[pos]))}"
+            )
+        if first_bad < rec.shape[0]:
+            _raise_invalid(rec[first_bad], node_count)
 
-        m = len(canonical)
-        rows = np.empty(2 * m, dtype=np.int64)
-        cols = np.empty(2 * m, dtype=np.int64)
-        vals = np.empty(2 * m, dtype=np.float64)
-        for pos, ((i, j), w) in enumerate(canonical.items()):
-            rows[2 * pos], cols[2 * pos], vals[2 * pos] = i, j, w
-            rows[2 * pos + 1], cols[2 * pos + 1], vals[2 * pos + 1] = j, i, w
+        keep = group_first & (w_s != 0.0)
+        lo, hi, w_s = lo[keep], hi[keep], w_s[keep]
+        rows = np.concatenate((lo, hi))
+        cols = np.concatenate((hi, lo))
+        vals = np.concatenate((w_s, w_s))
         order = np.lexsort((cols, rows))
         rows, cols, vals = rows[order], cols[order], vals[order]
         indptr = np.zeros(node_count + 1, dtype=np.int64)
-        np.add.at(indptr, rows + 1, 1)
-        indptr = np.cumsum(indptr)
+        np.cumsum(np.bincount(rows, minlength=node_count), out=indptr[1:])
         degrees = np.zeros(node_count, dtype=np.float64)
-        for i in range(node_count):
-            degrees[i] = float(np.sum(vals[indptr[i] : indptr[i + 1]]))
-        g = cls(
+        for node in range(node_count):
+            degrees[node] = float(np.sum(vals[indptr[node] : indptr[node + 1]]))
+        return cls(
             node_count=node_count,
             indptr=indptr,
             indices=cols,
             weights=vals,
             degrees=degrees,
         )
-        return g
 
     @property
     def edge_count(self) -> int:
@@ -112,14 +142,19 @@ class Graph:
     def degree(self, i: int) -> float:
         return float(self.degrees[i])
 
+    def _upper_triangle(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, columns and weights of the CSR entries with column > row.
+
+        Each undirected edge appears once, sorted by row and then column.
+        """
+        rows = np.repeat(np.arange(self.node_count), np.diff(self.indptr))
+        upper = self.indices > rows
+        return rows[upper], self.indices[upper], self.weights[upper]
+
     def edge_list(self) -> list[tuple[int, int, float]]:
         """Each undirected edge once, as ``(i, j, w)`` with ``i < j``, sorted."""
-        out = []
-        for i in range(self.node_count):
-            nbrs, w = self.neighbors(i)
-            keep = nbrs > i
-            out.extend((i, int(j), float(wv)) for j, wv in zip(nbrs[keep], w[keep]))
-        return out
+        rows, cols, w = self._upper_triangle()
+        return list(zip(rows.tolist(), cols.tolist(), w.tolist()))
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
@@ -204,15 +239,13 @@ def compute_neighborhoods(graph: Graph, labels: LabelSet) -> NeighborhoodPartiti
     hops = [frontier]
     k = 0
     while True:
-        candidates = []
-        for i in frontier:
-            nbrs, _ = graph.neighbors(int(i))
-            candidates.append(nbrs)
-        if candidates:
-            cand = np.unique(np.concatenate(candidates))
-            nxt = cand[hop_of[cand] < 0]
-        else:
-            nxt = np.empty(0, dtype=np.int64)
+        # gather the CSR rows of the whole frontier at once
+        starts = graph.indptr[frontier]
+        counts = graph.indptr[frontier + 1] - starts
+        offsets = np.cumsum(counts) - counts
+        positions = np.arange(int(counts.sum())) + np.repeat(starts - offsets, counts)
+        cand = np.unique(graph.indices[positions])
+        nxt = cand[hop_of[cand] < 0]
         if nxt.size == 0:
             break
         k += 1
@@ -250,10 +283,8 @@ def build_threshold_graph(features: np.ndarray, t: float) -> Graph:
     dist = cdist(x, x)
     q = t / n
     threshold = np.inf if q > 1 else float(np.quantile(dist.ravel(), q))
-    iu, ju = np.triu_indices(n, k=1)
-    keep = dist[iu, ju] < threshold
-    edges = [(int(a), int(b), 1.0) for a, b in zip(iu[keep], ju[keep])]
-    return Graph.from_edges(n, edges)
+    iu, ju = np.nonzero(np.triu(dist < threshold, 1))
+    return Graph.from_edges(n, np.column_stack((iu, ju, np.ones(iu.size))))
 
 
 def average_degree(graph: Graph) -> float:

@@ -106,10 +106,8 @@ class AugmentedGraph:
 
     @property
     def dongle_edge_count(self) -> int:
-        base_edges = sum(
-            1 for i, j, _ in self.graph.edge_list() if j < self.base_count
-        )
-        return self.graph.edge_count - base_edges
+        g, n = self.graph, self.base_count
+        return int(np.count_nonzero(g.indices[: g.indptr[n]] >= n))
 
     def dongle_labels(self) -> LabelSet:
         n, k = self.base_count, self.labeler_count
@@ -133,12 +131,16 @@ def augment_with_dongles(
         raise ValueError("votes do not match graph size")
     _check_vote_alpha(votes, alpha)
     n, k = graph.node_count, votes.labeler_count
-    edges = graph.edge_list()
-    for j in range(k):
-        col = votes.votes[:, j]
-        for i in np.flatnonzero(col != ABSTAIN):
-            target = n + j if col[i] == 0 else n + k + j
-            edges.append((int(i), int(target), float(alpha.alpha[i, j])))
+    rows, cols, w = graph._upper_triangle()
+    node, labeler = np.nonzero(votes.cast_mask)
+    anchor = n + labeler + k * votes.votes[node, labeler].astype(np.int64)
+    edges = np.column_stack(
+        (
+            np.concatenate((rows, node)),
+            np.concatenate((cols, anchor)),
+            np.concatenate((w, alpha.alpha[node, labeler])),
+        )
+    )
     aug = Graph.from_edges(n + 2 * k, edges)
     return AugmentedGraph(graph=aug, base_count=n, labeler_count=k)
 
@@ -310,10 +312,9 @@ def objective_value(
     if np.any(fv[labels.indices] != labels.values):
         raise ValueError("f violates the hard label constraints")
     _check_vote_alpha(votes, alpha)
-    rows = np.repeat(np.arange(graph.node_count), np.diff(graph.indptr))
-    upper = graph.indices > rows
-    diffs = fv[rows[upper]] - fv[graph.indices[upper]]
-    smooth = float(np.sum(graph.weights[upper] * diffs * diffs))
+    rows, cols, w = graph._upper_triangle()
+    diffs = fv[rows] - fv[cols]
+    smooth = float(np.sum(w * diffs * diffs))
     cast_votes = np.where(votes.cast_mask, votes.votes, 0).astype(np.float64)
     pull = float(np.sum(alpha.alpha * (fv[:, None] - cast_votes) ** 2 * votes.cast_mask))
     return smooth + pull

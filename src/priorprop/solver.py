@@ -334,9 +334,8 @@ def objective_value(
         raise ValueError("f has wrong length")
     if np.any(fv[labels.indices] != labels.values):
         raise ValueError("f violates the hard label constraints")
-    rows = np.repeat(np.arange(graph.node_count), np.diff(graph.indptr))
-    upper = graph.indices > rows
-    diffs = fv[rows[upper]] - fv[graph.indices[upper]]
-    smooth = float(np.sum(graph.weights[upper] * diffs * diffs))
+    rows, cols, w = graph._upper_triangle()
+    diffs = fv[rows] - fv[cols]
+    smooth = float(np.sum(w * diffs * diffs))
     pull = float(np.sum(prior.mu * (fv - prior.h) ** 2))
     return smooth + pull

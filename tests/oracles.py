@@ -7,6 +7,8 @@ can be certified against a second route.
 
 import numpy as np
 
+from priorprop.graph import GraphFormatError
+
 
 def naive_prior_objective(edges, h, mu, f):
     """sum over undirected edges w (f_i - f_j)^2 + sum_i mu_i (f_i - h_i)^2."""
@@ -98,3 +100,52 @@ def loop_gs_sweep(f, indptr, indices, weights, order, base, denom):
         for p in range(indptr[i], indptr[i + 1]):
             acc = acc + weights[p] * f[indices[p]]
         f[i] = acc / denom[k]
+
+
+def loop_from_edges(node_count, edges):
+    """Record-by-record reference for ``Graph.from_edges``.
+
+    Returns ``(indptr, indices, weights, degrees)``. Records are checked in
+    input order and the first bad one raises. Two records of one edge
+    conflict whenever their weights differ, zero included; zero-weight edges
+    are dropped only after every record has been checked.
+    """
+    if node_count < 1:
+        raise GraphFormatError("node_count must be positive")
+    canonical = {}
+    for rec in edges:
+        i, j, w = (float(v) for v in rec)
+        if not (i.is_integer() and j.is_integer()):
+            raise GraphFormatError(f"edge ({i}, {j}) has a non-integral or non-finite endpoint")
+        i, j = int(i), int(j)
+        if not (0 <= i < node_count and 0 <= j < node_count):
+            raise GraphFormatError(f"edge ({i}, {j}) out of range for {node_count} nodes")
+        if i == j:
+            raise GraphFormatError(f"self-loop on node {i}")
+        if not np.isfinite(w) or w < 0:
+            raise GraphFormatError(f"edge ({i}, {j}) has invalid weight {w}")
+        key = (i, j) if i < j else (j, i)
+        if key in canonical and canonical[key] != w:
+            raise GraphFormatError(
+                f"conflicting weights {canonical[key]} and {w} for edge {key}"
+            )
+        canonical.setdefault(key, w)
+
+    rows, cols, vals = [], [], []
+    for (i, j), w in canonical.items():
+        if w != 0.0:
+            rows += [i, j]
+            cols += [j, i]
+            vals += [w, w]
+    rows = np.array(rows, dtype=np.int64)
+    cols = np.array(cols, dtype=np.int64)
+    vals = np.array(vals, dtype=np.float64)
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    indptr = np.zeros(node_count + 1, dtype=np.int64)
+    np.add.at(indptr, rows + 1, 1)
+    indptr = np.cumsum(indptr)
+    degrees = np.zeros(node_count, dtype=np.float64)
+    for i in range(node_count):
+        degrees[i] = float(np.sum(vals[indptr[i] : indptr[i + 1]]))
+    return indptr, cols, vals, degrees

@@ -107,6 +107,17 @@ class TestPropagate:
         f, flags = fileio.load_prediction(workspace / "soft.txt")
         assert f.size == 60
 
+    @pytest.mark.parametrize(
+        "line", ["0.7 1 1.0", "0 nan 1.0", "0 1 abc", "0 1", "0 1 1.0 2.0"],
+        ids=["fractional-endpoint", "nan-endpoint", "non-numeric-weight", "short", "long"],
+    )
+    def test_malformed_edge_line_exits_2(self, workspace, capsys, line):
+        bad = workspace / "bad_graph.txt"
+        bad.write_text(f"# nodes 60\n0 2 1.0\n{line}\n")
+        assert run(["propagate", "--graph", bad, "--labels", workspace / "labels.txt",
+                    "--output", workspace / "x.txt"]) == 2
+        assert f"{bad}:3:" in capsys.readouterr().err
+
     def test_eta_with_votes_rejected(self, workspace, capsys):
         assert run(["propagate", "--graph", workspace / "graph.txt",
                     "--labels", workspace / "labels.txt", "--eta", "1.0",

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from priorprop.graph import (
     Graph,
@@ -11,7 +11,7 @@ from priorprop.graph import (
     compute_neighborhoods,
 )
 
-from oracles import random_connected_graph
+from oracles import loop_from_edges, random_connected_graph
 
 
 def brute_force_threshold_edges(points, t):
@@ -71,6 +71,104 @@ class TestGraphConstruction:
         g = Graph.from_edges(5, [(0, 4, 1.0), (0, 2, 1.0), (0, 1, 1.0), (0, 3, 1.0)])
         nbrs, _ = g.neighbors(0)
         assert list(nbrs) == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize(
+        "records",
+        [[(0, 1, 0.0), (1, 0, 2.0)], [(0, 1, 2.0), (1, 0, 0.0)]],
+        ids=["zero-first", "zero-last"],
+    )
+    def test_zero_weight_duplicate_conflicts_in_either_order(self, records):
+        with pytest.raises(GraphFormatError, match=r"conflicting weights .* for edge \(0, 1\)"):
+            Graph.from_edges(3, records)
+
+    def test_conflict_names_first_offending_record(self):
+        records = [(0, 1, 1.0), (1, 2, 1.0), (1, 0, 1.0), (2, 1, 4.0), (0, 1, 3.0)]
+        with pytest.raises(GraphFormatError) as exc:
+            Graph.from_edges(3, records)
+        assert str(exc.value) == "conflicting weights 1.0 and 4.0 for edge (1, 2)"
+
+    def test_conflict_before_later_invalid_record(self):
+        with pytest.raises(GraphFormatError, match="conflicting"):
+            Graph.from_edges(3, [(0, 1, 1.0), (1, 0, 2.0), (2, 2, 1.0)])
+        with pytest.raises(GraphFormatError, match="self-loop"):
+            Graph.from_edges(3, [(0, 1, 1.0), (2, 2, 1.0), (1, 0, 2.0)])
+
+    @pytest.mark.parametrize(
+        "record", [(0.7, 1, 1.0), (0, 1.5, 1.0), (np.nan, 1, 1.0), (0, np.inf, 1.0)]
+    )
+    def test_rejects_non_integral_endpoint(self, record):
+        with pytest.raises(GraphFormatError, match="non-integral or non-finite endpoint"):
+            Graph.from_edges(3, [(1, 2, 1.0), record])
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0, 1, 1.0), (1, 2)],
+            [(0, 1, 1.0, 2.0)],
+            [("a", 1, 1.0)],
+            [(0, 1, [1.0])],
+            [0, 1, 1.0],
+            np.zeros((2, 2)),
+        ],
+        ids=["ragged", "four-fields", "non-numeric", "nested", "flat", "two-columns"],
+    )
+    def test_rejects_malformed_records(self, edges):
+        with pytest.raises(GraphFormatError):
+            Graph.from_edges(3, edges)
+
+    def test_accepts_array_generator_and_empty_input(self):
+        records = [(2, 0, 1.5), (0, 1, 1.0)]
+        from_list = Graph.from_edges(3, records)
+        for edges in (np.array(records), (r for r in records)):
+            g = Graph.from_edges(3, edges)
+            assert g.edge_list() == from_list.edge_list() == [(0, 1, 1.0), (0, 2, 1.5)]
+        for empty in ([], np.empty((0, 3))):
+            assert Graph.from_edges(3, empty).edge_count == 0
+
+
+@st.composite
+def edge_record_lists(draw):
+    n = draw(st.integers(2, 7))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)).map(
+            lambda p: (p[0], (p[0] + p[1]) % n)
+        ),
+        max_size=25,
+    ))
+    if draw(st.booleans()):
+        # one weight per edge: equal duplicates and zero weights, no conflicts
+        table = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5]), min_size=1, max_size=5))
+        records = [(i, j, table[(min(i, j) * n + max(i, j)) % len(table)]) for i, j in pairs]
+    else:
+        # weights drawn per record, so conflicts (zero included) are likely
+        weights = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+                                min_size=len(pairs), max_size=len(pairs)))
+        records = [(i, j, w) for (i, j), w in zip(pairs, weights)]
+    if draw(st.booleans()):
+        bad = draw(st.sampled_from([(-1, 0, 1.0), (0, n, 1.0), (0.5, 1, 1.0), (1, 1, 1.0),
+                                    (0, 1, -1.0), (0, 1, np.inf), (0, 1, np.nan)]))
+        records.insert(draw(st.integers(0, len(records))), bad)
+    return n, records
+
+
+class TestFromEdgesMatchesLoopReference:
+    @settings(max_examples=300)
+    @given(edge_record_lists())
+    def test_bitwise_equal_or_same_error(self, case):
+        n, records = case
+        try:
+            expected = loop_from_edges(n, records)
+        except GraphFormatError as exc:
+            for edges in (records, np.array(records, dtype=np.float64).reshape(-1, 3)):
+                with pytest.raises(GraphFormatError) as got:
+                    Graph.from_edges(n, edges)
+                assert str(got.value) == str(exc)
+            return
+        for edges in (records, np.array(records, dtype=np.float64).reshape(-1, 3)):
+            g = Graph.from_edges(n, edges)
+            for got, want in zip((g.indptr, g.indices, g.weights, g.degrees), expected):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
 
 
 class TestThresholdGraph:
