@@ -5,11 +5,12 @@ from priorprop.bounds import (
     AuditReport,
     BoundReport,
     FlowProfile,
+    HopStats,
     audit_inequalities,
     compute_bound,
     compute_flows,
     conductance,
-    gamma,
+    hop_stats,
     neighborhood_errors,
     prior_error,
     smoothness,

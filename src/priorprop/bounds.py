@@ -19,19 +19,25 @@ From flows, smoothness and prior error alone it assembles
 
 giving the informal per-hop bound ``sum_{i<=k} d_i`` and, with the measured
 ratios, the certified bound ``(1/a_k) sum_{i<=k} d_i prod_{j=i}^{k-1} delta_j``
-on the hop's average error. ``audit_inequalities`` numerically re-checks the
-chain of per-node and per-hop inequalities this bound rests on.
+on the hop's average error.
+
+``hop_stats`` validates one analysis (graph, truth, prior, partition and the
+prediction being analyzed) and computes every per-hop quantity above once,
+with array code. ``compute_bound`` assembles the bound from those statistics
+and ``audit_inequalities`` numerically re-checks the chain of per-node and
+per-hop inequalities the bound rests on; neither solves anything.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import repeat
 from typing import Any
 
 import numpy as np
 
-from priorprop.graph import Graph, LabelSet, NeighborhoodPartition
-from priorprop.solver import Prediction, PriorField, SolverConfig, solve_with_prior
+from priorprop.graph import Graph, NeighborhoodPartition, _row_sums
+from priorprop.solver import Prediction, PriorField
 
 BETWEEN_FLOW_CONVENTION = "ordered-pairs (each within-hop edge counted twice)"
 
@@ -96,8 +102,7 @@ def compute_flows(graph: Graph, partition: NeighborhoodPartition) -> FlowProfile
     between = np.zeros(l + 1)
     for k in range(l + 1):
         nodes = partition.hops[k]
-        if k >= 1:
-            in_flow[k] = float(np.sum(inw[nodes]))
+        in_flow[k] = float(np.sum(inw[nodes]))  # 0 at hop 0: no hop -1
         between[k] = float(np.sum(betw[nodes]))
     out_flow = np.zeros(l + 1)
     out_flow[:l] = in_flow[1 : l + 1]
@@ -116,12 +121,15 @@ def conductance(flows: FlowProfile, k: int) -> float | None:
     return float((flows.in_flow[k] + flows.out_flow[k]) / denom)
 
 
-def gamma(flows: FlowProfile, mu_total_k: float, k: int) -> float:
-    """Out-flow over (in-flow plus total prior weight) at hop k."""
-    denom = flows.in_flow[k] + mu_total_k
-    if denom <= 0:
-        raise ValueError(f"hop {k} has zero in-flow and zero prior weight")
-    return float(flows.out_flow[k] / denom)
+def _disagreement(graph: Graph, y: np.ndarray) -> np.ndarray:
+    """Per node, the weighted true-label disagreement on its edges."""
+    rows = np.repeat(np.arange(graph.node_count), np.diff(graph.indptr))
+    return _row_sums(graph.indptr, graph.weights * np.abs(y[graph.indices] - y[rows]))
+
+
+def _in_order_sum(values: np.ndarray) -> float:
+    """Sum from left to right, as a running ``total += v`` adds."""
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
 def smoothness(
@@ -129,11 +137,7 @@ def smoothness(
 ) -> float:
     """Total weighted true-label disagreement on edges incident to hop k."""
     y = _as_truth(true_labels_full, graph.node_count)
-    total = 0.0
-    for i in partition.hops[k]:
-        nbrs, w = graph.neighbors(int(i))
-        total += float(np.sum(w * np.abs(y[nbrs] - y[i])))
-    return total
+    return _in_order_sum(_disagreement(graph, y)[partition.hops[k]])
 
 
 def prior_error(
@@ -233,30 +237,17 @@ class HopRecord:
     bound_source: str
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "hop": self.hop,
-            "size": self.size,
-            "in_flow": self.in_flow,
-            "between_flow": self.between_flow,
-            "out_flow": self.out_flow,
-            "conductance": _none_if_nan(self.conductance),
-            "mu_total": self.mu_total,
-            "smoothness": self.smoothness,
-            "prior_error": self.prior_error,
-            "gamma": self.gamma,
-            "local_term": self.local_term,
-            "accumulated_term": self.accumulated_term,
-            "informal_bound": self.informal_bound,
-            "avg_error": self.avg_error,
-            "in_error": _none_if_nan(self.in_error),
-            "between_error": _none_if_nan(self.between_error),
-            "out_error": _none_if_nan(self.out_error),
-            "in_error_ratio": _none_if_nan(self.in_error_ratio),
-            "out_error_ratio": _none_if_nan(self.out_error_ratio),
-            "error_ratio": _none_if_nan(self.error_ratio),
-            "certified_bound": self.certified_bound,
-            "bound_source": self.bound_source,
-        }
+        """Every field in declaration order, with undefined optional values as None."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name in _OPTIONAL_FIELDS:
+            out[name] = _none_if_nan(out[name])
+        return out
+
+
+_OPTIONAL_FIELDS = (
+    "conductance", "in_error", "between_error", "out_error",
+    "in_error_ratio", "out_error_ratio", "error_ratio",
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,49 +280,119 @@ class BoundReport:
         }
 
 
-def compute_bound(
+@dataclass(frozen=True, eq=False)
+class HopStats:
+    """One prediction's per-hop statistics, read by the bound and the audit.
+
+    Per-hop arrays are indexed by hop and hold 0 at hop 0 (the labeled set):
+    ``mu_total``, ``pull_error`` (sum of ``mu |h - y|``), ``mu_error`` (sum of
+    ``mu |f - y|``), ``smoothness``, ``prior_error``, the local term ``c`` and
+    ``gamma``. ``error`` and ``node_smoothness`` are per node.
+    """
+
+    graph: Graph
+    truth: np.ndarray
+    prior: PriorField
+    partition: NeighborhoodPartition
+    prediction: Prediction | np.ndarray
+    error: np.ndarray
+    node_smoothness: np.ndarray
+    flows: FlowProfile
+    errors: HopErrors
+    mu_total: np.ndarray
+    pull_error: np.ndarray
+    mu_error: np.ndarray
+    smoothness: np.ndarray
+    prior_error: np.ndarray
+    c: np.ndarray
+    gamma: np.ndarray
+
+
+def hop_stats(
     graph: Graph,
     true_labels_full,
     prior: PriorField,
     partition: NeighborhoodPartition,
-    config: SolverConfig | None = None,
-) -> BoundReport:
-    """Assemble the per-hop error bound and measure the solved errors.
+    prediction,
+) -> HopStats:
+    """Validate one analysis and compute its per-hop statistics once.
+
+    ``prediction`` is the :class:`Prediction` (or bare scores) being analyzed.
+    It must equal the truth on every labeled node, since the bound and the
+    audit take the labeled set's error to be exactly 0; the first labeled
+    node where it does not is named in the ``ValueError``.
+    """
+    y = _as_truth(true_labels_full, graph.node_count)
+    f = _scores(prediction)
+    if f.shape != y.shape:
+        raise ValueError("prediction does not cover every node")
+    if prior.node_count != graph.node_count:
+        raise ValueError("prior size does not match graph")
+    partition.validate_against(graph)
+    labeled = partition.hops[0]
+    wrong = np.flatnonzero(f[labeled] != y[labeled])
+    if wrong.size:
+        i = int(labeled[wrong[0]])
+        raise ValueError(f"labeled node {i} has prediction {float(f[i])!r}, truth {int(y[i])}")
+
+    err = np.abs(f - y)
+    pull = np.abs(prior.h - y)
+    node_s = _disagreement(graph, y)
+    l = partition.max_hop
+    mu_total, pull_error, mu_error, s, a_err = np.zeros((5, l + 1))
+    for k in range(1, l + 1):
+        nodes = partition.hops[k]
+        mu = prior.mu[nodes]
+        mu_total[k] = np.sum(mu)
+        pull_error[k] = np.sum(mu * pull[nodes])
+        mu_error[k] = np.sum(mu * err[nodes])
+        s[k] = _in_order_sum(node_s[nodes])
+        a_err[k] = prior_error(prior, y, partition, k)
+
+    flows = compute_flows(graph, partition)
+    denom = flows.in_flow[1:] + mu_total[1:]
+    if np.any(denom <= 0):
+        k = 1 + int(np.argmax(denom <= 0))
+        raise ValueError(f"hop {k} has zero in-flow and zero prior weight")
+    c, gam = np.zeros((2, l + 1))
+    c[1:] = (s[1:] + pull_error[1:]) / denom
+    gam[1:] = flows.out_flow[1:] / denom
+    return HopStats(
+        graph=graph,
+        truth=y,
+        prior=prior,
+        partition=partition,
+        prediction=prediction if isinstance(prediction, Prediction) else f,
+        error=err,
+        node_smoothness=node_s,
+        flows=flows,
+        errors=neighborhood_errors(graph, f, y, partition),
+        mu_total=mu_total,
+        pull_error=pull_error,
+        mu_error=mu_error,
+        smoothness=s,
+        prior_error=a_err,
+        c=c,
+        gamma=gam,
+    )
+
+
+def compute_bound(stats: HopStats) -> BoundReport:
+    """Assemble the per-hop error bound and the measured errors of a prediction.
 
     The bound terms (``c``, ``gamma``, ``d``, informal bound) use only flows,
     smoothness and prior error. The certified bound additionally uses the
-    measured error ratios of the internally solved optimum; at hops where a
-    needed ratio is undefined (zero average error somewhere in the chain) it
-    falls back to the informal bound and says so in ``bound_source``.
+    measured error ratios of ``stats.prediction``, which must be a solver
+    :class:`Prediction`; at hops where a needed ratio is undefined (zero
+    average error somewhere in the chain) it falls back to the informal bound
+    and says so in ``bound_source``.
     """
-    y = _as_truth(true_labels_full, graph.node_count)
-    partition.validate_against(graph)
-    labels = LabelSet(partition.hops[0], y[partition.hops[0]].astype(np.int8))
-    prediction = solve_with_prior(graph, labels, prior, config)
-
-    flows = compute_flows(graph, partition)
-    errors = neighborhood_errors(graph, prediction, y, partition)
+    prediction = stats.prediction
+    if not isinstance(prediction, Prediction):
+        raise TypeError("compute_bound needs a solver Prediction, not bare scores")
+    flows, errors, partition = stats.flows, stats.errors, stats.partition
     l = partition.max_hop
-
-    mu_total = np.zeros(l + 1)
-    pull_error = np.zeros(l + 1)
-    s = np.zeros(l + 1)
-    a_err = np.zeros(l + 1)
-    for k in range(1, l + 1):
-        nodes = partition.hops[k]
-        mu_total[k] = float(np.sum(prior.mu[nodes]))
-        pull_error[k] = float(np.sum(prior.mu[nodes] * np.abs(prior.h[nodes] - y[nodes])))
-        s[k] = smoothness(graph, y, partition, k)
-        a_err[k] = prior_error(prior, y, partition, k)
-
-    c = np.zeros(l + 1)
-    gam = np.zeros(l + 1)
-    for k in range(1, l + 1):
-        denom = flows.in_flow[k] + mu_total[k]
-        if denom <= 0:
-            raise ValueError(f"hop {k} has zero in-flow and zero prior weight")
-        c[k] = (s[k] + pull_error[k]) / denom
-        gam[k] = flows.out_flow[k] / denom
+    c, gam = stats.c, stats.gamma
 
     d = np.zeros(l + 1)
     for k in range(l, 0, -1):
@@ -363,9 +424,9 @@ def compute_bound(
                 between_flow=float(flows.between_flow[k]),
                 out_flow=float(flows.out_flow[k]),
                 conductance=conductance(flows, k),
-                mu_total=float(mu_total[k]),
-                smoothness=float(s[k]),
-                prior_error=float(a_err[k]),
+                mu_total=float(stats.mu_total[k]),
+                smoothness=float(stats.smoothness[k]),
+                prior_error=float(stats.prior_error[k]),
                 gamma=float(gam[k]),
                 local_term=float(c[k]),
                 accumulated_term=float(d[k]),
@@ -382,7 +443,7 @@ def compute_bound(
             )
         )
 
-    mu_vals = prior.mu
+    mu_vals = stats.prior.mu
     mu_constant = float(mu_vals[0]) if mu_vals.size and np.all(mu_vals == mu_vals[0]) else None
     ratios = np.concatenate([errors.in_ratio[1:], errors.out_ratio[1:]])
     ratios = ratios[np.isfinite(ratios)]
@@ -428,17 +489,14 @@ class AuditReport:
         return worst
 
     def to_dict(self) -> dict[str, Any]:
-        families: dict[str, dict[str, Any]] = {}
+        families = {
+            family: {"count": 0, "failed": 0, "worst_margin": c.margin, "worst_at": c.location}
+            for family, c in self.worst_by_family().items()
+        }
         for c in self.checks:
-            fam = families.setdefault(
-                c.family, {"count": 0, "failed": 0, "worst_margin": None, "worst_at": None}
-            )
-            fam["count"] += 1
+            families[c.family]["count"] += 1
             if not c.passed:
-                fam["failed"] += 1
-            if fam["worst_margin"] is None or c.margin < fam["worst_margin"]:
-                fam["worst_margin"] = c.margin
-                fam["worst_at"] = c.location
+                families[c.family]["failed"] += 1
         return {
             "passed": self.passed,
             "slack": self.slack,
@@ -450,17 +508,10 @@ class AuditReport:
         }
 
 
-def audit_inequalities(
-    graph: Graph,
-    true_labels_full,
-    prior: PriorField,
-    prediction,
-    partition: NeighborhoodPartition,
-    slack: float = 1e-6,
-) -> AuditReport:
+def audit_inequalities(stats: HopStats, slack: float = 1e-6) -> AuditReport:
     """Numerically verify the inequality chain behind the certified bound.
 
-    Checks, each allowed ``slack`` of violation:
+    Checks ``stats.prediction``, each check allowed ``slack`` of violation:
 
     * ``node_error``: per unlabeled reachable node, its error is at most the
       prior/label-weighted average of its neighbors' errors plus the local
@@ -474,100 +525,57 @@ def audit_inequalities(
     These hold at any exact optimum; failures indicate the prediction is not
     the optimum (or was perturbed).
     """
-    f = _scores(prediction)
-    y = _as_truth(true_labels_full, graph.node_count)
-    partition.validate_against(graph)
-    err = np.abs(f - y)
-    hop_of = partition.hop_of
-    l = partition.max_hop
-    checks: list[AuditCheck] = []
+    graph, prior, y, err = stats.graph, stats.prior, stats.truth, stats.error
+    flows, errors = stats.flows, stats.errors
+    l = stats.partition.max_hop
 
-    for k in range(1, l + 1):
-        for i in partition.hops[k]:
-            i = int(i)
-            nbrs, w = graph.neighbors(i)
-            denom = float(np.sum(w)) + prior.mu[i]
-            lhs = err[i]
-            rhs = (
-                float(np.sum(w * err[nbrs]))
-                + float(np.sum(w * np.abs(y[nbrs] - y[i])))
-                + prior.mu[i] * abs(prior.h[i] - y[i])
-            ) / denom
-            checks.append(
-                AuditCheck("node_error", f"node {i}", float(lhs), float(rhs), lhs <= rhs + slack)
-            )
+    nodes = np.concatenate([np.zeros(0, dtype=np.int64), *stats.partition.hops[1:]])
+    nbr_err = _row_sums(graph.indptr, graph.weights * err[graph.indices])[nodes]
+    mu = prior.mu[nodes]
+    lhs = err[nodes]
+    prior_term = mu * np.abs(prior.h[nodes] - y[nodes])
+    rhs = (nbr_err + stats.node_smoothness[nodes] + prior_term) / (graph.degrees[nodes] + mu)
+    locations = map("node {}".format, nodes.tolist())
+    passed = (lhs <= rhs + slack).tolist()
+    checks = list(
+        map(AuditCheck, repeat("node_error"), locations, lhs.tolist(), rhs.tolist(), passed)
+    )
 
-    flows = compute_flows(graph, partition)
-    errors = neighborhood_errors(graph, f, y, partition)
-    mu_err = np.zeros(l + 1)
-    pull_error = np.zeros(l + 1)
-    s = np.zeros(l + 1)
-    for k in range(1, l + 1):
-        nodes = partition.hops[k]
-        mu_err[k] = float(np.sum(prior.mu[nodes] * err[nodes]))
-        pull_error[k] = float(np.sum(prior.mu[nodes] * np.abs(prior.h[nodes] - y[nodes])))
-        s[k] = smoothness(graph, y, partition, k)
-
-    def out_err(k: int) -> float:
-        # E_out(0) is exactly 0: labeled nodes carry no error
-        if k == 0:
-            return 0.0
-        v = errors.out_err[k]
-        return float(v)
-
+    s, pull_error, mu_err = stats.smoothness, stats.pull_error, stats.mu_error
+    # hop_stats holds the labeled set's error at exactly 0, so E_out(0) is 0 too
+    e_in, e_out = errors.in_err, errors.out_err
     for k in range(1, l):
-        lhs = flows.in_flow[k] * (errors.in_err[k] - out_err(k - 1)) + mu_err[k]
-        rhs = (
-            flows.out_flow[k] * (errors.in_err[k + 1] - out_err(k))
-            + s[k]
-            + pull_error[k]
-        )
+        lhs = flows.in_flow[k] * (e_in[k] - e_out[k - 1]) + mu_err[k]
+        rhs = flows.out_flow[k] * (e_in[k + 1] - e_out[k]) + s[k] + pull_error[k]
         checks.append(
             AuditCheck("hop_transfer", f"hop {k}", float(lhs), float(rhs), lhs <= rhs + slack)
         )
     if l >= 1:
-        lhs = flows.in_flow[l] * (errors.in_err[l] - out_err(l - 1)) + mu_err[l]
+        lhs = flows.in_flow[l] * (e_in[l] - e_out[l - 1]) + mu_err[l]
         rhs = s[l] + pull_error[l]
         checks.append(
             AuditCheck("hop_transfer_last", f"hop {l}", float(lhs), float(rhs), lhs <= rhs + slack)
         )
 
-    mu_total = np.array(
-        [float(np.sum(prior.mu[partition.hops[k]])) for k in range(l + 1)]
-    )
-    a, b, e = errors.in_ratio, errors.out_ratio, errors.avg
-
-    def ratio_term(k: int) -> float | None:
-        # b_0 E_0 is exactly 0; elsewhere nan-propagates
-        if k == 0:
-            return 0.0
-        v = b[k] * e[k]
-        return None if np.isnan(v) else float(v)
-
+    a, e = errors.in_ratio, errors.avg
+    local, gam = stats.c, stats.gamma
+    term = errors.out_ratio * e  # b_k E_k, nan where a ratio is undefined
+    term[0] = 0.0  # b_0 E_0 is exactly 0
     for k in range(1, l):
-        prev = ratio_term(k - 1)
-        cur = ratio_term(k)
-        needed = (a[k], a[k + 1])
-        if prev is None or cur is None or any(np.isnan(v) for v in needed):
+        if np.isnan([term[k - 1], term[k], a[k], a[k + 1]]).any():
             continue
-        denom = flows.in_flow[k] + mu_total[k]
-        c_k = (s[k] + pull_error[k]) / denom
-        gam_k = flows.out_flow[k] / denom
-        lhs = a[k] * e[k] - prev
-        rhs = gam_k * (a[k + 1] * e[k + 1] - cur) + c_k
+        lhs = a[k] * e[k] - term[k - 1]
+        rhs = gam[k] * (a[k + 1] * e[k + 1] - term[k]) + local[k]
         checks.append(
             AuditCheck("ratio_transfer", f"hop {k}", float(lhs), float(rhs), lhs <= rhs + slack)
         )
-    if l >= 1:
-        prev = ratio_term(l - 1)
-        if prev is not None and not np.isnan(a[l]):
-            denom = flows.in_flow[l] + mu_total[l]
-            c_l = (s[l] + pull_error[l]) / denom
-            lhs = a[l] * e[l] - prev
-            checks.append(
-                AuditCheck(
-                    "ratio_transfer_last", f"hop {l}", float(lhs), float(c_l), lhs <= c_l + slack
-                )
+    if l >= 1 and not np.isnan([term[l - 1], a[l]]).any():
+        lhs = a[l] * e[l] - term[l - 1]
+        rhs = local[l]
+        checks.append(
+            AuditCheck(
+                "ratio_transfer_last", f"hop {l}", float(lhs), float(rhs), lhs <= rhs + slack
             )
+        )
 
     return AuditReport(passed=all(c.passed for c in checks), slack=slack, checks=tuple(checks))

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from priorprop import evaluation, fileio, multisource
-from priorprop.bounds import audit_inequalities, compute_bound
+from priorprop.bounds import audit_inequalities, compute_bound, hop_stats
 from priorprop.graph import (
     Graph,
     GraphFormatError,
@@ -164,8 +164,8 @@ def cmd_analyze(args) -> int:
     y = _truth_vector(truth, graph.node_count)
     wrong = np.flatnonzero(y[labels.indices] != labels.values)
     if wrong.size:
-        # compute_bound reads the truth at labeled nodes, so the report would
-        # describe a different problem than the one these labels pose
+        # the bound and the audit take the labeled nodes' error against --truth
+        # to be 0; they would describe a different problem than these labels pose
         i = int(labels.indices[wrong[0]])
         raise ValueError(f"label of node {i} contradicts --truth ({int(y[i])})")
     config = _solver_config(args)
@@ -180,9 +180,10 @@ def cmd_analyze(args) -> int:
         prior = PriorField.constant(graph.node_count, h=0.5, mu=args.mu)
 
     partition = compute_neighborhoods(graph, labels)
-    bound = compute_bound(graph, y, prior, partition, config)
     prediction = solve_with_prior(graph, labels, prior, config)
-    audit = audit_inequalities(graph, y, prior, prediction, partition)
+    stats = hop_stats(graph, y, prior, partition, prediction)
+    bound = compute_bound(stats)
+    audit = audit_inequalities(stats)
     soft = solve_soft(graph, labels, args.eta)
     full = None
     if args.full_t is not None or args.full_m is not None or args.full_k is not None:

@@ -49,6 +49,21 @@ def _raise_invalid(record: np.ndarray, node_count: int) -> None:
     raise GraphFormatError(f"edge ({i}, {j}) has invalid weight {w}")
 
 
+def _row_sums(indptr: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """``np.sum`` of each CSR row of ``vals``, bit for bit.
+
+    Summing a block of equally long rows along its last axis adds each row in
+    the pairwise order ``np.sum`` uses on that row alone; ``np.add.reduceat``
+    does not, and differs from it in the last bit from 3 entries on.
+    """
+    lengths = np.diff(indptr)
+    sums = np.zeros(lengths.size)
+    for length in np.unique(lengths[lengths > 0]):
+        rows = np.flatnonzero(lengths == length)
+        sums[rows] = vals[indptr[rows, None] + np.arange(length)].sum(axis=1)
+    return sums
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected, non-negatively weighted graph over ``node_count`` nodes.
@@ -118,15 +133,12 @@ class Graph:
         rows, cols, vals = rows[order], cols[order], vals[order]
         indptr = np.zeros(node_count + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=node_count), out=indptr[1:])
-        degrees = np.zeros(node_count, dtype=np.float64)
-        for node in range(node_count):
-            degrees[node] = float(np.sum(vals[indptr[node] : indptr[node + 1]]))
         return cls(
             node_count=node_count,
             indptr=indptr,
             indices=cols,
             weights=vals,
-            degrees=degrees,
+            degrees=_row_sums(indptr, vals),
         )
 
     @property

@@ -293,28 +293,3 @@ def alpha_probabilistic(
         a[:, j] = votes.cast_mask[:, j] * (scale / np.exp(g))
     return AlphaAssignment(alpha=a, scheme="probabilistic", fallback_labelers=tuple(fallback))
 
-
-def objective_value(
-    graph: Graph,
-    labels: LabelSet,
-    votes: WeakVoteMatrix,
-    alpha: AlphaAssignment,
-    f: np.ndarray,
-) -> float:
-    """Multi-source objective at ``f``: smoothness plus per-vote pull terms.
-
-    Equals the plain smoothness objective of the augmented graph with anchor
-    nodes held at their class values.
-    """
-    fv = np.asarray(f, dtype=np.float64)
-    if fv.shape != (graph.node_count,):
-        raise ValueError("f has wrong length")
-    if np.any(fv[labels.indices] != labels.values):
-        raise ValueError("f violates the hard label constraints")
-    _check_vote_alpha(votes, alpha)
-    rows, cols, w = graph._upper_triangle()
-    diffs = fv[rows] - fv[cols]
-    smooth = float(np.sum(w * diffs * diffs))
-    cast_votes = np.where(votes.cast_mask, votes.votes, 0).astype(np.float64)
-    pull = float(np.sum(alpha.alpha * (fv[:, None] - cast_votes) ** 2 * votes.cast_mask))
-    return smooth + pull

@@ -145,7 +145,63 @@ def loop_from_edges(node_count, edges):
     indptr = np.zeros(node_count + 1, dtype=np.int64)
     np.add.at(indptr, rows + 1, 1)
     indptr = np.cumsum(indptr)
-    degrees = np.zeros(node_count, dtype=np.float64)
-    for i in range(node_count):
-        degrees[i] = float(np.sum(vals[indptr[i] : indptr[i + 1]]))
-    return indptr, cols, vals, degrees
+    return indptr, cols, vals, loop_row_sums(indptr, vals)
+
+
+def loop_row_sums(indptr, vals):
+    """Row by row ``np.sum`` of CSR values: the weighted degree when ``vals``
+    are the edge weights."""
+    sums = np.zeros(indptr.size - 1, dtype=np.float64)
+    for i in range(indptr.size - 1):
+        sums[i] = float(np.sum(vals[indptr[i] : indptr[i + 1]]))
+    return sums
+
+
+def mixed_row_length_edges(rng, n):
+    """Random spanning tree plus hub nodes, as unique ``(i, j, w)`` records.
+
+    Tree rows have fewer than 8 entries; the hubs have 8-128, just over 128
+    and ``n - 1``. Weights span six decades, so the order in which a row is
+    summed shows in the last bits.
+    """
+    edges = {}
+    for v in range(1, n):
+        edges[(int(rng.integers(0, v)), v)] = None
+    hubs = rng.choice(n, size=6, replace=False)
+    for hub, degree in zip(hubs.tolist(), (9, 40, 128, 129, 200, n - 1)):
+        for other in rng.choice(n, size=degree, replace=False).tolist():
+            if other != hub:
+                edges[(min(hub, other), max(hub, other))] = None
+    weights = rng.uniform(0.05, 2.0, len(edges)) * 10.0 ** rng.integers(-3, 3, len(edges))
+    return [(i, j, float(w)) for (i, j), w in zip(sorted(edges), weights)]
+
+
+def loop_smoothness(graph, y, partition, k):
+    """Node by node total of ``w |y_j - y_i|`` over the edges of hop ``k``."""
+    y = np.asarray(y, dtype=np.float64)
+    total = 0.0
+    for i in partition.hops[k]:
+        nbrs, w = graph.neighbors(int(i))
+        total += float(np.sum(w * np.abs(y[nbrs] - y[i])))
+    return total
+
+
+def loop_node_error(graph, y, prior, f, partition):
+    """``(node, lhs, rhs)`` of the per-node error inequality, hop by hop:
+    ``|f_i - y_i| <= (sum_j w_ij (|f_j - y_j| + |y_j - y_i|) + mu_i |h_i - y_i|)
+    / (deg_i + mu_i)``."""
+    y = np.asarray(y, dtype=np.float64)
+    err = np.abs(np.asarray(f, dtype=np.float64) - y)
+    out = []
+    for k in range(1, len(partition.hops)):
+        for i in partition.hops[k]:
+            i = int(i)
+            nbrs, w = graph.neighbors(i)
+            denom = float(np.sum(w)) + prior.mu[i]
+            rhs = (
+                float(np.sum(w * err[nbrs]))
+                + float(np.sum(w * np.abs(y[nbrs] - y[i])))
+                + prior.mu[i] * abs(prior.h[i] - y[i])
+            ) / denom
+            out.append((i, float(err[i]), float(rhs)))
+    return out

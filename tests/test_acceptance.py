@@ -177,9 +177,10 @@ def test_criterion_4_bound_validity_conditional():
     checked = 0
     for _ in range(100):
         g, labels, y, prior, partition = _bound_instance(rng)
-        report = pp.compute_bound(g, y, prior, partition)
         pred = pp.solve_with_prior(g, labels, prior)
-        audit = pp.audit_inequalities(g, y, prior, pred, partition)
+        stats = pp.hop_stats(g, y, prior, partition, pred)
+        report = pp.compute_bound(stats)
+        audit = pp.audit_inequalities(stats)
         if not _ratio_chain_holds(audit):
             continue
         for hop in report.hops:
@@ -204,7 +205,8 @@ def test_criterion_4_bound_validity_as_stated():
     checked = 0
     for trial in range(100):
         g, labels, y, prior, partition = _bound_instance(rng)
-        report = pp.compute_bound(g, y, prior, partition)
+        pred = pp.solve_with_prior(g, labels, prior)
+        report = pp.compute_bound(pp.hop_stats(g, y, prior, partition, pred))
         for hop in report.hops:
             if hop.bound_source != "measured":
                 continue
@@ -232,7 +234,8 @@ def test_criterion_5_tightness_fixture():
     prior = pp.PriorField(y.astype(float), np.ones(30))
     for k in range(1, partition.max_hop + 1):
         assert pp.smoothness(g, y, partition, k) == 0.0
-    report = pp.compute_bound(g, y, prior, partition)
+    pred = pp.solve_with_prior(g, labels, prior)
+    report = pp.compute_bound(pp.hop_stats(g, y, prior, partition, pred))
     for hop in report.hops:
         assert hop.local_term == 0.0
         assert hop.informal_bound == 0.0
@@ -270,7 +273,7 @@ def test_criterion_7_unconditional_audits_and_negative_control():
     for _ in range(60):
         g, labels, y, prior, partition = _bound_instance(rng, n_max=20)
         pred = pp.solve_with_prior(g, labels, prior)
-        audit = pp.audit_inequalities(g, y, prior, pred, partition, slack=1e-6)
+        audit = pp.audit_inequalities(pp.hop_stats(g, y, prior, partition, pred), slack=1e-6)
         for c in audit.checks:
             if c.family in UNCONDITIONAL_FAMILIES:
                 transfer_checks += 1
@@ -284,7 +287,7 @@ def test_criterion_7_unconditional_audits_and_negative_control():
     pred = pp.solve_with_prior(g, labels, prior)
     bad = pred.f.copy()
     bad[1] += 0.2
-    broken = pp.audit_inequalities(g, y, prior, bad, partition, slack=1e-6)
+    broken = pp.audit_inequalities(pp.hop_stats(g, y, prior, partition, bad), slack=1e-6)
     assert not broken.passed and len(broken.failures()) >= 1
     certify(7, f"(unconditional families) all {transfer_checks} node/hop transfer checks pass on 60 "
                "solved instances; perturbed prediction fails as required")
@@ -301,7 +304,7 @@ def test_criterion_7_inequality_audit_as_stated():
     for trial in range(60):
         g, labels, y, prior, partition = _bound_instance(rng, n_max=20)
         pred = pp.solve_with_prior(g, labels, prior)
-        audit = pp.audit_inequalities(g, y, prior, pred, partition, slack=1e-6)
+        audit = pp.audit_inequalities(pp.hop_stats(g, y, prior, partition, pred), slack=1e-6)
         if not audit.passed:
             failing.append((trial, audit.to_dict()["failures"]))
     if failing:

@@ -6,7 +6,7 @@ from priorprop.bounds import (
     compute_bound,
     compute_flows,
     conductance,
-    gamma,
+    hop_stats,
     neighborhood_errors,
     prior_error,
     smoothness,
@@ -14,11 +14,21 @@ from priorprop.bounds import (
 from priorprop.graph import Graph, LabelSet, compute_neighborhoods
 from priorprop.solver import PriorField, solve_with_prior
 
-from oracles import random_connected_graph, random_labels
+from oracles import (
+    loop_node_error,
+    loop_smoothness,
+    mixed_row_length_edges,
+    random_connected_graph,
+    random_labels,
+)
 
 
 def path_graph(n, w=1.0):
     return Graph.from_edges(n, [(i, i + 1, w) for i in range(n - 1)])
+
+
+def solved_stats(g, labels, y, prior, part):
+    return hop_stats(g, y, prior, part, solve_with_prior(g, labels, prior))
 
 
 def brute_force_flows(graph, part, k):
@@ -108,22 +118,25 @@ class TestConductance:
 class TestGamma:
     def test_zero_out_flow(self):
         g = path_graph(2)
-        part = compute_neighborhoods(g, LabelSet([0], [0]))
-        flows = compute_flows(g, part)
-        assert gamma(flows, 0.0, 1) == 0.0
+        labels = LabelSet([0], [0])
+        part = compute_neighborhoods(g, labels)
+        stats = solved_stats(g, labels, np.zeros(2), PriorField.constant(2, mu=0.0), part)
+        assert stats.gamma[1] == 0.0
 
     def test_formula(self):
         g = Graph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (1, 3, 1.0)])
-        part = compute_neighborhoods(g, LabelSet([0], [0]))
-        flows = compute_flows(g, part)
+        labels = LabelSet([0], [0])
+        part = compute_neighborhoods(g, labels)
+        stats = solved_stats(g, labels, np.zeros(4), PriorField.constant(4, mu=1.0), part)
         # hop 1 = {1}: in 1, out 2; mu total 1 -> gamma = 2/(1+1) = 1
-        assert gamma(flows, 1.0, 1) == pytest.approx(1.0)
+        assert stats.gamma[1] == pytest.approx(1.0)
 
     def test_large_mu_drives_gamma_to_zero(self):
         g = path_graph(3)
-        part = compute_neighborhoods(g, LabelSet([0], [0]))
-        flows = compute_flows(g, part)
-        assert gamma(flows, 1e12, 1) < 1e-11
+        labels = LabelSet([0], [0])
+        part = compute_neighborhoods(g, labels)
+        stats = solved_stats(g, labels, np.zeros(3), PriorField.constant(3, mu=1e12), part)
+        assert stats.gamma[1] < 1e-11
 
 
 class TestSmoothnessAndPriorError:
@@ -256,7 +269,7 @@ class TestComputeBound:
         labels = LabelSet([0, 3], [0, 1])
         part = compute_neighborhoods(g, labels)
         prior = PriorField(y.astype(float), np.ones(6))
-        report = compute_bound(g, y, prior, part)
+        report = compute_bound(solved_stats(g, labels, y, prior, part))
         for hop in report.hops:
             assert hop.local_term == 0.0
             assert hop.accumulated_term == 0.0
@@ -270,7 +283,7 @@ class TestComputeBound:
         labels = LabelSet([0], [1])
         part = compute_neighborhoods(g, labels)
         prior = PriorField.constant(3, h=0.5, mu=1.0)
-        report = compute_bound(g, y, prior, part)
+        report = compute_bound(solved_stats(g, labels, y, prior, part))
         assert report.hops[-1].hop == 1
         rec = report.hops[0]
         assert rec.accumulated_term == pytest.approx(rec.local_term, rel=1e-12)
@@ -284,9 +297,9 @@ class TestComputeBound:
         # the certified bound is guaranteed exactly when the measured
         # ratio-transfer inequalities hold; audit them first
         g, labels, y, prior, part = random_bound_instance(seed)
-        report = compute_bound(g, y, prior, part)
-        pred = solve_with_prior(g, labels, prior)
-        audit = audit_inequalities(g, y, prior, pred, part)
+        stats = solved_stats(g, labels, y, prior, part)
+        report = compute_bound(stats)
+        audit = audit_inequalities(stats)
         chain_ok = all(
             c.margin >= -1e-12
             for c in audit.checks
@@ -303,7 +316,7 @@ class TestComputeBound:
         # independent assembly: d and the delta-weighted sums recomputed from
         # the reported per-hop ingredients
         g, labels, y, prior, part = random_bound_instance(seed + 900)
-        report = compute_bound(g, y, prior, part)
+        report = compute_bound(solved_stats(g, labels, y, prior, part))
         l = len(report.hops)
         c = [np.nan] + [h.local_term for h in report.hops]
         gam = [np.nan] + [h.gamma for h in report.hops]
@@ -333,7 +346,7 @@ class TestComputeBound:
         prev_c = None
         for mu in (0.1, 1.0, 10.0, 100.0):
             prior = PriorField.constant(n, h=0.5, mu=mu)
-            report = compute_bound(g, y, prior, part)
+            report = compute_bound(solved_stats(g, labels, y, prior, part))
             gam = np.array([h.gamma for h in report.hops])
             c = np.array([h.local_term for h in report.hops])
             s_over_cin = np.array(
@@ -349,7 +362,7 @@ class TestComputeBound:
     @pytest.mark.parametrize("seed", range(10))
     def test_ingredient_ranges(self, seed):
         g, labels, y, prior, part = random_bound_instance(seed + 500)
-        report = compute_bound(g, y, prior, part)
+        report = compute_bound(solved_stats(g, labels, y, prior, part))
         for hop in report.hops:
             assert 0.0 <= hop.conductance <= 1.0
             assert hop.gamma >= 0.0
@@ -361,11 +374,61 @@ class TestComputeBound:
 
     def test_report_round_trips_to_dict(self):
         g, labels, y, prior, part = random_bound_instance(5)
-        report = compute_bound(g, y, prior, part)
+        report = compute_bound(solved_stats(g, labels, y, prior, part))
         d = report.to_dict()
         assert d["labeled_count"] == len(labels)
         assert len(d["hops"]) == part.max_hop
         assert d["hops"][0]["hop"] == 1
+
+
+def mixed_row_length_instance(seed, n=300):
+    rng = np.random.default_rng(seed)
+    g = Graph.from_edges(n, mixed_row_length_edges(rng, n))
+    labels = LabelSet(*random_labels(rng, n))
+    y = rng.integers(0, 2, n).astype(np.int8)
+    y[labels.indices] = labels.values
+    prior = PriorField(rng.uniform(0, 1, n), rng.uniform(0, 2, n))
+    return g, labels, y, prior, compute_neighborhoods(g, labels)
+
+
+class TestHopStats:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_smoothness_and_node_error_bitwise_equal_to_loops(self, seed):
+        g, labels, y, prior, part = mixed_row_length_instance(seed + 80)
+        pred = solve_with_prior(g, labels, prior)
+        stats = hop_stats(g, y, prior, part, pred)
+        for k in range(1, part.max_hop + 1):
+            want = loop_smoothness(g, y, part, k)
+            assert stats.smoothness[k].tobytes() == np.float64(want).tobytes()
+            assert np.float64(smoothness(g, y, part, k)).tobytes() == np.float64(want).tobytes()
+        got = [
+            (c.location, c.lhs, c.rhs)
+            for c in audit_inequalities(stats).checks
+            if c.family == "node_error"
+        ]
+        want = [
+            (f"node {i}", lhs, rhs) for i, lhs, rhs in loop_node_error(g, y, prior, pred.f, part)
+        ]
+        assert len(got) == len(want) == g.node_count - len(labels) - part.unreachable.size
+        assert [c[0] for c in got] == [w[0] for w in want]
+        assert np.array([c[1:] for c in got]).tobytes() == np.array([w[1:] for w in want]).tobytes()
+
+    def test_prediction_wrong_on_labeled_node_rejected(self):
+        g = path_graph(3)
+        y = np.array([1, 0, 1], dtype=np.int8)
+        labels = LabelSet([0, 2], [1, 1])
+        part = compute_neighborhoods(g, labels)
+        prior = PriorField.constant(3, mu=1.0)
+        bad = solve_with_prior(g, labels, prior).f.copy()
+        bad[2] = 0.75
+        with pytest.raises(ValueError, match="labeled node 2 has prediction 0.75, truth 1"):
+            hop_stats(g, y, prior, part, bad)
+
+    def test_compute_bound_needs_a_solver_prediction(self):
+        g, labels, y, prior, part = random_bound_instance(1)
+        pred = solve_with_prior(g, labels, prior)
+        with pytest.raises(TypeError):
+            compute_bound(hop_stats(g, y, prior, part, pred.f))
 
 
 class TestAuditInequalities:
@@ -376,7 +439,7 @@ class TestAuditInequalities:
         # only reported
         g, labels, y, prior, part = random_bound_instance(seed + 40, n_max=20)
         pred = solve_with_prior(g, labels, prior)
-        audit = audit_inequalities(g, y, prior, pred, part)
+        audit = audit_inequalities(hop_stats(g, y, prior, part, pred))
         for c in audit.checks:
             if c.family in ("node_error", "hop_transfer", "hop_transfer_last"):
                 assert c.passed, (c.family, c.location)
@@ -390,10 +453,10 @@ class TestAuditInequalities:
         part = compute_neighborhoods(g, labels)
         prior = PriorField(y.astype(float), np.ones(3))
         pred = solve_with_prior(g, labels, prior)
-        assert audit_inequalities(g, y, prior, pred, part).passed
+        assert audit_inequalities(hop_stats(g, y, prior, part, pred)).passed
         bad = pred.f.copy()
         bad[1] -= 0.2
-        audit = audit_inequalities(g, y, prior, bad, part)
+        audit = audit_inequalities(hop_stats(g, y, prior, part, bad))
         assert not audit.passed
         assert any(c.family == "node_error" for c in audit.failures())
 
@@ -404,7 +467,7 @@ class TestAuditInequalities:
         part = compute_neighborhoods(g, labels)
         prior = PriorField.constant(2, h=0.5, mu=1.0)
         pred = solve_with_prior(g, labels, prior)
-        audit = audit_inequalities(g, y, prior, pred, part)
+        audit = audit_inequalities(hop_stats(g, y, prior, part, pred))
         families = {c.family for c in audit.checks}
         assert "hop_transfer" not in families
         assert "hop_transfer_last" in families
@@ -413,7 +476,7 @@ class TestAuditInequalities:
     def test_worst_margins_reported(self):
         g, labels, y, prior, part = random_bound_instance(3, n_max=15)
         pred = solve_with_prior(g, labels, prior)
-        audit = audit_inequalities(g, y, prior, pred, part)
+        audit = audit_inequalities(hop_stats(g, y, prior, part, pred))
         worst = audit.worst_by_family()
         assert set(worst) == {c.family for c in audit.checks}
         d = audit.to_dict()

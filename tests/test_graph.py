@@ -10,8 +10,9 @@ from priorprop.graph import (
     build_threshold_graph,
     compute_neighborhoods,
 )
+from priorprop.graph import _row_sums
 
-from oracles import loop_from_edges, random_connected_graph
+from oracles import loop_from_edges, loop_row_sums, mixed_row_length_edges, random_connected_graph
 
 
 def brute_force_threshold_edges(points, t):
@@ -169,6 +170,23 @@ class TestFromEdgesMatchesLoopReference:
             for got, want in zip((g.indptr, g.indices, g.weights, g.degrees), expected):
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
+
+
+class TestRowSumsMatchLoopReference:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_degrees_and_row_sums_bitwise_equal(self, seed):
+        rng = np.random.default_rng(seed + 70)
+        g = Graph.from_edges(400, mixed_row_length_edges(rng, 400))
+        lengths = np.diff(g.indptr)
+        assert lengths.min() < 8 and np.any((lengths >= 8) & (lengths <= 128))
+        assert lengths.max() > 128
+        assert g.degrees.tobytes() == loop_row_sums(g.indptr, g.weights).tobytes()
+        vals = g.weights * rng.uniform(0, 1, g.weights.size)
+        assert _row_sums(g.indptr, vals).tobytes() == loop_row_sums(g.indptr, vals).tobytes()
+
+    def test_empty_rows_sum_to_zero(self):
+        indptr = np.array([0, 0, 2, 2], dtype=np.int64)
+        assert _row_sums(indptr, np.array([1.5, 2.0])).tolist() == [0.0, 3.5, 0.0]
 
 
 class TestThresholdGraph:
