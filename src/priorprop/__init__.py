@@ -36,7 +36,6 @@ from priorprop.graph import (
 from priorprop.multisource import (
     ABSTAIN,
     AlphaAssignment,
-    AugmentedGraph,
     LabelerAccuracy,
     WeakVoteMatrix,
     alpha_accuracy,
@@ -44,10 +43,8 @@ from priorprop.multisource import (
     alpha_constant,
     alpha_oracle,
     alpha_probabilistic,
-    augment_with_dongles,
     estimate_accuracy_from_labeled,
     reduce_to_single_prior,
-    solve_multi_source,
 )
 from priorprop.solver import (
     Prediction,

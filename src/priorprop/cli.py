@@ -99,6 +99,7 @@ def _alpha_from_args(args, graph, votes, labels):
 
 
 def _truth_vector(truth_labels, node_count: int) -> np.ndarray:
+    truth_labels.validate_against(node_count)
     if len(truth_labels) != node_count:
         raise ValueError(
             f"ground truth must label every node ({len(truth_labels)} of {node_count} given)"
@@ -134,7 +135,8 @@ def cmd_propagate(args) -> int:
         if votes.node_count != graph.node_count:
             raise ValueError("vote matrix does not match graph size")
         alpha = _alpha_from_args(args, graph, votes, labels)
-        prediction = multisource.solve_multi_source(graph, labels, votes, alpha, config)
+        prior = multisource.reduce_to_single_prior(votes, alpha)
+        prediction = solve_with_prior(graph, labels, prior, config)
     elif args.mu > 0:
         prior = PriorField.constant(graph.node_count, h=0.5, mu=args.mu)
         prediction = solve_with_prior(graph, labels, prior, config)

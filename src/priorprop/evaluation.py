@@ -27,9 +27,8 @@ from priorprop.multisource import (
     WeakVoteMatrix,
     estimate_accuracy_from_labeled,
     reduce_to_single_prior,
-    solve_multi_source,
 )
-from priorprop.solver import Prediction, PriorField, SolverConfig, solve_standard, solve_with_prior
+from priorprop.solver import Prediction, PriorField, SolverConfig, solve_with_prior
 
 DEFAULT_EPSILON = 1e-3
 
@@ -279,10 +278,9 @@ def pipeline_report(
 
     ``wl`` is the weighted-vote prior evaluated directly (no propagation);
     ``lpa+wl`` propagates with that prior at constant ``spec.mu``; ``lpad:*``
-    methods propagate on the anchor-augmented graph with the named trust
-    scheme. Bound reports are attached to every propagation method: for
-    ``lpa`` and ``lpa+wl`` they bound the scored prediction, for ``lpad:*``
-    the optimum of the equivalent reduced-prior problem, solved for it.
+    methods fuse the labelers with the named trust scheme through the
+    reduced prior, the anchor-graph model's equivalent. Every propagation
+    method solves once, and its bound report bounds the scored prediction.
     """
     for m in methods:
         if m not in PIPELINE_METHODS:
@@ -305,23 +303,15 @@ def pipeline_report(
             continue
         if method == "lpa":
             prior = PriorField.constant(graph.node_count)
-            pred = solve_standard(graph, labels, config)
         elif method == "lpa+wl":
             prior = PriorField(wl_prior.h, np.full(graph.node_count, spec.mu))
-            pred = solve_with_prior(graph, labels, prior, config)
         else:
             scheme = method.split(":", 1)[1]
             alpha = _alpha_for_scheme(scheme, votes, features, labels, truth, acc)
-            pred = solve_multi_source(graph, labels, votes, alpha, config)
             prior = reduce_to_single_prior(votes, alpha)
-        metrics = evaluate(pred.f, truth, spec.epsilon)
+        pred = solve_with_prior(graph, labels, prior, config)
         bound = None
         if with_bounds:
-            if method.startswith("lpad:"):
-                # the bound is stated for the equivalent reduced-prior problem,
-                # whose optimum the anchor-graph solve matches only to solver
-                # precision, so it bounds that problem's own solve
-                pred = solve_with_prior(graph, labels, prior, config)
             bound = compute_bound(hop_stats(graph, truth, prior, partition, pred))
-        results.append(MethodResult(method=method, metrics=metrics, bound=bound))
+        results.append(MethodResult(method, evaluate(pred.f, truth, spec.epsilon), bound))
     return PipelineReport(spec=spec, results=tuple(results))

@@ -1,15 +1,13 @@
 """Fusing several abstaining binary labelers into label propagation.
 
 Each labeler votes ``0``/``1`` or abstains (encoded ``-1``). A per-node,
-per-labeler trust weight ``alpha`` turns the votes into either
-
-* an augmented graph: two extra hard-labeled nodes per labeler (one per
-  class), with each non-abstaining vote wired to the matching class node at
-  weight ``alpha`` - propagation then runs unchanged on the bigger graph; or
-* an equivalent single prior: ``h = weighted vote average``,
-  ``mu = total alpha`` per node.
-
-Both routes minimize the same objective and agree to solver precision.
+per-labeler trust weight ``alpha`` says how strongly each cast vote pulls its
+node. The paper attaches the labelers to the graph as hard-labeled class
+anchors, one per labeler and class, with each cast vote wired to the anchor of
+its class at weight ``alpha``. That problem has the same minimizers as one
+prior on the base graph, ``h = weighted vote average`` and ``mu = total
+alpha`` per node, so :func:`reduce_to_single_prior` builds that prior and
+:func:`priorprop.solver.solve_with_prior` solves it.
 """
 
 from __future__ import annotations
@@ -19,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from priorprop.graph import Graph, LabelSet
-from priorprop.solver import Prediction, PriorField, SolverConfig, solve_with_prior
+from priorprop.graph import LabelSet
+from priorprop.solver import PriorField
 
 ABSTAIN = -1
 
@@ -28,6 +26,8 @@ ALPHA_SCHEMES = ("oracle", "accuracy", "boosting", "probabilistic", "constant")
 
 ACCURACY_CLIP = (0.01, 0.99)
 RESIDUAL_FLOOR = 1e-4
+# entries of the difference tensor one k-NN block may hold (512 KB of float64)
+KNN_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,85 +92,11 @@ class AlphaAssignment:
         object.__setattr__(self, "alpha", a)
 
 
-@dataclass(frozen=True, eq=False)
-class AugmentedGraph:
-    """Base graph plus two hard-labeled class anchors per labeler.
-
-    Labeler ``j``'s class-0 anchor sits at index ``base_count + j`` and its
-    class-1 anchor at ``base_count + labeler_count + j``.
-    """
-
-    graph: Graph
-    base_count: int
-    labeler_count: int
-
-    @property
-    def dongle_edge_count(self) -> int:
-        g, n = self.graph, self.base_count
-        return int(np.count_nonzero(g.indices[: g.indptr[n]] >= n))
-
-    def dongle_labels(self) -> LabelSet:
-        n, k = self.base_count, self.labeler_count
-        idx = np.arange(n, n + 2 * k)
-        val = np.concatenate([np.zeros(k, np.int8), np.ones(k, np.int8)])
-        return LabelSet(idx, val)
-
-
 def _check_vote_alpha(votes: WeakVoteMatrix, alpha: AlphaAssignment) -> None:
     if alpha.alpha.shape != votes.votes.shape:
         raise ValueError("alpha shape does not match votes")
     if np.any(alpha.alpha[~votes.cast_mask] > 0):
         raise ValueError("alpha must be zero wherever the labeler abstained")
-
-
-def augment_with_dongles(
-    graph: Graph, votes: WeakVoteMatrix, alpha: AlphaAssignment
-) -> AugmentedGraph:
-    """Attach class-anchor nodes and vote edges to the base graph."""
-    if votes.node_count != graph.node_count:
-        raise ValueError("votes do not match graph size")
-    _check_vote_alpha(votes, alpha)
-    n, k = graph.node_count, votes.labeler_count
-    rows, cols, w = graph._upper_triangle()
-    node, labeler = np.nonzero(votes.cast_mask)
-    anchor = n + labeler + k * votes.votes[node, labeler].astype(np.int64)
-    edges = np.column_stack(
-        (
-            np.concatenate((rows, node)),
-            np.concatenate((cols, anchor)),
-            np.concatenate((w, alpha.alpha[node, labeler])),
-        )
-    )
-    aug = Graph.from_edges(n + 2 * k, edges)
-    return AugmentedGraph(graph=aug, base_count=n, labeler_count=k)
-
-
-def solve_multi_source(
-    graph: Graph,
-    labels: LabelSet,
-    votes: WeakVoteMatrix,
-    alpha: AlphaAssignment,
-    config: SolverConfig | None = None,
-) -> Prediction:
-    """Propagate on the anchor-augmented graph; return the original nodes."""
-    aug = augment_with_dongles(graph, votes, alpha)
-    dongles = aug.dongle_labels()
-    combined = LabelSet(
-        np.concatenate([labels.indices, dongles.indices]),
-        np.concatenate([labels.values, dongles.values]),
-    )
-    full = solve_with_prior(
-        aug.graph, combined, PriorField.constant(aug.graph.node_count), config
-    )
-    n = graph.node_count
-    return Prediction(
-        f=full.f[:n].copy(),
-        node_flags=full.node_flags[:n].copy(),
-        method=full.method,
-        iterations=full.iterations,
-        residual=full.residual,
-        converged=full.converged,
-    )
 
 
 def reduce_to_single_prior(votes: WeakVoteMatrix, alpha: AlphaAssignment) -> PriorField:
@@ -245,6 +171,25 @@ def estimate_accuracy_from_labeled(
     return LabelerAccuracy(p)
 
 
+def _knn_mean(x: np.ndarray, points: np.ndarray, values: np.ndarray, kk: int) -> np.ndarray:
+    """Mean of ``values`` over each row of ``x``'s ``kk`` nearest ``points``.
+
+    Rows go in blocks of at most ``KNN_BLOCK_ELEMENTS`` entries of the
+    row-by-point-by-feature difference tensor, so memory stays bounded
+    whatever the node count. Each row's distances, neighbour order and mean
+    do not depend on the block it falls in.
+    """
+    rows = max(1, KNN_BLOCK_ELEMENTS // max(1, points.size))
+    g = np.empty(x.shape[0])
+    for start in range(0, x.shape[0], rows):
+        block = x[start : start + rows]
+        d = np.sqrt(((block[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
+        # stable argsort keeps the lowest point index on distance ties
+        nearest = np.argsort(d, axis=1, kind="stable")[:, :kk]
+        g[start : start + rows] = values[nearest].mean(axis=1)
+    return g
+
+
 def alpha_probabilistic(
     votes: WeakVoteMatrix,
     features: np.ndarray,
@@ -285,11 +230,7 @@ def alpha_probabilistic(
             continue
         resid = (votes.votes[support, j] - labels.values[cast_lab]) ** 2
         log_resid = np.log(resid.astype(np.float64) + residual_floor)
-        d = np.sqrt(((x[:, None, :] - x[support][None, :, :]) ** 2).sum(axis=2))
-        kk = min(k_neighbors, support.size)
-        # stable argsort keeps the lowest support index on distance ties
-        nearest = np.argsort(d, axis=1, kind="stable")[:, :kk]
-        g = log_resid[nearest].mean(axis=1)
+        g = _knn_mean(x, x[support], log_resid, min(k_neighbors, support.size))
         a[:, j] = votes.cast_mask[:, j] * (scale / np.exp(g))
     return AlphaAssignment(alpha=a, scheme="probabilistic", fallback_labelers=tuple(fallback))
 

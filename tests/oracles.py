@@ -2,12 +2,16 @@
 
 Everything here is written with naive loops straight from the objective
 definitions, deliberately sharing no code with the library, so solver outputs
-can be certified against a second route.
+can be certified against a second route. The one exception is the anchor
+graph of a weak-labeler problem: it is built here record by record and then
+solved with the library's plain solver, as a second route to the reduced prior
+the library fuses labelers through.
 """
 
 import numpy as np
 
-from priorprop.graph import GraphFormatError
+from priorprop.graph import Graph, GraphFormatError, LabelSet
+from priorprop.solver import PriorField, solve_with_prior
 
 
 def naive_prior_objective(edges, h, mu, f):
@@ -41,6 +45,36 @@ def naive_multi_objective(edges, votes, alpha, f):
             if votes[i, j] != -1:
                 total += alpha[i, j] * (f[i] - votes[i, j]) ** 2
     return total
+
+
+def anchor_graph(graph, labels, votes, alpha):
+    """The paper's anchor ("dongle") graph of a weak-labeler problem.
+
+    Each of the ``k`` labelers gets a class-0 anchor, node ``n + j``, and a
+    class-1 anchor, node ``n + k + j``, both hard-labeled. Each cast vote of
+    labeler ``j`` on node ``i`` is an edge from ``i`` to the anchor of the
+    voted class, weighted ``alpha[i, j]``. Returns the anchor graph and the
+    labels of the base and anchor nodes together.
+    """
+    n, k = votes.votes.shape
+    edges = list(graph.edge_list())
+    for i in range(n):
+        for j in range(k):
+            v = int(votes.votes[i, j])
+            if v != -1:
+                edges.append((i, n + v * k + j, float(alpha.alpha[i, j])))
+    anchors = np.arange(n, n + 2 * k)
+    return Graph.from_edges(n + 2 * k, edges), LabelSet(
+        np.concatenate([labels.indices, anchors]),
+        np.concatenate([labels.values, np.repeat([0, 1], k)]),
+    )
+
+
+def anchor_graph_solve(graph, labels, votes, alpha, config=None):
+    """Scores of the base nodes, solved on the anchor graph with no prior."""
+    g, all_labels = anchor_graph(graph, labels, votes, alpha)
+    pred = solve_with_prior(g, all_labels, PriorField.constant(g.node_count), config)
+    return pred.f[: graph.node_count]
 
 
 def minimize_quadratic(objective, dim, x0=None):

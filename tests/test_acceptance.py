@@ -17,6 +17,7 @@ from priorprop.evaluation import SyntheticSpec, evaluate, pipeline_report
 from priorprop.multisource import ABSTAIN, AlphaAssignment, WeakVoteMatrix
 
 from oracles import (
+    anchor_graph_solve,
     minimize_quadratic,
     naive_multi_objective,
     naive_prior_objective,
@@ -93,7 +94,7 @@ def test_criterion_1_solver_oracle_equivalence():
         worst["soft"] = max(worst["soft"], float(np.max(np.abs(soft.f - np.clip(ref_soft, 0, 1)))))
 
         votes, alpha = make_votes(rng, n)
-        multi = pp.solve_multi_source(g, labels, votes, alpha)
+        multi = pp.solve_with_prior(g, labels, pp.reduce_to_single_prior(votes, alpha))
         ref_multi = oracle_constrained(
             lambda f: naive_multi_objective(edges, votes.votes, alpha.alpha, f), n, pairs
         )
@@ -130,14 +131,19 @@ def test_criterion_2_fixed_point_certificate():
 
 def test_criterion_3_dongle_reduction_equivalence():
     rng = np.random.default_rng(20240503)
-    worst = 0.0
+    iterative = pp.SolverConfig(method="iterative")
+    worst = {"direct": 0.0, "iterative": 0.0}
     for _ in range(100):
         g, edges, labels, _ = make_instance(rng, n_max=10)
         votes, alpha = make_votes(rng, g.node_count, k_max=4, abstain_rate=0.5)
-        via_dongles = pp.solve_multi_source(g, labels, votes, alpha)
-        via_prior = pp.solve_with_prior(g, labels, pp.reduce_to_single_prior(votes, alpha))
-        worst = max(worst, float(np.max(np.abs(via_dongles.f - via_prior.f))))
-    assert worst < 1e-8
+        prior = pp.reduce_to_single_prior(votes, alpha)
+        for method, config in (("direct", None), ("iterative", iterative)):
+            via_anchors = anchor_graph_solve(g, labels, votes, alpha, config)
+            via_prior = pp.solve_with_prior(g, labels, prior, config)
+            gap = float(np.max(np.abs(via_anchors - via_prior.f)))
+            worst[method] = max(worst[method], gap)
+    assert worst["direct"] < 1e-8, worst
+    assert worst["iterative"] < iterative.tolerance, worst
 
     votes = WeakVoteMatrix(np.array([[1, 1, 1], [1, ABSTAIN, ABSTAIN]], dtype=np.int8))
     alpha = pp.alpha_accuracy(votes, pp.LabelerAccuracy([0.8, 0.8, 0.8]))
@@ -145,7 +151,9 @@ def test_criterion_3_dongle_reduction_equivalence():
     assert abs(prior.mu[0] - 2.4) <= 1e-12
     assert abs(prior.mu[1] - 0.8) <= 1e-12
     assert prior.h[0] == 1.0 and prior.h[1] == 1.0
-    certify(3, f"100 instances agree to {worst:.2e} (< 1e-8); worked example mu = (2.4, 0.8)")
+    certify(3, f"100 instances agree with the anchor graph to {worst['direct']:.2e} direct "
+               f"(< 1e-8) and {worst['iterative']:.2e} iterative (< {iterative.tolerance:g}); "
+               f"worked example mu = (2.4, 0.8)")
 
 
 def _bound_instance(rng, n_max=30):

@@ -9,6 +9,8 @@ from priorprop import fileio
 from priorprop.cli import main
 from priorprop.evaluation import SyntheticSpec, generate_clusters, generate_weak_labelers
 
+from oracles import anchor_graph_solve
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -118,6 +120,21 @@ class TestPropagate:
                     "--output", workspace / "x.txt"]) == 2
         assert f"{bad}:3:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["direct", "iterative"])
+    def test_votes_match_anchor_graph_solve(self, workspace, method):
+        out = workspace / f"votes-{method}.txt"
+        assert run(["propagate", "--graph", workspace / "graph.txt",
+                    "--labels", workspace / "labels.txt", "--votes", workspace / "votes.txt",
+                    "--method", method, "--output", out]) == 0
+        graph = fileio.load_graph(workspace / "graph.txt")
+        labels = fileio.load_labels(workspace / "labels.txt")
+        votes = fileio.load_votes(workspace / "votes.txt")
+        alpha = pp.alpha_accuracy(votes, pp.estimate_accuracy_from_labeled(votes, labels))
+        config = pp.SolverConfig(method=method)
+        ref = anchor_graph_solve(graph, labels, votes, alpha, config)
+        f, _ = fileio.load_prediction(out)
+        assert np.max(np.abs(f - ref)) < (1e-8 if method == "direct" else config.tolerance)
+
     def test_eta_with_votes_rejected(self, workspace, capsys):
         assert run(["propagate", "--graph", workspace / "graph.txt",
                     "--labels", workspace / "labels.txt", "--eta", "1.0",
@@ -139,6 +156,19 @@ class TestPropagate:
             metrics["coverage"] * metrics["non_abstain_accuracy"]
             + (1 - metrics["coverage"]) * 0.5
         )
+
+
+@pytest.mark.parametrize("command", ["propagate", "analyze"])
+@pytest.mark.parametrize("bad_line", ["-1 0", "4 0"], ids=["negative", "out-of-range"])
+def test_truth_index_outside_graph_exits_2(tmp_path, capsys, command, bad_line):
+    fileio.save_graph(pp.Graph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]),
+                      tmp_path / "g.txt")
+    fileio.save_labels(pp.LabelSet([1, 2], [1, 1]), tmp_path / "labels.txt")
+    (tmp_path / "truth.txt").write_text(f"{bad_line}\n1 1\n2 1\n3 0\n")
+    code = run([command, "--graph", tmp_path / "g.txt", "--labels", tmp_path / "labels.txt",
+                "--truth", tmp_path / "truth.txt", "--output", tmp_path / "out.txt"])
+    assert code == 2
+    assert "labeled index" in capsys.readouterr().err
 
 
 class TestAnalyze:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from priorprop import multisource
 from priorprop.graph import Graph, LabelSet
 from priorprop.multisource import (
     ABSTAIN,
@@ -13,14 +14,18 @@ from priorprop.multisource import (
     alpha_constant,
     alpha_oracle,
     alpha_probabilistic,
-    augment_with_dongles,
     estimate_accuracy_from_labeled,
     reduce_to_single_prior,
-    solve_multi_source,
 )
-from priorprop.solver import PriorField, objective_value, solve_standard, solve_with_prior
+from priorprop.solver import (
+    PriorField,
+    SolverConfig,
+    objective_value,
+    solve_standard,
+    solve_with_prior,
+)
 
-from oracles import random_connected_graph, random_labels
+from oracles import anchor_graph, anchor_graph_solve, random_connected_graph, random_labels
 
 
 def random_votes(rng, n, k, abstain_rate=0.3):
@@ -33,47 +38,8 @@ def random_alpha(rng, votes, low=0.05, high=2.0):
     return AlphaAssignment(alpha=a, scheme="constant")
 
 
-class TestAugmentation:
-    def test_all_abstain_no_edges(self):
-        g = Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        votes = WeakVoteMatrix(np.full((3, 1), ABSTAIN, dtype=np.int8))
-        alpha = alpha_constant(votes, 1.0)
-        aug = augment_with_dongles(g, votes, alpha)
-        assert aug.graph.node_count == 5
-        assert aug.dongle_edge_count == 0
-
-    def test_vote_edges_wired_to_matching_class(self):
-        g = Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        votes = WeakVoteMatrix(np.array([[1], [0], [ABSTAIN]], dtype=np.int8))
-        alpha = alpha_constant(votes, 1.0)
-        aug = augment_with_dongles(g, votes, alpha)
-        extra = {(i, j) for i, j, _ in aug.graph.edge_list()} - {(0, 1), (1, 2)}
-        # class-0 anchor is node 3, class-1 anchor is node 4 (n+m=3, k=1)
-        assert extra == {(0, 4), (1, 3)}
-        assert aug.dongle_edge_count == 2
-
-    def test_edge_count_equals_cast_votes(self):
-        rng = np.random.default_rng(0)
-        g = Graph.from_edges(6, random_connected_graph(rng, 6))
-        votes = random_votes(rng, 6, 3)
-        alpha = random_alpha(rng, votes)
-        aug = augment_with_dongles(g, votes, alpha)
-        assert aug.dongle_edge_count == int(votes.cast_mask.sum())
-
-    def test_rejects_alpha_on_abstain(self):
-        g = Graph.from_edges(2, [(0, 1, 1.0)])
-        votes = WeakVoteMatrix(np.array([[ABSTAIN], [1]], dtype=np.int8))
-        bad = AlphaAssignment(alpha=np.array([[0.5], [0.5]]), scheme="constant")
-        with pytest.raises(ValueError, match="abstain"):
-            augment_with_dongles(g, votes, bad)
-
-    def test_dongle_labels(self):
-        g = Graph.from_edges(2, [(0, 1, 1.0)])
-        votes = WeakVoteMatrix(np.array([[1, 0], [0, 1]], dtype=np.int8))
-        aug = augment_with_dongles(g, votes, alpha_constant(votes, 1.0))
-        dl = aug.dongle_labels()
-        assert dl.indices.tolist() == [2, 3, 4, 5]
-        assert dl.values.tolist() == [0, 0, 1, 1]
+def reduce_and_solve(g, labels, votes, alpha, config=None):
+    return solve_with_prior(g, labels, reduce_to_single_prior(votes, alpha), config)
 
 
 class TestSolveMultiSource:
@@ -85,7 +51,7 @@ class TestSolveMultiSource:
         votes = WeakVoteMatrix(rng.integers(0, 2, size=(n, 1)).astype(np.int8))
         mu = 0.7
         alpha = alpha_constant(votes, mu)
-        pred = solve_multi_source(g, labels, votes, alpha)
+        pred = reduce_and_solve(g, labels, votes, alpha)
         prior = PriorField(votes.votes[:, 0].astype(float), np.full(n, mu))
         ref = solve_with_prior(g, labels, prior)
         assert np.max(np.abs(pred.f - ref.f)) < 1e-8
@@ -97,12 +63,16 @@ class TestSolveMultiSource:
         labels = LabelSet([1], [1])
         votes = random_votes(rng, n, 2)
         alpha = alpha_constant(votes, 0.0)
-        pred = solve_multi_source(g, labels, votes, alpha)
+        pred = reduce_and_solve(g, labels, votes, alpha)
         ref = solve_standard(g, labels)
         assert np.max(np.abs(pred.f - ref.f)) < 1e-8
 
-    @pytest.mark.parametrize("seed", range(15))
-    def test_dongle_reduction_equivalence(self, seed):
+    @pytest.mark.parametrize(
+        "seed, method",
+        [(seed, "direct") for seed in range(15)] + [(seed, "iterative") for seed in range(15)],
+        ids=[str(seed) for seed in range(15)] + [f"iterative-{seed}" for seed in range(15)],
+    )
+    def test_dongle_reduction_equivalence(self, seed, method):
         rng = np.random.default_rng(seed + 50)
         n = int(rng.integers(4, 9))
         g = Graph.from_edges(n, random_connected_graph(rng, n))
@@ -110,9 +80,14 @@ class TestSolveMultiSource:
         labels = LabelSet(idx, vals)
         votes = random_votes(rng, n, int(rng.integers(1, 5)))
         alpha = random_alpha(rng, votes)
-        via_dongles = solve_multi_source(g, labels, votes, alpha)
-        via_prior = solve_with_prior(g, labels, reduce_to_single_prior(votes, alpha))
-        assert np.max(np.abs(via_dongles.f - via_prior.f)) < 1e-8
+        config = SolverConfig(method=method)
+        via_anchors = anchor_graph_solve(g, labels, votes, alpha, config)
+        via_prior = reduce_and_solve(g, labels, votes, alpha, config)
+        assert via_prior.method == method and via_prior.converged
+        # Gauss-Seidel sweeps the same update on both graphs, so the iterates
+        # agree far inside the tolerance they stop at
+        tol = 1e-8 if method == "direct" else config.tolerance
+        assert np.max(np.abs(via_anchors - via_prior.f)) < tol
 
     def test_objective_identity_on_random_f(self):
         rng = np.random.default_rng(8)
@@ -121,12 +96,8 @@ class TestSolveMultiSource:
         labels = LabelSet([0], [1])
         votes = random_votes(rng, n, 3)
         alpha = random_alpha(rng, votes)
-        aug = augment_with_dongles(g, votes, alpha)
-        dl = aug.dongle_labels()
-        combined = LabelSet(
-            np.concatenate([labels.indices, dl.indices]),
-            np.concatenate([labels.values, dl.values]),
-        )
+        anchors, combined = anchor_graph(g, labels, votes, alpha)
+        anchor_values = combined.values[combined.indices >= n].astype(float)
         reduced = reduce_to_single_prior(votes, alpha)
         # the anchor-graph objective and the reduced-prior one differ by a
         # constant (the trust-weighted vote variance), so they share minimizers
@@ -134,9 +105,9 @@ class TestSolveMultiSource:
         for _ in range(10):
             f = rng.uniform(0, 1, n)
             f[0] = 1.0
-            f_ext = np.concatenate([f, dl.values.astype(float)])
+            f_ext = np.concatenate([f, anchor_values])
             on_anchors = objective_value(
-                aug.graph, combined, PriorField.constant(aug.graph.node_count), f_ext
+                anchors, combined, PriorField.constant(anchors.node_count), f_ext
             )
             gaps.append(on_anchors - objective_value(g, labels, reduced, f))
         assert gaps[0] > 0
@@ -152,8 +123,8 @@ class TestSolveMultiSource:
         k = 3
         votes_k = WeakVoteMatrix(np.tile(col[:, None], (1, k)))
         votes_1 = WeakVoteMatrix(col[:, None])
-        pred_k = solve_multi_source(g, labels, votes_k, alpha_constant(votes_k, 0.6))
-        pred_1 = solve_multi_source(g, labels, votes_1, alpha_constant(votes_1, 0.6 * k))
+        pred_k = reduce_and_solve(g, labels, votes_k, alpha_constant(votes_k, 0.6))
+        pred_1 = reduce_and_solve(g, labels, votes_1, alpha_constant(votes_1, 0.6 * k))
         assert np.max(np.abs(pred_k.f - pred_1.f)) < 1e-8
 
 
@@ -178,6 +149,12 @@ class TestReduceToSinglePrior:
         prior = reduce_to_single_prior(votes, alpha)
         assert prior.h[0] == pytest.approx(2.0 / 3.0, rel=1e-12)
         assert prior.mu[0] == pytest.approx(3.0, rel=1e-12)
+
+    def test_rejects_alpha_on_abstain(self):
+        votes = WeakVoteMatrix(np.array([[ABSTAIN], [1]], dtype=np.int8))
+        bad = AlphaAssignment(alpha=np.array([[0.5], [0.5]]), scheme="constant")
+        with pytest.raises(ValueError, match="abstain"):
+            reduce_to_single_prior(votes, bad)
 
 
 class TestAlphaSchemes:
@@ -329,6 +306,22 @@ class TestAlphaProbabilistic:
         base = alpha_probabilistic(votes, feats, labels, k_neighbors=2)
         scaled = alpha_probabilistic(votes, feats, labels, k_neighbors=2, scale=0.25)
         assert np.allclose(scaled.alpha, 0.25 * base.alpha, rtol=1e-12)
+
+    @pytest.mark.parametrize("block_elements", [1, 150, 1001])
+    def test_row_blocks_bitwise_equal_to_one_block(self, monkeypatch, block_elements):
+        rng = np.random.default_rng(12)
+        n = 90
+        # 30 distinct points, each three times: every row has distance ties
+        feats = np.repeat(rng.normal(size=(30, 2)), 3, axis=0)
+        votes = random_votes(rng, n, 3)
+        y = rng.integers(0, 2, n)
+        labels = LabelSet(np.arange(0, n, 2), y[::2])
+        monkeypatch.setattr(multisource, "KNN_BLOCK_ELEMENTS", n * n * 2)
+        whole = alpha_probabilistic(votes, feats, labels, k_neighbors=4)
+        monkeypatch.setattr(multisource, "KNN_BLOCK_ELEMENTS", block_elements)
+        blocked = alpha_probabilistic(votes, feats, labels, k_neighbors=4)
+        assert blocked.alpha.tobytes() == whole.alpha.tobytes()
+        assert np.unique(whole.alpha).size > 3
 
     def test_fallback_when_no_labeled_support(self):
         votes = WeakVoteMatrix(
