@@ -70,7 +70,30 @@ def _solver_config(args) -> SolverConfig:
     )
 
 
-def _alpha_from_args(args, graph, votes, labels):
+def _load_labels(args, node_count: int):
+    labels = fileio.load_labels(args.labels)
+    labels.validate_against(node_count)
+    if len(labels) == 0:
+        raise ValueError("at least one labeled node is required")
+    return labels
+
+
+def _load_truth(args, node_count: int) -> np.ndarray | None:
+    """The full ``--truth`` labels as one vector, or None without ``--truth``."""
+    if not args.truth:
+        return None
+    truth_labels = fileio.load_labels(args.truth)
+    truth_labels.validate_against(node_count)
+    if len(truth_labels) != node_count:
+        raise ValueError(
+            f"ground truth must label every node ({len(truth_labels)} of {node_count} given)"
+        )
+    y = np.empty(node_count, dtype=np.int8)
+    y[truth_labels.indices] = truth_labels.values
+    return y
+
+
+def _alpha_from_args(args, votes, labels, y):
     scheme = args.alpha_scheme
     if scheme in ("accuracy", "boosting"):
         if args.accuracies:
@@ -90,23 +113,10 @@ def _alpha_from_args(args, graph, votes, labels):
     if scheme == "constant":
         return multisource.alpha_constant(votes, args.alpha_constant)
     if scheme == "oracle":
-        if not args.truth:
+        if y is None:
             raise ValueError("--alpha-scheme oracle requires --truth")
-        truth = fileio.load_labels(args.truth)
-        y = _truth_vector(truth, graph.node_count)
         return multisource.alpha_oracle(votes, y)
     raise ValueError(f"unknown alpha scheme {scheme!r}")
-
-
-def _truth_vector(truth_labels, node_count: int) -> np.ndarray:
-    truth_labels.validate_against(node_count)
-    if len(truth_labels) != node_count:
-        raise ValueError(
-            f"ground truth must label every node ({len(truth_labels)} of {node_count} given)"
-        )
-    y = np.empty(node_count, dtype=np.int8)
-    y[truth_labels.indices] = truth_labels.values
-    return y
 
 
 def cmd_build_graph(args) -> int:
@@ -122,19 +132,19 @@ def cmd_build_graph(args) -> int:
 
 def cmd_propagate(args) -> int:
     graph = _load_graph_input(args)
-    labels = fileio.load_labels(args.labels)
-    labels.validate_against(graph.node_count)
+    labels = _load_labels(args, graph.node_count)
+    y = _load_truth(args, graph.node_count)
     config = _solver_config(args)
 
     if args.eta is not None:
-        if args.votes:
-            raise ValueError("--eta (soft solve) cannot be combined with --votes")
-        prediction = solve_soft(graph, labels, args.eta)
+        if args.votes or args.mu > 0:
+            raise ValueError("--eta (soft solve) cannot be combined with --votes or --mu")
+        prediction = solve_soft(graph, labels, args.eta, config)
     elif args.votes:
         votes = fileio.load_votes(args.votes)
         if votes.node_count != graph.node_count:
             raise ValueError("vote matrix does not match graph size")
-        alpha = _alpha_from_args(args, graph, votes, labels)
+        alpha = _alpha_from_args(args, votes, labels, y)
         prior = multisource.reduce_to_single_prior(votes, alpha)
         prediction = solve_with_prior(graph, labels, prior, config)
     elif args.mu > 0:
@@ -148,9 +158,7 @@ def cmd_propagate(args) -> int:
         f"wrote {args.output}: method={prediction.method} converged={prediction.converged} "
         f"residual={fileio.fmt_float(prediction.residual)}"
     )
-    if args.truth:
-        truth = fileio.load_labels(args.truth)
-        y = _truth_vector(truth, graph.node_count)
+    if y is not None:
         metrics = evaluation.evaluate(prediction, y, args.epsilon)
         metrics_path = args.metrics_output or args.output + ".metrics.json"
         fileio.write_json(metrics.to_dict(), metrics_path)
@@ -160,10 +168,8 @@ def cmd_propagate(args) -> int:
 
 def cmd_analyze(args) -> int:
     graph = _load_graph_input(args)
-    labels = fileio.load_labels(args.labels)
-    labels.validate_against(graph.node_count)
-    truth = fileio.load_labels(args.truth)
-    y = _truth_vector(truth, graph.node_count)
+    labels = _load_labels(args, graph.node_count)
+    y = _load_truth(args, graph.node_count)
     wrong = np.flatnonzero(y[labels.indices] != labels.values)
     if wrong.size:
         # the bound and the audit take the labeled nodes' error against --truth
@@ -176,7 +182,7 @@ def cmd_analyze(args) -> int:
         votes = fileio.load_votes(args.votes)
         if votes.node_count != graph.node_count:
             raise ValueError("vote matrix does not match graph size")
-        alpha = _alpha_from_args(args, graph, votes, labels)
+        alpha = _alpha_from_args(args, votes, labels, y)
         prior = multisource.reduce_to_single_prior(votes, alpha)
     else:
         prior = PriorField.constant(graph.node_count, h=0.5, mu=args.mu)
@@ -186,6 +192,8 @@ def cmd_analyze(args) -> int:
     stats = hop_stats(graph, y, prior, partition, prediction)
     bound = compute_bound(stats)
     audit = audit_inequalities(stats)
+    # the default direct config, not the solver flags: Gauss-Seidel on the soft
+    # problem at a small eta can run 10,000 sweeps without converging
     soft = solve_soft(graph, labels, args.eta)
     full = None
     if args.full_t is not None or args.full_m is not None or args.full_k is not None:

@@ -9,6 +9,11 @@ weighted-neighbor-average update
 
     f_i = (sum_j w_ij f_j + mu_i h_i) / (sum_j w_ij + mu_i).
 
+The soft-constrained variant, which penalizes labels with weight ``eta``
+instead of fixing them, is the same problem with no hard labels, ``h = y`` and
+``mu = eta / 2`` on the labeled nodes (see :func:`solve_soft`); its reported
+residual is therefore the fixed-point residual too.
+
 The direct method solves the symmetric positive-definite system over the
 unlabeled nodes (dense Cholesky below ``DENSE_LIMIT`` unknowns, Jacobi
 preconditioned conjugate gradient above, sparse LU if CG fails); the
@@ -97,8 +102,7 @@ class Prediction:
 
     ``node_flags`` holds one of ``ok``/``unreachable``/``nonconverged`` per
     node (see FLAG_* constants); ``residual`` is the final max-norm
-    fixed-point residual for hard-constrained solves and the max-norm linear
-    residual for soft solves.
+    fixed-point residual, for soft solves that of their prior problem.
     """
 
     f: np.ndarray
@@ -114,10 +118,10 @@ class Prediction:
 
 def _validate_inputs(graph: Graph, labels: LabelSet, prior: PriorField) -> None:
     labels.validate_against(graph.node_count)
-    if len(labels) == 0:
-        raise ValueError("at least one labeled node is required")
     if prior.node_count != graph.node_count:
         raise ValueError("prior size does not match graph")
+    if len(labels) == 0 and not np.any(prior.mu > 0):
+        raise ValueError("at least one labeled node or some prior weight is required")
 
 
 def _indeterminate_nodes(graph: Graph, labels: LabelSet, mu: np.ndarray) -> np.ndarray:
@@ -141,21 +145,6 @@ def fixed_point_residual(
         graph.degrees[nodes] + prior.mu[nodes]
     )
     return float(np.max(np.abs(f[nodes] - target)))
-
-
-def _solve_spd(a_dense_or_sparse, b: np.ndarray, dense: bool) -> np.ndarray:
-    if b.size == 0:
-        return b.copy()
-    if dense:
-        return scipy.linalg.solve(a_dense_or_sparse, b, assume_a="pos")
-    a = a_dense_or_sparse
-    diag = a.diagonal()
-    m = sp.diags(1.0 / diag)
-    x, info = spla.cg(a, b, rtol=1e-13, atol=0.0, maxiter=20 * b.size, M=m)
-    if info != 0:
-        # fall back to a sparse LU factorization rather than return a bad iterate
-        x = spla.splu(a.tocsc()).solve(b)
-    return x
 
 
 def solve_with_prior(
@@ -224,12 +213,14 @@ def _direct_solve(
     y_ext[labels.indices] = labels.values
     b = prior.mu[solved] * prior.h[solved] + (w @ y_ext)[solved]
     wuu = w[solved][:, solved]
-    dense = solved.size < DENSE_LIMIT
-    if dense:
-        a = np.diag(diag) - wuu.toarray()
-    else:
-        a = (sp.diags(diag) - wuu).tocsr()
-    return _solve_spd(a, b, dense)
+    if solved.size < DENSE_LIMIT:
+        return scipy.linalg.solve(np.diag(diag) - wuu.toarray(), b, assume_a="pos")
+    a = (sp.diags(diag) - wuu).tocsr()
+    x, info = spla.cg(a, b, rtol=1e-13, atol=0.0, maxiter=20 * b.size, M=sp.diags(1.0 / diag))
+    if info != 0:
+        # fall back to a sparse LU factorization rather than return a bad iterate
+        x = spla.splu(a.tocsc()).solve(b)
+    return x
 
 
 def _iterative_solve(
@@ -267,56 +258,27 @@ def solve_standard(
     return solve_with_prior(graph, labels, PriorField.constant(graph.node_count), config)
 
 
-def solve_soft(graph: Graph, labels: LabelSet, eta: float) -> Prediction:
+def solve_soft(
+    graph: Graph, labels: LabelSet, eta: float, config: SolverConfig | None = None
+) -> Prediction:
     """Soft-constrained propagation: labels are penalized, not fixed.
 
     Minimizes ``sum_ij w_ij (f_i - f_j)^2 + eta * sum_labeled (f_i - y_i)^2``
-    (the smoothness sum running over ordered pairs) over all of R^n. On
-    connected components with no labeled node the objective is indifferent to
-    a constant shift; those components are set to 0.5 and flagged.
+    (the smoothness sum running over ordered pairs) over all of R^n. That is
+    twice the prior objective with no hard labels, ``h = y`` and
+    ``mu = eta / 2`` on the labeled nodes, so it is solved as that problem.
+    Connected components with no labeled node carry no prior weight and get
+    the ``unreachable`` fill.
     """
     eta = float(eta)
     if not (eta > 0) or not np.isfinite(eta):
         raise ValueError("eta must be positive and finite")
     labels.validate_against(graph.node_count)
-    if len(labels) == 0:
-        raise ValueError("at least one labeled node is required")
-    n = graph.node_count
-    comp = graph.component_of
-    labeled_comps = np.unique(comp[labels.indices])
-    y_ext = np.zeros(n)
-    y_ext[labels.indices] = labels.values
-    labeled_mask = np.zeros(n, dtype=bool)
-    labeled_mask[labels.indices] = True
-
-    f = np.full(n, 0.5)
-    flags = np.full(n, FLAG_UNREACHABLE, dtype=np.int8)
-    worst = 0.0
-    for c in labeled_comps:
-        idx = np.flatnonzero(comp == c).astype(np.int64)
-        flags[idx] = FLAG_OK
-        wcc = graph.matrix[idx][:, idx]
-        diag = 2.0 * graph.degrees[idx] + eta * labeled_mask[idx]
-        b = eta * y_ext[idx]
-        dense = idx.size < DENSE_LIMIT
-        if dense:
-            a = np.diag(diag) - 2.0 * wcc.toarray()
-        else:
-            a = (sp.diags(diag) - 2.0 * wcc).tocsr()
-        x = _solve_spd(a, b, dense)
-        f[idx] = x
-        resid = b - (a @ x if dense else a.dot(x))
-        if resid.size:
-            worst = max(worst, float(np.max(np.abs(resid))))
-    np.clip(f, 0.0, 1.0, out=f)
-    return Prediction(
-        f=f,
-        node_flags=flags,
-        method="direct",
-        iterations=0,
-        residual=worst,
-        converged=True,
-    )
+    h = np.full(graph.node_count, 0.5)
+    mu = np.zeros(graph.node_count)
+    h[labels.indices] = labels.values
+    mu[labels.indices] = eta / 2.0
+    return solve_with_prior(graph, LabelSet([], []), PriorField(h, mu), config)
 
 
 def objective_value(

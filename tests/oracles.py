@@ -2,16 +2,20 @@
 
 Everything here is written with naive loops straight from the objective
 definitions, deliberately sharing no code with the library, so solver outputs
-can be certified against a second route. The one exception is the anchor
-graph of a weak-labeler problem: it is built here record by record and then
-solved with the library's plain solver, as a second route to the reduced prior
-the library fuses labelers through.
+can be certified against a second route. The exceptions are two second routes
+to problems the library solves as prior problems: the anchor graph of a
+weak-labeler problem, built here record by record and then solved with the
+library's plain solver, and the soft-constrained problem, solved here
+component by component in its own penalized form.
 """
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from priorprop.graph import Graph, GraphFormatError, LabelSet
-from priorprop.solver import PriorField, solve_with_prior
+from priorprop.solver import DENSE_LIMIT, PriorField, solve_with_prior
 
 
 def naive_prior_objective(edges, h, mu, f):
@@ -75,6 +79,38 @@ def anchor_graph_solve(graph, labels, votes, alpha, config=None):
     g, all_labels = anchor_graph(graph, labels, votes, alpha)
     pred = solve_with_prior(g, all_labels, PriorField.constant(g.node_count), config)
     return pred.f[: graph.node_count]
+
+
+def soft_solve_reference(graph, labels, eta):
+    """Soft-constrained scores ``(f, flags)`` solved one labeled component at a time.
+
+    Each component holding a label solves ``(2 D + eta I_L - 2 W) f = eta y``
+    (dense below ``DENSE_LIMIT`` nodes, Jacobi-preconditioned CG above); the
+    other components get 0.5 and flag 1 (unreachable).
+    """
+    n = graph.node_count
+    comp = graph.component_of
+    y_ext = np.zeros(n)
+    y_ext[labels.indices] = labels.values
+    labeled_mask = np.zeros(n, dtype=bool)
+    labeled_mask[labels.indices] = True
+    f = np.full(n, 0.5)
+    flags = np.ones(n, dtype=np.int8)
+    for c in np.unique(comp[labels.indices]):
+        idx = np.flatnonzero(comp == c)
+        flags[idx] = 0
+        wcc = graph.matrix[idx][:, idx]
+        diag = 2.0 * graph.degrees[idx] + eta * labeled_mask[idx]
+        b = eta * y_ext[idx]
+        if idx.size < DENSE_LIMIT:
+            f[idx] = scipy.linalg.solve(np.diag(diag) - 2.0 * wcc.toarray(), b, assume_a="pos")
+        else:
+            a = (sp.diags(diag) - 2.0 * wcc).tocsr()
+            x, info = spla.cg(a, b, rtol=1e-13, atol=0.0, maxiter=20 * b.size,
+                              M=sp.diags(1.0 / diag))
+            assert info == 0
+            f[idx] = x
+    return np.clip(f, 0.0, 1.0), flags
 
 
 def minimize_quadratic(objective, dim, x0=None):

@@ -135,11 +135,27 @@ class TestPropagate:
         f, _ = fileio.load_prediction(out)
         assert np.max(np.abs(f - ref)) < (1e-8 if method == "direct" else config.tolerance)
 
+    def test_soft_mode_honours_solver_flags(self, workspace, capsys):
+        args = ["propagate", "--graph", workspace / "graph.txt",
+                "--labels", workspace / "labels.txt", "--eta", "1.0"]
+        assert run(args + ["--output", workspace / "direct.txt"]) == 0
+        assert "method=direct" in capsys.readouterr().out
+        assert run(args + ["--method", "iterative", "--output", workspace / "iter.txt"]) == 0
+        assert "method=iterative" in capsys.readouterr().out
+        f_direct, _ = fileio.load_prediction(workspace / "direct.txt")
+        f_iter, _ = fileio.load_prediction(workspace / "iter.txt")
+        # the Gauss-Seidel stop rule certifies an error of about 5 x tolerance
+        # (residual <= 5 tol (1 - rho)), and this soft problem contracts slowly
+        # (~800 sweeps); the factor 2 covers the estimate of rho
+        assert np.max(np.abs(f_iter - f_direct)) < 10 * pp.SolverConfig().tolerance
+
     def test_eta_with_votes_rejected(self, workspace, capsys):
-        assert run(["propagate", "--graph", workspace / "graph.txt",
-                    "--labels", workspace / "labels.txt", "--eta", "1.0",
-                    "--votes", workspace / "votes.txt",
-                    "--output", workspace / "x.txt"]) == 2
+        args = ["propagate", "--graph", workspace / "graph.txt",
+                "--labels", workspace / "labels.txt", "--eta", "1.0",
+                "--output", workspace / "x.txt"]
+        assert run(args + ["--votes", workspace / "votes.txt"]) == 2
+        assert run(args + ["--mu", "5"]) == 2
+        assert not (workspace / "x.txt").exists()
 
     def test_both_graph_and_features_rejected(self, workspace):
         assert run(["propagate", "--graph", workspace / "graph.txt",
@@ -169,6 +185,24 @@ def test_truth_index_outside_graph_exits_2(tmp_path, capsys, command, bad_line):
                 "--truth", tmp_path / "truth.txt", "--output", tmp_path / "out.txt"])
     assert code == 2
     assert "labeled index" in capsys.readouterr().err
+    assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("extra", [
+    ["propagate"],
+    ["propagate", "--mu", "1"],
+    ["propagate", "--eta", "1"],
+    ["propagate", "--votes", "votes.txt", "--alpha-scheme", "constant"],
+    ["analyze", "--truth", "truth.txt"],
+], ids=["plain", "mu", "eta", "votes-constant", "analyze"])
+def test_empty_labels_exit_2(workspace, capsys, extra):
+    (workspace / "empty.txt").write_text("")
+    argv = [workspace / a if a.endswith(".txt") else a for a in extra]
+    code = run(argv + ["--graph", workspace / "graph.txt", "--labels", workspace / "empty.txt",
+                       "--output", workspace / "out.txt"])
+    assert code == 2
+    assert "at least one labeled node is required" in capsys.readouterr().err
+    assert not (workspace / "out.txt").exists()
 
 
 class TestAnalyze:

@@ -25,6 +25,7 @@ from oracles import (
     naive_soft_objective,
     random_connected_graph,
     random_labels,
+    soft_solve_reference,
 )
 
 
@@ -250,6 +251,42 @@ class TestSolveSoft:
         g = Graph.from_edges(2, [(0, 1, 1.0)])
         with pytest.raises(ValueError):
             solve_soft(g, LabelSet([0], [1]), eta=0.0)
+
+
+def disjoint_components(rng, sizes, labeled):
+    """One random connected component per size, side by side; ``labeled[c]``
+    nodes of component ``c`` get random labels."""
+    edges, idx, vals = [], [], []
+    offset = 0
+    for size, count in zip(sizes, labeled):
+        if size > 1:
+            edges += [(i + offset, j + offset, w)
+                      for i, j, w in random_connected_graph(rng, size, extra_edges=size)]
+        idx += (offset + rng.choice(size, size=count, replace=False)).tolist()
+        vals += rng.integers(0, 2, size=count).tolist()
+        offset += size
+    return Graph.from_edges(offset, edges), LabelSet(idx, vals)
+
+
+class TestSolveSoftMatchesReference:
+    """The soft solve as a prior problem against the component-wise penalized solve."""
+
+    @pytest.mark.parametrize("case", ["two-node", "mixed", "isolated"])
+    def test_agrees_with_component_solve(self, case):
+        rng = np.random.default_rng(7)
+        if case == "two-node":
+            sizes, labeled = [2] * 1000, rng.integers(1, 3, size=1000)
+        elif case == "mixed":
+            sizes = [DENSE_LIMIT + 150, 3, 7, 20, 2, 5, 9, 1, 1]
+            labeled = [12, 1, 2, 3, 1, 0, 0, 0, 1]
+        else:
+            sizes, labeled = [1, 4, 1], [1, 1, 0]
+        g, labels = disjoint_components(rng, sizes, labeled)
+        pred = solve_soft(g, labels, 0.7)
+        f_ref, flags_ref = soft_solve_reference(g, labels, 0.7)
+        assert np.max(np.abs(pred.f - f_ref)) < 1e-12
+        np.testing.assert_array_equal(pred.node_flags, flags_ref)
+        assert pred.converged and pred.method == "direct"
 
 
 class TestObjectiveValue:
