@@ -45,6 +45,7 @@ from priorprop.multisource import (
     alpha_probabilistic,
     estimate_accuracy_from_labeled,
     reduce_to_single_prior,
+    vote_prior,
 )
 from priorprop.solver import (
     Prediction,

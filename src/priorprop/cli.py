@@ -32,7 +32,6 @@ from priorprop.solver import (
     PriorField,
     SolverConfig,
     solve_soft,
-    solve_standard,
     solve_with_prior,
 )
 from priorprop.spectral import spectral_bound
@@ -44,6 +43,25 @@ def _add_graph_inputs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t", type=float, help="average-degree target for graph construction")
 
 
+def _add_prior_flags(p: argparse.ArgumentParser, default_mu: float) -> None:
+    p.add_argument(
+        "--mu",
+        type=float,
+        help=f"constant prior pull toward 0.5 without --votes (default {default_mu:g})",
+    )
+    p.add_argument("--votes", help="weak-vote matrix file (the prior fuses its votes)")
+    p.add_argument("--accuracies", help="estimated labeler accuracies file")
+    p.add_argument(
+        "--alpha-scheme",
+        choices=multisource.ALPHA_SCHEMES,
+        default="accuracy",
+        help="trust-weight scheme for --votes",
+    )
+    p.add_argument("--alpha-constant", type=float, default=1.0)
+    p.add_argument("--k-neighbors", type=int, default=10)
+    p.set_defaults(default_mu=default_mu)
+
+
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--method", choices=("direct", "iterative"), default="direct")
     p.add_argument("--tolerance", type=float, default=1e-8)
@@ -51,14 +69,16 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--unreachable-fill", type=float, default=0.5)
 
 
-def _load_graph_input(args) -> Graph:
+def _load_graph_input(args) -> tuple[Graph, np.ndarray | None]:
+    """The graph, and the features it was built from (None for ``--graph``)."""
     if (args.graph is None) == (args.features is None):
         raise ValueError("exactly one of --graph or --features is required")
     if args.graph is not None:
-        return fileio.load_graph(args.graph)
+        return fileio.load_graph(args.graph), None
     if args.t is None:
         raise ValueError("--features requires --t")
-    return build_threshold_graph(fileio.load_features(args.features), args.t)
+    features = fileio.load_features(args.features)
+    return build_threshold_graph(features, args.t), features
 
 
 def _solver_config(args) -> SolverConfig:
@@ -93,30 +113,26 @@ def _load_truth(args, node_count: int) -> np.ndarray | None:
     return y
 
 
-def _alpha_from_args(args, votes, labels, y):
-    scheme = args.alpha_scheme
-    if scheme in ("accuracy", "boosting"):
-        if args.accuracies:
-            acc = fileio.load_accuracies(args.accuracies)
-            if acc.p.size != votes.labeler_count:
-                raise ValueError("accuracy file does not match labeler count")
-        else:
-            acc = multisource.estimate_accuracy_from_labeled(votes, labels)
-        if scheme == "accuracy":
-            return multisource.alpha_accuracy(votes, acc)
-        return multisource.alpha_boosting(votes, acc)
-    if scheme == "probabilistic":
-        if not args.features:
-            raise ValueError("--alpha-scheme probabilistic requires --features")
-        feats = fileio.load_features(args.features)
-        return multisource.alpha_probabilistic(votes, feats, labels, args.k_neighbors)
-    if scheme == "constant":
-        return multisource.alpha_constant(votes, args.alpha_constant)
-    if scheme == "oracle":
-        if y is None:
-            raise ValueError("--alpha-scheme oracle requires --truth")
-        return multisource.alpha_oracle(votes, y)
-    raise ValueError(f"unknown alpha scheme {scheme!r}")
+def _prior(args, node_count: int, labels, y, features) -> PriorField:
+    """The ``--votes`` prior under ``--alpha-scheme``, else ``h = 0.5`` at ``--mu``."""
+    if not args.votes:
+        mu = args.default_mu if args.mu is None else args.mu
+        return PriorField.constant(node_count, h=0.5, mu=mu)
+    if args.mu is not None:
+        raise ValueError("--mu cannot be combined with --votes (the votes set the prior weight)")
+    votes = fileio.load_votes(args.votes)
+    if votes.node_count != node_count:
+        raise ValueError("vote matrix does not match graph size")
+    return multisource.vote_prior(
+        votes,
+        args.alpha_scheme,
+        labels,
+        accuracy=fileio.load_accuracies(args.accuracies) if args.accuracies else None,
+        features=features,
+        truth=y,
+        constant=args.alpha_constant,
+        k_neighbors=args.k_neighbors,
+    )
 
 
 def cmd_build_graph(args) -> int:
@@ -131,27 +147,18 @@ def cmd_build_graph(args) -> int:
 
 
 def cmd_propagate(args) -> int:
-    graph = _load_graph_input(args)
+    graph, features = _load_graph_input(args)
     labels = _load_labels(args, graph.node_count)
     y = _load_truth(args, graph.node_count)
     config = _solver_config(args)
 
     if args.eta is not None:
-        if args.votes or args.mu > 0:
+        if args.votes or (args.mu is not None and args.mu > 0):
             raise ValueError("--eta (soft solve) cannot be combined with --votes or --mu")
         prediction = solve_soft(graph, labels, args.eta, config)
-    elif args.votes:
-        votes = fileio.load_votes(args.votes)
-        if votes.node_count != graph.node_count:
-            raise ValueError("vote matrix does not match graph size")
-        alpha = _alpha_from_args(args, votes, labels, y)
-        prior = multisource.reduce_to_single_prior(votes, alpha)
-        prediction = solve_with_prior(graph, labels, prior, config)
-    elif args.mu > 0:
-        prior = PriorField.constant(graph.node_count, h=0.5, mu=args.mu)
-        prediction = solve_with_prior(graph, labels, prior, config)
     else:
-        prediction = solve_standard(graph, labels, config)
+        prior = _prior(args, graph.node_count, labels, y, features)
+        prediction = solve_with_prior(graph, labels, prior, config)
 
     fileio.save_prediction(prediction, args.output)
     print(
@@ -167,7 +174,7 @@ def cmd_propagate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    graph = _load_graph_input(args)
+    graph, features = _load_graph_input(args)
     labels = _load_labels(args, graph.node_count)
     y = _load_truth(args, graph.node_count)
     wrong = np.flatnonzero(y[labels.indices] != labels.values)
@@ -177,16 +184,7 @@ def cmd_analyze(args) -> int:
         i = int(labels.indices[wrong[0]])
         raise ValueError(f"label of node {i} contradicts --truth ({int(y[i])})")
     config = _solver_config(args)
-
-    if args.votes:
-        votes = fileio.load_votes(args.votes)
-        if votes.node_count != graph.node_count:
-            raise ValueError("vote matrix does not match graph size")
-        alpha = _alpha_from_args(args, votes, labels, y)
-        prior = multisource.reduce_to_single_prior(votes, alpha)
-    else:
-        prior = PriorField.constant(graph.node_count, h=0.5, mu=args.mu)
-
+    prior = _prior(args, graph.node_count, labels, y, features)
     partition = compute_neighborhoods(graph, labels)
     prediction = solve_with_prior(graph, labels, prior, config)
     stats = hop_stats(graph, y, prior, partition, prediction)
@@ -195,9 +193,8 @@ def cmd_analyze(args) -> int:
     # the default direct config, not the solver flags: Gauss-Seidel on the soft
     # problem at a small eta can run 10,000 sweeps without converging
     soft = solve_soft(graph, labels, args.eta)
-    full = None
-    if args.full_t is not None or args.full_m is not None or args.full_k is not None:
-        full = (args.full_t or 1, args.full_m or 1.0, args.full_k or 1.0)
+    given = (args.full_t, args.full_m, args.full_k)
+    full = None if given == (None,) * 3 else tuple(1 if v is None else v for v in given)
     spectral = spectral_bound(graph, soft, labels, y, args.eta, args.delta, full)
 
     report = {
@@ -249,18 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("propagate", help="solve a propagation problem and write scores")
     _add_graph_inputs(p)
     p.add_argument("--labels", required=True, help="labeled-node file")
-    p.add_argument("--mu", type=float, default=0.0, help="constant prior pull toward 0.5")
+    _add_prior_flags(p, default_mu=0.0)
     p.add_argument("--eta", type=float, help="soft-constraint weight (selects the soft solve)")
-    p.add_argument("--votes", help="weak-vote matrix file (selects the multi-source solve)")
-    p.add_argument("--accuracies", help="estimated labeler accuracies file")
-    p.add_argument(
-        "--alpha-scheme",
-        choices=multisource.ALPHA_SCHEMES,
-        default="accuracy",
-        help="trust-weight scheme for --votes",
-    )
-    p.add_argument("--alpha-constant", type=float, default=1.0)
-    p.add_argument("--k-neighbors", type=int, default=10)
     p.add_argument("--truth", help="full ground-truth labels (enables metrics output)")
     p.add_argument("--epsilon", type=float, default=evaluation.DEFAULT_EPSILON)
     _add_solver_flags(p)
@@ -272,12 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_inputs(p)
     p.add_argument("--labels", required=True)
     p.add_argument("--truth", required=True, help="full ground-truth labels")
-    p.add_argument("--mu", type=float, default=1.0, help="constant prior weight when no votes")
-    p.add_argument("--votes")
-    p.add_argument("--accuracies")
-    p.add_argument("--alpha-scheme", choices=multisource.ALPHA_SCHEMES, default="accuracy")
-    p.add_argument("--alpha-constant", type=float, default=1.0)
-    p.add_argument("--k-neighbors", type=int, default=10)
+    _add_prior_flags(p, default_mu=1.0)
     p.add_argument("--eta", type=float, default=0.01, help="soft weight for the spectral part")
     p.add_argument("--delta", type=float, default=0.1, help="confidence parameter")
     p.add_argument("--full-t", type=int, help="full spectral variant: multiplicity bound t")

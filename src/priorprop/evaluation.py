@@ -12,22 +12,14 @@ desk-scale experiments; everything is deterministic under the spec seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
 import numpy as np
 
-from priorprop import multisource
 from priorprop.bounds import BoundReport, compute_bound, hop_stats
 from priorprop.graph import LabelSet, build_threshold_graph, compute_neighborhoods
-from priorprop.multisource import (
-    ABSTAIN,
-    AlphaAssignment,
-    LabelerAccuracy,
-    WeakVoteMatrix,
-    estimate_accuracy_from_labeled,
-    reduce_to_single_prior,
-)
+from priorprop.multisource import ABSTAIN, WeakVoteMatrix, vote_prior
 from priorprop.solver import Prediction, PriorField, SolverConfig, solve_with_prior
 
 DEFAULT_EPSILON = 1e-3
@@ -57,15 +49,7 @@ class Metrics:
     correct_count: int
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "accuracy": self.accuracy,
-            "coverage": self.coverage,
-            "non_abstain_accuracy": self.non_abstain_accuracy,
-            "abstain_epsilon": self.abstain_epsilon,
-            "node_count": self.node_count,
-            "abstain_count": self.abstain_count,
-            "correct_count": self.correct_count,
-        }
+        return asdict(self)
 
 
 def evaluate(prediction, true_labels_full, epsilon: float = DEFAULT_EPSILON) -> Metrics:
@@ -218,21 +202,7 @@ class PipelineReport:
         raise KeyError(method)
 
     def to_dict(self) -> dict[str, Any]:
-        spec_dict = {
-            "cluster_count": self.spec.cluster_count,
-            "points_per_cluster": self.spec.points_per_cluster,
-            "separation": self.spec.separation,
-            "dimension": self.spec.dimension,
-            "noise_scale": self.spec.noise_scale,
-            "labeler_accuracies": list(self.spec.labeler_accuracies),
-            "labeler_coverages": list(self.spec.labeler_coverages),
-            "seed": self.spec.seed,
-            "labeled_count": self.spec.labeled_count,
-            "graph_degree_target": self.spec.graph_degree_target,
-            "mu": self.spec.mu,
-            "epsilon": self.spec.epsilon,
-        }
-        return {"spec": spec_dict, "results": [r.to_dict() for r in self.results]}
+        return {"spec": asdict(self.spec), "results": [r.to_dict() for r in self.results]}
 
     def to_text(self) -> str:
         header = f"{'method':<20} {'accuracy':>10} {'coverage':>10} {'na_accuracy':>12}"
@@ -244,29 +214,6 @@ class PipelineReport:
                 f"{m.non_abstain_accuracy:>12.4f}"
             )
         return "\n".join(lines)
-
-
-def _alpha_for_scheme(
-    scheme: str,
-    votes: WeakVoteMatrix,
-    features: np.ndarray,
-    labels: LabelSet,
-    truth: np.ndarray,
-    acc: LabelerAccuracy,
-    constant: float = 1.0,
-    k_neighbors: int = 10,
-) -> AlphaAssignment:
-    if scheme == "accuracy":
-        return multisource.alpha_accuracy(votes, acc)
-    if scheme == "boosting":
-        return multisource.alpha_boosting(votes, acc)
-    if scheme == "probabilistic":
-        return multisource.alpha_probabilistic(votes, features, labels, k_neighbors)
-    if scheme == "constant":
-        return multisource.alpha_constant(votes, constant)
-    if scheme == "oracle":
-        return multisource.alpha_oracle(votes, truth)
-    raise ValueError(f"unknown alpha scheme {scheme!r}")
 
 
 def pipeline_report(
@@ -292,8 +239,7 @@ def pipeline_report(
     labels = _select_labeled(truth, spec.labeled_count, spec.seed + 2_000_003)
     graph = build_threshold_graph(features, spec.graph_degree_target)
     partition = compute_neighborhoods(graph, labels)
-    acc = estimate_accuracy_from_labeled(votes, labels)
-    wl_prior = reduce_to_single_prior(votes, multisource.alpha_accuracy(votes, acc))
+    wl_prior = vote_prior(votes, "accuracy", labels)
     config = SolverConfig()
 
     results = []
@@ -306,9 +252,9 @@ def pipeline_report(
         elif method == "lpa+wl":
             prior = PriorField(wl_prior.h, np.full(graph.node_count, spec.mu))
         else:
-            scheme = method.split(":", 1)[1]
-            alpha = _alpha_for_scheme(scheme, votes, features, labels, truth, acc)
-            prior = reduce_to_single_prior(votes, alpha)
+            prior = vote_prior(
+                votes, method.split(":", 1)[1], labels, features=features, truth=truth
+            )
         pred = solve_with_prior(graph, labels, prior, config)
         bound = None
         if with_bounds:

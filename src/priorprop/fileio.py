@@ -229,7 +229,10 @@ def load_prediction(path) -> tuple[np.ndarray, list[str]]:
         parts = line.split()
         if len(parts) != 3 or parts[2] not in _FLAG_CODES:
             raise ValueError(f"{path}:{lineno}: expected 'i f flag'")
-        entries[int(parts[0])] = (float(parts[1]), parts[2])
+        i = int(parts[0])
+        if i in entries:
+            raise ValueError(f"{path}:{lineno}: duplicate node {i}")
+        entries[i] = (float(parts[1]), parts[2])
     if sorted(entries) != list(range(len(entries))):
         raise ValueError(f"{path}: node ids must be 0..n-1")
     f = np.array([entries[i][0] for i in range(len(entries))])

@@ -7,7 +7,8 @@ anchors, one per labeler and class, with each cast vote wired to the anchor of
 its class at weight ``alpha``. That problem has the same minimizers as one
 prior on the base graph, ``h = weighted vote average`` and ``mu = total
 alpha`` per node, so :func:`reduce_to_single_prior` builds that prior and
-:func:`priorprop.solver.solve_with_prior` solves it.
+:func:`priorprop.solver.solve_with_prior` solves it. :func:`vote_prior` picks
+the trust scheme by name and builds that prior in one call.
 """
 
 from __future__ import annotations
@@ -234,3 +235,40 @@ def alpha_probabilistic(
         a[:, j] = votes.cast_mask[:, j] * (scale / np.exp(g))
     return AlphaAssignment(alpha=a, scheme="probabilistic", fallback_labelers=tuple(fallback))
 
+
+def vote_prior(
+    votes: WeakVoteMatrix,
+    scheme: str,
+    labels: LabelSet,
+    *,
+    accuracy: LabelerAccuracy | None = None,
+    features: np.ndarray | None = None,
+    truth: Sequence[int] | None = None,
+    constant: float = 1.0,
+    k_neighbors: int = 10,
+) -> PriorField:
+    """The reduced prior of ``votes`` under the trust scheme named ``scheme``.
+
+    ``accuracy`` feeds the accuracy and boosting schemes; without it they use
+    the accuracy estimated on ``labels``. The probabilistic scheme needs
+    ``features`` (and uses ``k_neighbors``), the oracle scheme ``truth``, and
+    the constant scheme gives every cast vote the weight ``constant``.
+    """
+    if accuracy is not None and accuracy.p.size != votes.labeler_count:
+        raise ValueError("accuracy vector does not match labeler count")
+    if scheme in ("accuracy", "boosting"):
+        acc = accuracy if accuracy is not None else estimate_accuracy_from_labeled(votes, labels)
+        alpha = (alpha_accuracy if scheme == "accuracy" else alpha_boosting)(votes, acc)
+    elif scheme == "probabilistic":
+        if features is None:
+            raise ValueError("the probabilistic scheme requires features")
+        alpha = alpha_probabilistic(votes, features, labels, k_neighbors)
+    elif scheme == "constant":
+        alpha = alpha_constant(votes, constant)
+    elif scheme == "oracle":
+        if truth is None:
+            raise ValueError("the oracle scheme requires the true labels")
+        alpha = alpha_oracle(votes, truth)
+    else:
+        raise ValueError(f"unknown alpha scheme {scheme!r}")
+    return reduce_to_single_prior(votes, alpha)

@@ -18,7 +18,10 @@ The direct method solves the symmetric positive-definite system over the
 unlabeled nodes (dense Cholesky below ``DENSE_LIMIT`` unknowns, Jacobi
 preconditioned conjugate gradient above, sparse LU if CG fails); the
 iterative method applies Gauss-Seidel sweeps of the update in fixed node order
-until the max-norm fixed-point residual drops below the configured tolerance.
+until the max-norm fixed-point residual ``resid`` satisfies both
+``resid < tolerance`` and ``resid <= 5 * tolerance * (1 - rho)``, with ``rho``
+the observed contraction rate. That certifies an error of about
+``5 * tolerance``, not ``tolerance``.
 
 Nodes whose entire connected component carries neither a label nor any prior
 weight are indeterminate: they receive ``unreachable_fill`` and are flagged,

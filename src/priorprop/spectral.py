@@ -10,7 +10,7 @@ simplified variant is ``t = M = K = 1``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
 import numpy as np
@@ -78,23 +78,12 @@ class SpectralReport:
     finite: bool
 
     def to_dict(self) -> dict[str, Any]:
-        def fin(x: float) -> float | None:
-            return float(x) if math.isfinite(x) else None
-
-        return {
-            "lambda1": self.lambda1,
-            "eta": self.eta,
-            "n_labeled": self.n_labeled,
-            "delta_conf": self.delta_conf,
-            "t": self.t,
-            "m_bound": self.m_bound,
-            "k_bound": self.k_bound,
-            "beta": fin(self.beta),
-            "bound": fin(self.bound),
-            "empirical_error": self.empirical_error,
-            "generalization_error": self.generalization_error,
-            "finite": self.finite,
-        }
+        """Every field in declaration order; a non-finite ``beta`` or ``bound`` is None."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name in ("beta", "bound"):
+            if not math.isfinite(out[name]):
+                out[name] = None
+        return out
 
 
 def spectral_bound(
@@ -125,8 +114,8 @@ def spectral_bound(
         raise ValueError("the bound requires at least 4 labeled points")
     t, m_bound, k_bound = (1, 1.0, 1.0) if full_params is None else full_params
     t = int(t)
-    if t < 1 or m_bound <= 0 or k_bound <= 0:
-        raise ValueError("full parameters (t, M, K) must be positive")
+    if t < 1 or not (0 < m_bound < math.inf) or not (0 < k_bound < math.inf):
+        raise ValueError("full parameters (t, M, K) must be positive and finite")
 
     f = prediction.f if isinstance(prediction, Prediction) else np.asarray(prediction, float)
     y = np.asarray(true_labels_full, dtype=np.float64)

@@ -8,6 +8,7 @@ import priorprop as pp
 from priorprop import fileio
 from priorprop.cli import main
 from priorprop.evaluation import SyntheticSpec, generate_clusters, generate_weak_labelers
+from priorprop.multisource import ALPHA_SCHEMES
 
 from oracles import anchor_graph_solve
 
@@ -74,11 +75,14 @@ class TestPropagate:
         args = ["propagate", "--graph", workspace / "graph.txt",
                 "--labels", workspace / "labels.txt"]
         assert run(args + ["--mu", "0", "--output", workspace / "a.txt"]) == 0
+        # --mu defaults to 0 without --votes
+        assert run(args + ["--output", workspace / "default.txt"]) == 0
         graph = fileio.load_graph(workspace / "graph.txt")
         labels = fileio.load_labels(workspace / "labels.txt")
         pred = pp.solve_standard(graph, labels)
         fileio.save_prediction(pred, workspace / "b.txt")
         assert (workspace / "a.txt").read_bytes() == (workspace / "b.txt").read_bytes()
+        assert (workspace / "default.txt").read_bytes() == (workspace / "b.txt").read_bytes()
 
     def test_constant_alpha_zero_matches_standard(self, workspace):
         run(["propagate", "--graph", workspace / "graph.txt",
@@ -157,6 +161,45 @@ class TestPropagate:
         assert run(args + ["--mu", "5"]) == 2
         assert not (workspace / "x.txt").exists()
 
+    @pytest.mark.parametrize("scheme", ALPHA_SCHEMES)
+    def test_votes_write_the_reduced_prior_solution(self, workspace, scheme):
+        out = workspace / f"{scheme}.txt"
+        if scheme == "probabilistic":
+            inputs = ["--features", workspace / "features.txt", "--t", "6"]
+        else:
+            inputs = ["--graph", workspace / "graph.txt"]
+        if scheme == "oracle":
+            inputs += ["--truth", workspace / "truth.txt"]
+        assert run(["propagate", *inputs, "--labels", workspace / "labels.txt",
+                    "--votes", workspace / "votes.txt", "--alpha-scheme", scheme,
+                    "--alpha-constant", "0.7", "--k-neighbors", "4",
+                    "--output", out]) == 0
+        feats = fileio.load_features(workspace / "features.txt")
+        graph = pp.build_threshold_graph(feats, 6)
+        assert graph.edge_list() == fileio.load_graph(workspace / "graph.txt").edge_list()
+        labels = fileio.load_labels(workspace / "labels.txt")
+        votes = fileio.load_votes(workspace / "votes.txt")
+        truth = fileio.load_labels(workspace / "truth.txt").values
+        acc = pp.estimate_accuracy_from_labeled(votes, labels)
+        alpha = {
+            "accuracy": lambda: pp.alpha_accuracy(votes, acc),
+            "boosting": lambda: pp.alpha_boosting(votes, acc),
+            "probabilistic": lambda: pp.alpha_probabilistic(votes, feats, labels, 4),
+            "constant": lambda: pp.alpha_constant(votes, 0.7),
+            "oracle": lambda: pp.alpha_oracle(votes, truth),
+        }[scheme]()
+        prior = pp.reduce_to_single_prior(votes, alpha)
+        fileio.save_prediction(pp.solve_with_prior(graph, labels, prior), workspace / "ref.txt")
+        assert out.read_bytes() == (workspace / "ref.txt").read_bytes()
+
+    @pytest.mark.parametrize("mu", ["-1", "nan"])
+    def test_invalid_mu_rejected(self, workspace, capsys, mu):
+        assert run(["propagate", "--graph", workspace / "graph.txt",
+                    "--labels", workspace / "labels.txt", "--mu", mu,
+                    "--output", workspace / "x.txt"]) == 2
+        assert "prior weights mu" in capsys.readouterr().err
+        assert not (workspace / "x.txt").exists()
+
     def test_both_graph_and_features_rejected(self, workspace):
         assert run(["propagate", "--graph", workspace / "graph.txt",
                     "--features", workspace / "features.txt", "--t", "6",
@@ -202,6 +245,18 @@ def test_empty_labels_exit_2(workspace, capsys, extra):
                        "--output", workspace / "out.txt"])
     assert code == 2
     assert "at least one labeled node is required" in capsys.readouterr().err
+    assert not (workspace / "out.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["propagate", "analyze"])
+@pytest.mark.parametrize("mu", ["0", "1"])
+def test_votes_with_explicit_mu_exit_2(workspace, capsys, command, mu):
+    code = run([command, "--graph", workspace / "graph.txt",
+                "--labels", workspace / "labels.txt", "--truth", workspace / "truth.txt",
+                "--votes", workspace / "votes.txt", "--mu", mu,
+                "--output", workspace / "out.txt"])
+    assert code == 2
+    assert "--mu cannot be combined with --votes" in capsys.readouterr().err
     assert not (workspace / "out.txt").exists()
 
 
@@ -256,6 +311,21 @@ class TestAnalyze:
         assert {"bound_report", "audit", "spectral_report"} <= set(parsed)
         assert run(args) == 0
         assert (workspace / "r.json").read_bytes() == text
+        # --mu defaults to 1 without --votes
+        assert run(args[:-4] + ["--output", workspace / "default.json"]) == 0
+        assert (workspace / "default.json").read_bytes() == text
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--full-t", "0"), ("--full-m", "0"), ("--full-k", "0"),
+        ("--full-m", "nan"), ("--full-k", "inf"),
+    ])
+    def test_invalid_full_parameter_rejected(self, workspace, capsys, flag, value):
+        code = run(["analyze", "--graph", workspace / "graph.txt",
+                    "--labels", workspace / "labels.txt", "--truth", workspace / "truth.txt",
+                    flag, value, "--output", workspace / "r.json"])
+        assert code == 2
+        assert "(t, M, K) must be positive" in capsys.readouterr().err
+        assert not (workspace / "r.json").exists()
 
     def test_missing_truth_is_usage_error(self, workspace):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -117,6 +118,12 @@ class TestOtherFormats:
         assert np.array_equal(f, pred.f)
         assert flags == pred.flag_names()
         assert flags[2] == "unreachable"
+
+    def test_prediction_rejects_duplicate_node(self, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_text("0 0.5 ok\n0 0.7 ok\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: duplicate node 0")):
+            fileio.load_prediction(path)
 
 
 class TestCanonicalJson:

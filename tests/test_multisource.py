@@ -16,6 +16,7 @@ from priorprop.multisource import (
     alpha_probabilistic,
     estimate_accuracy_from_labeled,
     reduce_to_single_prior,
+    vote_prior,
 )
 from priorprop.solver import (
     PriorField,
@@ -240,6 +241,55 @@ class TestAlphaSchemes:
         else:
             a = alpha_probabilistic(votes, feats, labels)
         assert np.all(a.alpha[~votes.cast_mask] == 0.0)
+
+
+class TestVotePrior:
+    @pytest.fixture()
+    def instance(self):
+        rng = np.random.default_rng(8)
+        n = 16
+        votes = random_votes(rng, n, 3)
+        y = rng.integers(0, 2, n)
+        return votes, LabelSet([0, 1, 2, 3, 4], y[:5]), rng.normal(size=(n, 2)), y
+
+    def test_each_scheme_reduces_its_alpha(self, instance):
+        votes, labels, feats, y = instance
+        estimated = estimate_accuracy_from_labeled(votes, labels)
+        given_acc = LabelerAccuracy([0.6, 0.7, 0.95])
+        cases = {
+            "accuracy": alpha_accuracy(votes, estimated),
+            "boosting": alpha_boosting(votes, estimated),
+            "probabilistic": alpha_probabilistic(votes, feats, labels, 3),
+            "constant": alpha_constant(votes, 0.4),
+            "oracle": alpha_oracle(votes, y),
+        }
+        assert set(cases) == set(multisource.ALPHA_SCHEMES)
+        for scheme, alpha in cases.items():
+            prior = vote_prior(votes, scheme, labels, features=feats, truth=y,
+                               constant=0.4, k_neighbors=3)
+            ref = reduce_to_single_prior(votes, alpha)
+            assert np.array_equal(prior.h, ref.h) and np.array_equal(prior.mu, ref.mu), scheme
+        for scheme, alpha_fn in (("accuracy", alpha_accuracy), ("boosting", alpha_boosting)):
+            prior = vote_prior(votes, scheme, labels, accuracy=given_acc)
+            ref = reduce_to_single_prior(votes, alpha_fn(votes, given_acc))
+            assert np.array_equal(prior.mu, ref.mu), scheme
+
+    @pytest.mark.parametrize("scheme, message", [
+        ("probabilistic", "requires features"),
+        ("oracle", "requires the true labels"),
+        ("anchors", "unknown alpha scheme"),
+    ])
+    def test_missing_input_or_unknown_scheme_rejected(self, instance, scheme, message):
+        votes, labels, _, _ = instance
+        with pytest.raises(ValueError, match=message):
+            vote_prior(votes, scheme, labels)
+
+    @pytest.mark.parametrize("scheme", multisource.ALPHA_SCHEMES)
+    def test_accuracy_of_wrong_length_rejected(self, instance, scheme):
+        votes, labels, feats, y = instance
+        with pytest.raises(ValueError, match="does not match labeler count"):
+            vote_prior(votes, scheme, labels, accuracy=LabelerAccuracy([0.7, 0.8]),
+                       features=feats, truth=y)
 
 
 class TestEstimateAccuracy:
