@@ -347,7 +347,7 @@ def hop_stats(
         pull_error[k] = np.sum(mu * pull[nodes])
         mu_error[k] = np.sum(mu * err[nodes])
         s[k] = _in_order_sum(node_s[nodes])
-        a_err[k] = prior_error(prior, y, partition, k)
+        a_err[k] = np.mean(pull[nodes])
 
     flows = compute_flows(graph, partition)
     denom = flows.in_flow[1:] + mu_total[1:]

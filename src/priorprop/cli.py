@@ -147,6 +147,7 @@ def cmd_build_graph(args) -> int:
 
 
 def cmd_propagate(args) -> int:
+    evaluation.check_epsilon(args.epsilon)
     graph, features = _load_graph_input(args)
     labels = _load_labels(args, graph.node_count)
     y = _load_truth(args, graph.node_count)

@@ -24,6 +24,15 @@ from priorprop.solver import Prediction, PriorField, SolverConfig, solve_with_pr
 
 DEFAULT_EPSILON = 1e-3
 
+
+def check_epsilon(epsilon: float) -> float:
+    """The abstention width as a float; it must be finite and non-negative."""
+    epsilon = float(epsilon)
+    if not 0 <= epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and non-negative, got {epsilon}")
+    return epsilon
+
+
 PIPELINE_METHODS = (
     "lpa",
     "wl",
@@ -58,9 +67,7 @@ def evaluate(prediction, true_labels_full, epsilon: float = DEFAULT_EPSILON) -> 
     A node abstains iff ``|f - 0.5| <= epsilon``; a non-abstaining node is
     correct iff its score is on the true label's side of 0.5.
     """
-    epsilon = float(epsilon)
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
+    epsilon = check_epsilon(epsilon)
     f = prediction.f if isinstance(prediction, Prediction) else np.asarray(prediction, float)
     y = np.asarray(true_labels_full)
     if f.shape != y.shape:
@@ -116,8 +123,9 @@ class SyntheticSpec:
         n = self.cluster_count * self.points_per_cluster
         if not (1 <= self.labeled_count <= n):
             raise ValueError("labeled_count must be between 1 and the point count")
-        if self.graph_degree_target <= 0 or self.mu < 0 or self.epsilon < 0:
-            raise ValueError("invalid graph/evaluation parameters")
+        if not self.graph_degree_target > 0 or self.mu < 0:
+            raise ValueError("degree target t must be positive and mu non-negative")
+        check_epsilon(self.epsilon)
 
     @property
     def node_count(self) -> int:

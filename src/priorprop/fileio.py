@@ -1,13 +1,22 @@
 """On-disk formats: edge lists, labels, features, votes, predictions, JSON.
 
-All text formats are UTF-8 with ``#`` comments. Floats are written with 17
-significant digits so every file round-trips bit-exactly and repeated runs
-produce byte-identical output.
+Each input table is UTF-8 text read by one ``np.loadtxt`` call. Fields are
+separated by spaces or tabs (features and votes also take commas), ``#``
+starts a comment, and numbers are ASCII: integers ``[+-]digits``, floats as
+``float`` reads them. An edge list may give its node count in a ``# nodes N``
+comment line. Every token or line error names its ``path:line``. Rejected:
+underscores (``1_0``), non-ASCII digits, line breaks other than ``\\n``,
+``\\r\\n`` and ``\\r`` (such as U+2028), and, in features and votes, a first row
+of only commas. Floats are written with 17 significant digits so every file
+round-trips bit-exactly and repeated runs give byte-identical output.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import re
+import warnings
 from pathlib import Path
 from typing import Any
 
@@ -17,7 +26,17 @@ from priorprop.graph import Graph, GraphFormatError, LabelSet
 from priorprop.multisource import ABSTAIN, LabelerAccuracy, WeakVoteMatrix
 from priorprop.solver import FLAG_NAMES, Prediction
 
-_FLAG_CODES = {name: code for code, name in FLAG_NAMES.items()}
+_FLAGS = list(FLAG_NAMES.values())
+# one character longer than the longest flag, so a longer (truncated) token is no flag
+_PREDICTION = [("i", np.int64), ("f", np.float64), ("flag", f"U{max(map(len, _FLAGS)) + 1}")]
+# line breaks of str.splitlines that np.loadtxt reads as whitespace
+_LINE_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+# a non-ASCII character in a field: numpy's integer parser passes it to C's
+# isdigit, which can read out of bounds and crash on code points above 0xFFFF
+_NON_ASCII_FIELD = re.compile(r"^[^#\n]*?[^\x00-\x7f\s]", re.M)
+# a row of only commas, which would read as a blank line once commas are spaces
+_COMMA_ROW = re.compile(r"^[^\S\n]*,(?:[^\S\n]|,)*(?:#|$)", re.M)
+_NODES = re.compile(r"^[^\S\n]*#[^\S\n]*nodes[^\S\n]+(\S+)[^\S\n]*$", re.M)
 
 
 def fmt_float(x: float) -> str:
@@ -72,13 +91,54 @@ def write_json(obj: Any, path) -> None:
     Path(path).write_text(dumps_json(obj), encoding="utf-8")
 
 
-def _data_lines(path) -> list[tuple[int, str]]:
-    lines = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append((lineno, stripped))
-    return lines
+def _read_table(path, dtype, form: str, valid=None, unique=None, commas=False, error=ValueError):
+    """The rows of the table in ``path``, and the text they were read from.
+
+    A structured ``dtype`` has one field per column, a plain one reads a matrix
+    of equally long rows; ``commas`` reads commas as spaces. ``valid(rows)``
+    says whether every row keeps the format's rules for a single row, and
+    ``unique = (field, noun)`` names a field no two rows may share. After a
+    failure, bisection finds the shortest failing prefix; its last line, the
+    first bad one, is named as ``path:line``, with ``form``, the form of a good
+    line, when the line fails on its own.
+    """
+    dtype = np.dtype(dtype)
+
+    def parse(text: str) -> np.ndarray:
+        if (any(c in text for c in _LINE_BREAKS) or commas and _COMMA_ROW.search(text)
+                or not text.isascii() and _NON_ASCII_FIELD.search(text)):
+            raise ValueError("unsupported line")
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(io.StringIO(text.replace(",", " ") if commas else text),
+                              dtype=dtype, comments="#", ndmin=1 if dtype.names else 2)
+        if valid and not valid(rows) or unique and np.unique(rows[unique[0]]).size < len(rows):
+            raise ValueError("rule broken")
+        return rows
+
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return parse(text), text
+    except ValueError:
+        lines = text.split("\n")
+    good, bad = 0, len(lines)  # parse succeeds on lines[:good], fails on lines[:bad]
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            parse("\n".join(lines[:mid]))
+            good = mid
+        except ValueError:
+            bad = mid
+    line = lines[bad - 1]
+    try:
+        row = parse(line)
+    except ValueError:
+        raise error(f"{path}:{bad}: expected {form}, got {line.strip()!r}") from None
+    if dtype.names is None:  # a matrix row of another length than the rows above it
+        width = parse("\n".join(lines[:good])).shape[1]
+        raise error(f"{path}:{bad}: ragged row ({row.shape[1]} != {width})")
+    field, noun = unique  # the one rule across rows: the line repeats an id above it
+    raise error(f"{path}:{bad}: duplicate {noun} {row[field][0]}")
 
 
 def save_graph(graph: Graph, path) -> None:
@@ -89,40 +149,21 @@ def save_graph(graph: Graph, path) -> None:
 
 
 def load_graph(path, node_count: int | None = None) -> Graph:
-    """Parse an edge list; honors a ``# nodes N`` comment if present.
-
-    Without either the comment or ``node_count``, the node count is inferred
-    as (largest index + 1).
-    """
-    declared = node_count
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    edges = np.empty((len(lines), 3), dtype=np.float64)
-    count = 0
-    for lineno, raw in enumerate(lines, 1):
-        comment = raw.strip()
-        if comment.startswith("#"):
-            parts = comment[1:].split()
-            if len(parts) == 2 and parts[0] == "nodes" and declared is None:
-                declared = int(parts[1])
-            continue
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        parts = stripped.split()
-        if len(parts) != 3:
-            raise GraphFormatError(f"{path}:{lineno}: expected 'i j w', got {raw!r}")
-        try:
-            i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError as exc:
-            raise GraphFormatError(f"{path}:{lineno}: {exc}") from exc
-        edges[count] = i, j, w
-        count += 1
-    edges = edges[:count]
-    if declared is None:
-        declared = int(edges[:, :2].max()) + 1 if count else 0
-    if declared < 1:
+    """Parse an edge list of ``node_count`` nodes, else as many as the first
+    ``# nodes N`` comment line gives, else the largest index + 1."""
+    dtype = [("i", np.int64), ("j", np.int64), ("w", np.float64)]
+    rows, text = _read_table(path, dtype, "'i j w'", error=GraphFormatError)
+    edges = np.column_stack((rows["i"], rows["j"], rows["w"]))
+    if node_count is None and (header := _NODES.search(text)):
+        if not re.fullmatch(r"[+-]?[0-9]+", header[1]):
+            line = text.count("\n", 0, header.start()) + 1
+            raise GraphFormatError(f"{path}:{line}: expected '# nodes N', got N = {header[1]!r}")
+        node_count = int(header[1])
+    if node_count is None:
+        node_count = int(edges[:, :2].max()) + 1 if edges.size else 0
+    if node_count < 1:
         raise GraphFormatError(f"{path}: no nodes")
-    return Graph.from_edges(declared, edges)
+    return Graph.from_edges(node_count, edges)
 
 
 def save_labels(labels: LabelSet, path) -> None:
@@ -131,21 +172,9 @@ def save_labels(labels: LabelSet, path) -> None:
 
 
 def load_labels(path) -> LabelSet:
-    idx, val = [], []
-    for lineno, line in _data_lines(path):
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'i y', got {line!r}")
-        idx.append(int(parts[0]))
-        y = int(parts[1])
-        if y not in (0, 1):
-            raise ValueError(f"{path}:{lineno}: label must be 0 or 1")
-        val.append(y)
-    return LabelSet(idx, val)
-
-
-def _split_row(line: str) -> list[str]:
-    return line.replace(",", " ").split()
+    rows, _ = _read_table(path, [("i", np.int64), ("y", np.int64)], "'i y' with y 0 or 1",
+                          lambda r: np.isin(r["y"], (0, 1)).all())
+    return LabelSet(rows["i"], rows["y"])
 
 
 def save_features(features: np.ndarray, path) -> None:
@@ -155,18 +184,9 @@ def save_features(features: np.ndarray, path) -> None:
 
 
 def load_features(path) -> np.ndarray:
-    rows = []
-    width = None
-    for lineno, line in _data_lines(path):
-        vals = [float(v) for v in _split_row(line)]
-        if width is None:
-            width = len(vals)
-        elif len(vals) != width:
-            raise ValueError(f"{path}:{lineno}: ragged row ({len(vals)} != {width})")
-        rows.append(vals)
-    if not rows:
+    x, _ = _read_table(path, np.float64, "'x_1 ... x_d'", commas=True)
+    if len(x) == 0:
         raise ValueError(f"{path}: no feature rows")
-    x = np.asarray(rows, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{path}: features must be finite")
     return x
@@ -178,20 +198,11 @@ def save_votes(votes: WeakVoteMatrix, path) -> None:
 
 
 def load_votes(path) -> WeakVoteMatrix:
-    rows = []
-    width = None
-    for lineno, line in _data_lines(path):
-        vals = [int(v) for v in _split_row(line)]
-        if any(v not in (0, 1, ABSTAIN) for v in vals):
-            raise ValueError(f"{path}:{lineno}: votes must be 0, 1 or -1")
-        if width is None:
-            width = len(vals)
-        elif len(vals) != width:
-            raise ValueError(f"{path}:{lineno}: ragged row")
-        rows.append(vals)
-    if not rows:
+    votes, _ = _read_table(path, np.int64, "'v_1 ... v_k' with votes 0, 1 or -1",
+                           lambda v: np.isin(v, (0, 1, ABSTAIN)).all(), commas=True)
+    if len(votes) == 0:
         raise ValueError(f"{path}: no vote rows")
-    return WeakVoteMatrix(np.asarray(rows, dtype=np.int8))
+    return WeakVoteMatrix(votes)
 
 
 def save_accuracies(acc: LabelerAccuracy, path) -> None:
@@ -200,18 +211,12 @@ def save_accuracies(acc: LabelerAccuracy, path) -> None:
 
 
 def load_accuracies(path) -> LabelerAccuracy:
-    entries = {}
-    for lineno, line in _data_lines(path):
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'j p_j'")
-        j = int(parts[0])
-        if j in entries:
-            raise ValueError(f"{path}:{lineno}: duplicate labeler {j}")
-        entries[j] = float(parts[1])
-    if not entries or sorted(entries) != list(range(len(entries))):
+    rows, _ = _read_table(path, [("j", np.int64), ("p", np.float64)], "'j p_j'",
+                          unique=("j", "labeler"))
+    j = rows["j"]
+    if j.size == 0 or not np.array_equal(np.sort(j), np.arange(j.size)):
         raise ValueError(f"{path}: labeler ids must be 0..k-1")
-    return LabelerAccuracy([entries[j] for j in range(len(entries))])
+    return LabelerAccuracy(rows["p"][np.argsort(j)])
 
 
 def save_prediction(prediction: Prediction, path) -> None:
@@ -224,17 +229,11 @@ def save_prediction(prediction: Prediction, path) -> None:
 
 
 def load_prediction(path) -> tuple[np.ndarray, list[str]]:
-    entries = {}
-    for lineno, line in _data_lines(path):
-        parts = line.split()
-        if len(parts) != 3 or parts[2] not in _FLAG_CODES:
-            raise ValueError(f"{path}:{lineno}: expected 'i f flag'")
-        i = int(parts[0])
-        if i in entries:
-            raise ValueError(f"{path}:{lineno}: duplicate node {i}")
-        entries[i] = (float(parts[1]), parts[2])
-    if sorted(entries) != list(range(len(entries))):
+    form = f"'i f flag' with flag one of {', '.join(_FLAGS)}"
+    rows, _ = _read_table(path, _PREDICTION, form, lambda r: np.isin(r["flag"], _FLAGS).all(),
+                          unique=("i", "node"))
+    i = rows["i"]
+    if not np.array_equal(np.sort(i), np.arange(i.size)):
         raise ValueError(f"{path}: node ids must be 0..n-1")
-    f = np.array([entries[i][0] for i in range(len(entries))])
-    flags = [entries[i][1] for i in range(len(entries))]
-    return f, flags
+    order = np.argsort(i)
+    return rows["f"][order], rows["flag"][order].tolist()

@@ -288,8 +288,8 @@ def build_threshold_graph(features: np.ndarray, t: float) -> Graph:
         raise ValueError("features must be finite")
     t = float(t)
     n = x.shape[0]
-    if t <= 0:
-        raise ValueError("degree target t must be positive")
+    if not t > 0:
+        raise ValueError(f"degree target t must be positive, got {t}")
     if t / n > 100:
         raise ValueError(f"degree target t={t} is out of range for {n} nodes")
     dist = cdist(x, x)

@@ -6,8 +6,11 @@ can be certified against a second route. The exceptions are two second routes
 to problems the library solves as prior problems: the anchor graph of a
 weak-labeler problem, built here record by record and then solved with the
 library's plain solver, and the soft-constrained problem, solved here
-component by component in its own penalized form.
+component by component in its own penalized form. The ``loop_load_*`` file
+readers build the library's own result types from their line-by-line parse.
 """
+
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -15,7 +18,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from priorprop.graph import Graph, GraphFormatError, LabelSet
-from priorprop.solver import DENSE_LIMIT, PriorField, solve_with_prior
+from priorprop.multisource import ABSTAIN, LabelerAccuracy, WeakVoteMatrix
+from priorprop.solver import DENSE_LIMIT, FLAG_NAMES, PriorField, solve_with_prior
 
 
 def naive_prior_objective(edges, h, mu, f):
@@ -275,3 +279,130 @@ def loop_node_error(graph, y, prior, f, partition):
             ) / denom
             out.append((i, float(err[i]), float(rhs)))
     return out
+
+
+# Line-by-line references for the file loaders of ``priorprop.fileio``: each
+# line is split with ``str.splitlines``/``str.split`` and its tokens are read
+# with ``int``/``float``; errors name ``path:line`` where these loops do.
+
+
+def _data_lines(path):
+    lines = []
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        stripped = raw.split("#", 1)[0].strip()
+        if stripped:
+            lines.append((lineno, stripped))
+    return lines
+
+
+def loop_load_graph(path, node_count=None):
+    declared = node_count
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    edges = np.empty((len(lines), 3), dtype=np.float64)
+    count = 0
+    for lineno, raw in enumerate(lines, 1):
+        comment = raw.strip()
+        if comment.startswith("#"):
+            parts = comment[1:].split()
+            if len(parts) == 2 and parts[0] == "nodes" and declared is None:
+                declared = int(parts[1])
+            continue
+        stripped = raw.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        parts = stripped.split()
+        if len(parts) != 3:
+            raise GraphFormatError(f"{path}:{lineno}: expected 'i j w', got {raw!r}")
+        try:
+            i, j, w = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError as exc:
+            raise GraphFormatError(f"{path}:{lineno}: {exc}") from exc
+        edges[count] = i, j, w
+        count += 1
+    edges = edges[:count]
+    if declared is None:
+        declared = int(edges[:, :2].max()) + 1 if count else 0
+    if declared < 1:
+        raise GraphFormatError(f"{path}: no nodes")
+    return Graph.from_edges(declared, edges)
+
+
+def loop_load_labels(path):
+    idx, val = [], []
+    for lineno, line in _data_lines(path):
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 'i y', got {line!r}")
+        idx.append(int(parts[0]))
+        y = int(parts[1])
+        if y not in (0, 1):
+            raise ValueError(f"{path}:{lineno}: label must be 0 or 1")
+        val.append(y)
+    return LabelSet(idx, val)
+
+
+def loop_load_features(path):
+    rows = []
+    width = None
+    for lineno, line in _data_lines(path):
+        vals = [float(v) for v in line.replace(",", " ").split()]
+        if width is None:
+            width = len(vals)
+        elif len(vals) != width:
+            raise ValueError(f"{path}:{lineno}: ragged row ({len(vals)} != {width})")
+        rows.append(vals)
+    if not rows:
+        raise ValueError(f"{path}: no feature rows")
+    x = np.asarray(rows, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{path}: features must be finite")
+    return x
+
+
+def loop_load_votes(path):
+    rows = []
+    width = None
+    for lineno, line in _data_lines(path):
+        vals = [int(v) for v in line.replace(",", " ").split()]
+        if any(v not in (0, 1, ABSTAIN) for v in vals):
+            raise ValueError(f"{path}:{lineno}: votes must be 0, 1 or -1")
+        if width is None:
+            width = len(vals)
+        elif len(vals) != width:
+            raise ValueError(f"{path}:{lineno}: ragged row")
+        rows.append(vals)
+    if not rows:
+        raise ValueError(f"{path}: no vote rows")
+    return WeakVoteMatrix(np.asarray(rows, dtype=np.int8))
+
+
+def loop_load_accuracies(path):
+    entries = {}
+    for lineno, line in _data_lines(path):
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 'j p_j'")
+        j = int(parts[0])
+        if j in entries:
+            raise ValueError(f"{path}:{lineno}: duplicate labeler {j}")
+        entries[j] = float(parts[1])
+    if not entries or sorted(entries) != list(range(len(entries))):
+        raise ValueError(f"{path}: labeler ids must be 0..k-1")
+    return LabelerAccuracy([entries[j] for j in range(len(entries))])
+
+
+def loop_load_prediction(path):
+    entries = {}
+    for lineno, line in _data_lines(path):
+        parts = line.split()
+        if len(parts) != 3 or parts[2] not in FLAG_NAMES.values():
+            raise ValueError(f"{path}:{lineno}: expected 'i f flag'")
+        i = int(parts[0])
+        if i in entries:
+            raise ValueError(f"{path}:{lineno}: duplicate node {i}")
+        entries[i] = (float(parts[1]), parts[2])
+    if sorted(entries) != list(range(len(entries))):
+        raise ValueError(f"{path}: node ids must be 0..n-1")
+    f = np.array([entries[i][0] for i in range(len(entries))])
+    flags = [entries[i][1] for i in range(len(entries))]
+    return f, flags

@@ -248,6 +248,47 @@ def test_empty_labels_exit_2(workspace, capsys, extra):
     assert not (workspace / "out.txt").exists()
 
 
+@pytest.mark.parametrize("flag, text", [
+    ("--graph", "# nodes 60\n0 2 1.0\n0 3 heavy\n"),
+    ("--labels", "0 1\n1 1\n2 one\n"),
+    ("--truth", "0 1\n1 1\n2 one\n"),
+    ("--votes", "0 1 1\n1 1 1\n1 yes 0\n"),
+    ("--features", "0.0 0.0\n1.0 0.5\n1.0 abc\n"),
+    ("--accuracies", "0 0.8\n1 0.7\n2 high\n"),
+], ids=["graph", "labels", "truth", "votes", "features", "accuracies"])
+def test_non_numeric_token_names_path_and_line(workspace, capsys, flag, text):
+    bad = workspace / "bad.txt"
+    bad.write_text(text)
+    inputs = {"--graph": workspace / "graph.txt", "--labels": workspace / "labels.txt",
+              "--truth": workspace / "truth.txt"}
+    if flag in ("--votes", "--accuracies"):
+        inputs["--votes"] = workspace / "votes.txt"
+    if flag == "--features":
+        del inputs["--graph"]
+        inputs["--t"] = "6"
+    inputs[flag] = bad
+    argv = ["propagate", "--output", workspace / "out.txt"]
+    for name, value in inputs.items():
+        argv += [name, value]
+    assert run(argv) == 2
+    assert f"{bad}:3:" in capsys.readouterr().err
+    assert not (workspace / "out.txt").exists()
+    assert not (workspace / "out.txt.metrics.json").exists()
+
+
+@pytest.mark.parametrize("epsilon", ["-1", "nan", "inf"])
+def test_invalid_epsilon_exits_2_before_writing(workspace, capsys, epsilon):
+    code = run(["propagate", "--graph", workspace / "graph.txt",
+                "--labels", workspace / "labels.txt", "--truth", workspace / "truth.txt",
+                "--epsilon", epsilon, "--output", workspace / "out.txt"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "epsilon must be finite and non-negative" in captured.err
+    assert "wrote" not in captured.out
+    assert not (workspace / "out.txt").exists()
+    assert not (workspace / "out.txt.metrics.json").exists()
+
+
 @pytest.mark.parametrize("command", ["propagate", "analyze"])
 @pytest.mark.parametrize("mu", ["0", "1"])
 def test_votes_with_explicit_mu_exit_2(workspace, capsys, command, mu):
@@ -393,3 +434,9 @@ class TestDemo:
              "--output", tmp_path / "d.json"])
         out = capsys.readouterr().out
         assert "method" in out and "lpa" in out
+
+    @pytest.mark.parametrize("flag, message", [("--epsilon", "epsilon"), ("--t", "degree target")])
+    def test_nan_parameter_exits_2(self, tmp_path, capsys, flag, message):
+        assert run(["demo", flag, "nan", "--output", tmp_path / "d.json"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "d.json").exists()

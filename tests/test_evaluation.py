@@ -69,6 +69,11 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(np.array([0.5]), np.array([1]), epsilon=-1.0)
 
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf])
+    def test_rejects_non_finite_epsilon(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            evaluate(np.array([0.5]), np.array([1]), epsilon=epsilon)
+
 
 class TestGenerators:
     def test_cluster_counts_and_classes(self):
@@ -182,3 +187,7 @@ class TestSyntheticSpecValidation:
             SyntheticSpec(labeled_count=10_000)
         with pytest.raises(ValueError):
             SyntheticSpec(separation=0.0)
+        with pytest.raises(ValueError, match="degree target"):
+            SyntheticSpec(graph_degree_target=np.nan)
+        with pytest.raises(ValueError, match="epsilon"):
+            SyntheticSpec(epsilon=np.nan)

@@ -236,6 +236,8 @@ class TestThresholdGraph:
         pts = np.zeros((3, 2))
         with pytest.raises(ValueError):
             build_threshold_graph(pts, t=0.0)
+        with pytest.raises(ValueError, match="degree target"):
+            build_threshold_graph(pts, t=np.nan)
         with pytest.raises(ValueError):
             build_threshold_graph(pts, t=301.0)  # percentile above 100
         with pytest.raises(ValueError):
