@@ -17,8 +17,10 @@ residual is therefore the fixed-point residual too.
 The direct method solves the symmetric positive-definite system over the
 unlabeled nodes (dense Cholesky below ``DENSE_LIMIT`` unknowns, Jacobi
 preconditioned conjugate gradient above, sparse LU if CG fails); the
-iterative method applies Gauss-Seidel sweeps of the update in fixed node order
-until the max-norm fixed-point residual ``resid`` satisfies both
+iterative method applies Gauss-Seidel sweeps of the update in fixed node order,
+with the sweep's triangular split built once per solve (see
+:mod:`priorprop._kernels`), until the max-norm fixed-point residual ``resid``
+that each sweep returns satisfies both
 ``resid < tolerance`` and ``resid <= 5 * tolerance * (1 - rho)``, with ``rho``
 the observed contraction rate. That certifies an error of about
 ``5 * tolerance``, not ``tolerance``.
@@ -38,7 +40,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from priorprop._kernels import gs_sweep
+from priorprop._kernels import gs_split, gs_sweep
 from priorprop.graph import Graph, LabelSet
 
 DENSE_LIMIT = 500
@@ -93,8 +95,8 @@ class SolverConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if not (self.tolerance > 0):
-            raise ValueError("tolerance must be positive")
+        if not (0 < self.tolerance < np.inf):
+            raise ValueError("tolerance must be positive and finite")
         if self.unreachable_fill is not None and not (0.0 <= self.unreachable_fill <= 1.0):
             raise ValueError("unreachable_fill must be in [0, 1]")
 
@@ -236,12 +238,12 @@ def _iterative_solve(
 ) -> tuple[int, bool]:
     base = prior.mu[solved] * prior.h[solved]
     denom = graph.degrees[solved] + prior.mu[solved]
+    split = gs_split(graph.indptr, graph.indices, graph.weights, solved, denom)
     iterations = 0
     prev = None
     ratios: list[float] = []
     for iterations in range(1, config.max_iterations + 1):
-        gs_sweep(f, graph.indptr, graph.indices, graph.weights, solved, base, denom)
-        resid = fixed_point_residual(graph, f, prior, solved)
+        resid = gs_sweep(f, graph.indptr, split, base, solved)
         if prev is not None and prev > 0:
             ratios = (ratios + [resid / prev])[-3:]
         prev = resid

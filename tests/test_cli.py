@@ -231,6 +231,19 @@ def test_truth_index_outside_graph_exits_2(tmp_path, capsys, command, bad_line):
     assert not (tmp_path / "out.txt").exists()
 
 
+@pytest.mark.parametrize("flag", ["--labels", "--truth"])
+def test_repeated_label_names_the_file(workspace, capsys, flag):
+    bad = workspace / "bad.txt"
+    bad.write_text("0 1\n0 1\n")
+    inputs = {"--labels": workspace / "labels.txt", "--truth": workspace / "truth.txt", flag: bad}
+    argv = ["propagate", "--graph", workspace / "graph.txt", "--output", workspace / "out.txt"]
+    for name, value in inputs.items():
+        argv += [name, value]
+    assert run(argv) == 2
+    assert f"{bad}: node 0 is labeled more than once" in capsys.readouterr().err
+    assert not (workspace / "out.txt").exists()
+
+
 @pytest.mark.parametrize("extra", [
     ["propagate"],
     ["propagate", "--mu", "1"],
@@ -287,6 +300,18 @@ def test_invalid_epsilon_exits_2_before_writing(workspace, capsys, epsilon):
     assert "wrote" not in captured.out
     assert not (workspace / "out.txt").exists()
     assert not (workspace / "out.txt.metrics.json").exists()
+
+
+@pytest.mark.parametrize("tolerance", ["inf", "nan", "0"])
+def test_invalid_tolerance_exits_2_before_writing(workspace, capsys, tolerance):
+    code = run(["propagate", "--graph", workspace / "graph.txt",
+                "--labels", workspace / "labels.txt", "--method", "iterative",
+                "--tolerance", tolerance, "--output", workspace / "out.txt"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "tolerance must be positive and finite" in captured.err
+    assert "wrote" not in captured.out
+    assert not (workspace / "out.txt").exists()
 
 
 @pytest.mark.parametrize("command", ["propagate", "analyze"])

@@ -89,6 +89,12 @@ class TestOtherFormats:
         with pytest.raises(ValueError):
             fileio.load_labels(path)
 
+    def test_labels_repeated_index_names_the_file_and_the_index(self, tmp_path):
+        path = tmp_path / "l.txt"
+        path.write_text("3 1\n0 1\n7 0\n0 1\n7 0\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: node 0 is labeled more"):
+            fileio.load_labels(path)
+
     def test_features_round_trip_and_delimiters(self, tmp_path):
         x = np.random.default_rng(1).normal(size=(6, 3))
         path = tmp_path / "f.txt"

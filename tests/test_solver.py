@@ -343,6 +343,11 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(unreachable_fill=1.5)
 
+    @pytest.mark.parametrize("tolerance", [float("inf"), float("nan"), -1e-8])
+    def test_tolerance_must_be_positive_and_finite(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            SolverConfig(method="iterative", tolerance=tolerance)
+
 
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=25)
