@@ -8,11 +8,8 @@ from priorprop.bounds import (
     HopStats,
     audit_inequalities,
     compute_bound,
-    compute_flows,
     conductance,
     hop_stats,
-    neighborhood_errors,
-    prior_error,
     smoothness,
 )
 from priorprop.evaluation import (

@@ -36,25 +36,10 @@ from typing import Any
 
 import numpy as np
 
-from priorprop.graph import Graph, NeighborhoodPartition, _row_sums
+from priorprop.graph import Graph, NeighborhoodPartition, _as_truth, _row_sums
 from priorprop.solver import Prediction, PriorField
 
 BETWEEN_FLOW_CONVENTION = "ordered-pairs (each within-hop edge counted twice)"
-
-
-def _as_truth(true_labels_full, node_count: int) -> np.ndarray:
-    y = np.asarray(true_labels_full)
-    if y.shape != (node_count,):
-        raise ValueError("true labels must cover every node")
-    if not np.all(np.isin(y, (0, 1))):
-        raise ValueError("true labels must be 0 or 1")
-    return y.astype(np.float64)
-
-
-def _scores(prediction) -> np.ndarray:
-    if isinstance(prediction, Prediction):
-        return prediction.f
-    return np.asarray(prediction, dtype=np.float64)
 
 
 def _directional_weights(
@@ -89,26 +74,6 @@ class FlowProfile:
     out_flow: np.ndarray
     sizes: np.ndarray
 
-    @property
-    def max_hop(self) -> int:
-        return int(self.sizes.size - 1)
-
-
-def compute_flows(graph: Graph, partition: NeighborhoodPartition) -> FlowProfile:
-    partition.validate_against(graph)
-    l = partition.max_hop
-    inw, betw, _ = _directional_weights(graph, partition)
-    in_flow = np.zeros(l + 1)
-    between = np.zeros(l + 1)
-    for k in range(l + 1):
-        nodes = partition.hops[k]
-        in_flow[k] = float(np.sum(inw[nodes]))  # 0 at hop 0: no hop -1
-        between[k] = float(np.sum(betw[nodes]))
-    out_flow = np.zeros(l + 1)
-    out_flow[:l] = in_flow[1 : l + 1]
-    sizes = np.array([h.size for h in partition.hops], dtype=np.int64)
-    return FlowProfile(in_flow=in_flow, between_flow=between, out_flow=out_flow, sizes=sizes)
-
 
 def conductance(flows: FlowProfile, k: int) -> float | None:
     """Fraction of hop k's incident edge weight that crosses its boundary.
@@ -140,20 +105,16 @@ def smoothness(
     return _in_order_sum(_disagreement(graph, y)[partition.hops[k]])
 
 
-def prior_error(
-    prior: PriorField, true_labels_full, partition: NeighborhoodPartition, k: int
-) -> float:
-    """Mean |h - y| over hop k."""
-    y = _as_truth(true_labels_full, prior.node_count)
-    nodes = partition.hops[k]
-    if nodes.size == 0:
-        raise ValueError(f"hop {k} is empty")
-    return float(np.mean(np.abs(prior.h[nodes] - y[nodes])))
-
-
 @dataclass(frozen=True, eq=False)
 class HopErrors:
-    """Measured solution errors per hop; nan marks undefined entries."""
+    """Measured solution errors per hop; nan marks undefined entries.
+
+    ``avg`` is the mean of |f - y| over the hop. The in-/between-/out-errors
+    are flow-weighted averages of |f - y| over the hop's nodes, weighting each
+    node by its edge weight in the corresponding direction. Ratios
+    ``a_k = in/avg`` and ``b_k = out/avg`` are nan wherever the hop's average
+    error is zero or the corresponding flow is zero.
+    """
 
     avg: np.ndarray
     in_err: np.ndarray
@@ -166,42 +127,6 @@ class HopErrors:
     def delta(self) -> np.ndarray:
         with np.errstate(invalid="ignore", divide="ignore"):
             return self.out_ratio / self.in_ratio
-
-
-def neighborhood_errors(
-    graph: Graph, prediction, true_labels_full, partition: NeighborhoodPartition
-) -> HopErrors:
-    """Average and flow-weighted errors of a prediction, hop by hop.
-
-    The in-/between-/out-errors are flow-weighted averages of |f - y| over the
-    hop's nodes, weighting each node by its edge weight in the corresponding
-    direction. Ratios ``a_k = in/avg`` and ``b_k = out/avg`` are nan wherever
-    the hop's average error is zero or the corresponding flow is zero.
-    """
-    f = _scores(prediction)
-    y = _as_truth(true_labels_full, graph.node_count)
-    if f.shape != y.shape:
-        raise ValueError("prediction does not cover every node")
-    partition.validate_against(graph)
-    err = np.abs(f - y)
-    inw, betw, outw = _directional_weights(graph, partition)
-    l = partition.max_hop
-
-    avg = np.zeros(l + 1)
-    e_in = np.full(l + 1, np.nan)
-    e_bet = np.full(l + 1, np.nan)
-    e_out = np.full(l + 1, np.nan)
-    for k in range(l + 1):
-        nodes = partition.hops[k]
-        avg[k] = float(np.mean(err[nodes]))
-        for wvec, store in ((inw, e_in), (betw, e_bet), (outw, e_out)):
-            flow = float(np.sum(wvec[nodes]))
-            if flow > 0:
-                store[k] = float(np.sum(wvec[nodes] * err[nodes])) / flow
-    with np.errstate(invalid="ignore", divide="ignore"):
-        a = np.where(avg > 0, e_in / avg, np.nan)
-        b = np.where(avg > 0, e_out / avg, np.nan)
-    return HopErrors(avg=avg, in_err=e_in, between_err=e_bet, out_err=e_out, in_ratio=a, out_ratio=b)
 
 
 def _none_if_nan(x: float | None) -> float | None:
@@ -263,9 +188,6 @@ class BoundReport:
     ratio_min: float | None
     ratio_max: float | None
 
-    def hop(self, k: int) -> HopRecord:
-        return self.hops[k - 1]
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "labeled_count": self.labeled_count,
@@ -287,7 +209,9 @@ class HopStats:
     Per-hop arrays are indexed by hop and hold 0 at hop 0 (the labeled set):
     ``mu_total``, ``pull_error`` (sum of ``mu |h - y|``), ``mu_error`` (sum of
     ``mu |f - y|``), ``smoothness``, ``prior_error``, the local term ``c`` and
-    ``gamma``. ``error`` and ``node_smoothness`` are per node.
+    ``gamma``. ``flows`` and ``errors`` hold the flows and the measured
+    solution errors of every hop. ``error`` and ``node_smoothness`` are per
+    node.
     """
 
     graph: Graph
@@ -318,17 +242,22 @@ def hop_stats(
     """Validate one analysis and compute its per-hop statistics once.
 
     ``prediction`` is the :class:`Prediction` (or bare scores) being analyzed.
-    It must equal the truth on every labeled node, since the bound and the
-    audit take the labeled set's error to be exactly 0; the first labeled
-    node where it does not is named in the ``ValueError``.
+    Its scores must be finite, and it must equal the truth on every labeled
+    node, since the bound and the audit take the labeled set's error to be
+    exactly 0; the first node that breaks either rule is named in the
+    ``ValueError``.
     """
     y = _as_truth(true_labels_full, graph.node_count)
-    f = _scores(prediction)
+    f = prediction.f if isinstance(prediction, Prediction) else np.asarray(prediction, float)
     if f.shape != y.shape:
         raise ValueError("prediction does not cover every node")
     if prior.node_count != graph.node_count:
         raise ValueError("prior size does not match graph")
     partition.validate_against(graph)
+    non_finite = np.flatnonzero(~np.isfinite(f))
+    if non_finite.size:
+        i = int(non_finite[0])
+        raise ValueError(f"node {i} has non-finite prediction {float(f[i])!r}")
     labeled = partition.hops[0]
     wrong = np.flatnonzero(f[labeled] != y[labeled])
     if wrong.size:
@@ -338,25 +267,45 @@ def hop_stats(
     err = np.abs(f - y)
     pull = np.abs(prior.h - y)
     node_s = _disagreement(graph, y)
+    inw, betw, outw = _directional_weights(graph, partition)
     l = partition.max_hop
-    mu_total, pull_error, mu_error, s, a_err = np.zeros((5, l + 1))
-    for k in range(1, l + 1):
-        nodes = partition.hops[k]
-        mu = prior.mu[nodes]
-        mu_total[k] = np.sum(mu)
-        pull_error[k] = np.sum(mu * pull[nodes])
-        mu_error[k] = np.sum(mu * err[nodes])
-        s[k] = _in_order_sum(node_s[nodes])
-        a_err[k] = np.mean(pull[nodes])
+    sizes = np.array([h.size for h in partition.hops], dtype=np.int64)
+    hop_ptr = np.concatenate(([0], np.cumsum(sizes)))
+    hop_order = np.concatenate(partition.hops)
 
-    flows = compute_flows(graph, partition)
-    denom = flows.in_flow[1:] + mu_total[1:]
+    def hop_sums(values: np.ndarray) -> np.ndarray:
+        """``np.sum(values[hops[k]])`` for every hop k, bit for bit."""
+        return _row_sums(hop_ptr, values[hop_order])
+
+    in_flow, between, out_weight = (hop_sums(w) for w in (inw, betw, outw))
+    out_flow = np.zeros(l + 1)
+    out_flow[:l] = in_flow[1:]
+    flows = FlowProfile(in_flow=in_flow, between_flow=between, out_flow=out_flow, sizes=sizes)
+
+    avg = hop_sums(err) / sizes
+    with np.errstate(invalid="ignore", divide="ignore"):
+        e_in, e_bet, e_out = (
+            np.where(flow > 0, hop_sums(w * err) / flow, np.nan)
+            for w, flow in ((inw, in_flow), (betw, between), (outw, out_weight))
+        )
+        a = np.where(avg > 0, e_in / avg, np.nan)
+        b = np.where(avg > 0, e_out / avg, np.nan)
+    errors = HopErrors(avg=avg, in_err=e_in, between_err=e_bet, out_err=e_out, in_ratio=a, out_ratio=b)
+
+    mu = prior.mu
+    mu_total, pull_error, mu_error = (hop_sums(v) for v in (mu, mu * pull, mu * err))
+    a_err = hop_sums(pull) / sizes
+    for per_hop in (mu_total, pull_error, mu_error, a_err):
+        per_hop[0] = 0.0
+    s = np.array([0.0] + [_in_order_sum(node_s[nodes]) for nodes in partition.hops[1:]])
+
+    denom = in_flow[1:] + mu_total[1:]
     if np.any(denom <= 0):
         k = 1 + int(np.argmax(denom <= 0))
         raise ValueError(f"hop {k} has zero in-flow and zero prior weight")
     c, gam = np.zeros((2, l + 1))
     c[1:] = (s[1:] + pull_error[1:]) / denom
-    gam[1:] = flows.out_flow[1:] / denom
+    gam[1:] = out_flow[1:] / denom
     return HopStats(
         graph=graph,
         truth=y,
@@ -366,7 +315,7 @@ def hop_stats(
         error=err,
         node_smoothness=node_s,
         flows=flows,
-        errors=neighborhood_errors(graph, f, y, partition),
+        errors=errors,
         mu_total=mu_total,
         pull_error=pull_error,
         mu_error=mu_error,

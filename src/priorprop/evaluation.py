@@ -18,7 +18,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from priorprop.bounds import BoundReport, compute_bound, hop_stats
-from priorprop.graph import LabelSet, build_threshold_graph, compute_neighborhoods
+from priorprop.graph import LabelSet, _as_truth, build_threshold_graph, compute_neighborhoods
 from priorprop.multisource import ABSTAIN, WeakVoteMatrix, vote_prior
 from priorprop.solver import Prediction, PriorField, SolverConfig, solve_with_prior
 
@@ -69,7 +69,7 @@ def evaluate(prediction, true_labels_full, epsilon: float = DEFAULT_EPSILON) -> 
     """
     epsilon = check_epsilon(epsilon)
     f = prediction.f if isinstance(prediction, Prediction) else np.asarray(prediction, float)
-    y = np.asarray(true_labels_full)
+    y = _as_truth(true_labels_full, f.size)
     if f.shape != y.shape:
         raise ValueError("prediction and truth sizes differ")
     total = int(f.size)

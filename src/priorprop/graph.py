@@ -151,9 +151,6 @@ class Graph:
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return self.indices[lo:hi], self.weights[lo:hi]
 
-    def degree(self, i: int) -> float:
-        return float(self.degrees[i])
-
     def _upper_triangle(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows, columns and weights of the CSR entries with column > row.
 
@@ -211,6 +208,16 @@ class LabelSet:
             raise ValueError("labeled index out of range")
         if self.indices.size and int(self.indices[0]) < 0:
             raise ValueError("labeled index negative")
+
+
+def _as_truth(true_labels_full, node_count: int) -> np.ndarray:
+    """Full ground truth as floats: one 0 or 1 per node, else ``ValueError``."""
+    y = np.asarray(true_labels_full)
+    if y.shape != (node_count,):
+        raise ValueError("true labels must cover every node")
+    if not np.all(np.isin(y, (0, 1))):
+        raise ValueError("true labels must be 0 or 1")
+    return y.astype(np.float64)
 
 
 @dataclass(frozen=True, eq=False)

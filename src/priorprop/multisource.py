@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from priorprop.graph import LabelSet
+from priorprop.graph import LabelSet, _as_truth
 from priorprop.solver import PriorField
 
 ABSTAIN = -1
@@ -118,9 +118,7 @@ def reduce_to_single_prior(votes: WeakVoteMatrix, alpha: AlphaAssignment) -> Pri
 
 def alpha_oracle(votes: WeakVoteMatrix, true_labels: Sequence[int]) -> AlphaAssignment:
     """Full trust on correct votes, none on wrong ones (analysis mode only)."""
-    y = np.asarray(true_labels)
-    if y.shape != (votes.node_count,):
-        raise ValueError("true_labels must cover every node")
+    y = _as_truth(true_labels, votes.node_count)
     a = (votes.cast_mask & (votes.votes == y[:, None])).astype(np.float64)
     return AlphaAssignment(alpha=a, scheme="oracle")
 

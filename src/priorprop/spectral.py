@@ -18,7 +18,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from priorprop.graph import Graph, LabelSet
+from priorprop.graph import Graph, LabelSet, _as_truth
 from priorprop.solver import Prediction
 
 DENSE_EIG_LIMIT = 2000
@@ -118,9 +118,9 @@ def spectral_bound(
         raise ValueError("full parameters (t, M, K) must be positive and finite")
 
     f = prediction.f if isinstance(prediction, Prediction) else np.asarray(prediction, float)
-    y = np.asarray(true_labels_full, dtype=np.float64)
-    if f.shape != (graph.node_count,) or y.shape != (graph.node_count,):
-        raise ValueError("prediction and truth must cover every node")
+    y = _as_truth(true_labels_full, graph.node_count)
+    if f.shape != y.shape:
+        raise ValueError("prediction must cover every node")
     r_emp = float(np.mean((f[labels.indices] - labels.values.astype(np.float64)) ** 2))
     r_gen = float(np.mean((f - y) ** 2))
 

@@ -281,6 +281,82 @@ def loop_node_error(graph, y, prior, f, partition):
     return out
 
 
+def loop_directional_weights(graph, partition):
+    """Per node, running totals of its edge weight one hop in, within its hop
+    and one hop out, added neighbor by neighbor."""
+    hop = partition.hop_of
+    inw, betw, outw = (np.zeros(graph.node_count) for _ in range(3))
+    for i in range(graph.node_count):
+        if hop[i] < 0:
+            continue
+        nbrs, w = graph.neighbors(i)
+        for j, wv in zip(nbrs.tolist(), w.tolist()):
+            if hop[j] == hop[i] - 1:
+                inw[i] += wv
+            elif hop[j] == hop[i]:
+                betw[i] += wv
+            elif hop[j] == hop[i] + 1:
+                outw[i] += wv
+    return inw, betw, outw
+
+
+def loop_flows(graph, partition):
+    """``(in_flow, between_flow, out_flow)`` per hop, summed hop by hop."""
+    inw, betw, _ = loop_directional_weights(graph, partition)
+    l = len(partition.hops) - 1
+    in_flow = np.zeros(l + 1)
+    between = np.zeros(l + 1)
+    for k in range(l + 1):
+        nodes = partition.hops[k]
+        in_flow[k] = float(np.sum(inw[nodes]))  # 0 at hop 0: no hop -1
+        between[k] = float(np.sum(betw[nodes]))
+    out_flow = np.zeros(l + 1)
+    out_flow[:l] = in_flow[1 : l + 1]
+    return in_flow, between, out_flow
+
+
+def loop_hop_errors(graph, f, y, partition):
+    """``(avg, in_err, between_err, out_err, in_ratio, out_ratio)`` per hop:
+    the mean and the flow-weighted means of ``|f - y|``, hop by hop."""
+    err = np.abs(np.asarray(f, dtype=np.float64) - np.asarray(y, dtype=np.float64))
+    inw, betw, outw = loop_directional_weights(graph, partition)
+    l = len(partition.hops) - 1
+    avg = np.zeros(l + 1)
+    e_in, e_bet, e_out = (np.full(l + 1, np.nan) for _ in range(3))
+    for k in range(l + 1):
+        nodes = partition.hops[k]
+        avg[k] = float(np.mean(err[nodes]))
+        for wvec, store in ((inw, e_in), (betw, e_bet), (outw, e_out)):
+            flow = float(np.sum(wvec[nodes]))
+            if flow > 0:
+                store[k] = float(np.sum(wvec[nodes] * err[nodes])) / flow
+    a, b = (np.full(l + 1, np.nan) for _ in range(2))
+    for k in range(l + 1):
+        if avg[k] > 0:
+            a[k] = e_in[k] / avg[k]
+            b[k] = e_out[k] / avg[k]
+    return avg, e_in, e_bet, e_out, a, b
+
+
+def loop_prior_terms(prior, f, y, partition):
+    """``(mu_total, pull_error, mu_error, prior_error)`` per hop, 0 at hop 0:
+    the sums of ``mu``, ``mu |h - y|`` and ``mu |f - y|`` and the mean of
+    ``|h - y|``, hop by hop."""
+    y = np.asarray(y, dtype=np.float64)
+    err = np.abs(np.asarray(f, dtype=np.float64) - y)
+    pull = np.abs(prior.h - y)
+    l = len(partition.hops) - 1
+    mu_total, pull_error, mu_error, a_err = np.zeros((4, l + 1))
+    for k in range(1, l + 1):
+        nodes = partition.hops[k]
+        mu = prior.mu[nodes]
+        mu_total[k] = np.sum(mu)
+        pull_error[k] = np.sum(mu * pull[nodes])
+        mu_error[k] = np.sum(mu * err[nodes])
+        a_err[k] = np.mean(pull[nodes])
+    return mu_total, pull_error, mu_error, a_err
+
+
 # Line-by-line references for the file loaders of ``priorprop.fileio``: each
 # line is split with ``str.splitlines``/``str.split`` and its tokens are read
 # with ``int``/``float``; errors name ``path:line`` where these loops do.

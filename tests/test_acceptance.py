@@ -261,7 +261,8 @@ def test_criterion_6_flow_identity():
         g = pp.Graph.from_edges(n, random_connected_graph(rng, n, extra_edges=int(rng.integers(0, n))))
         idx, vals = random_labels(rng, n)
         partition = pp.compute_neighborhoods(g, pp.LabelSet(idx, vals))
-        flows = pp.compute_flows(g, partition)
+        zero = np.zeros(n)  # truth and prediction; the flows depend on neither
+        flows = pp.hop_stats(g, zero, pp.PriorField.constant(n, mu=1.0), partition, zero).flows
         for k in range(partition.max_hop):
             assert flows.out_flow[k] == flows.in_flow[k + 1]
             pairs += 1

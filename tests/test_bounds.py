@@ -1,21 +1,22 @@
 import numpy as np
 import pytest
 
+import priorprop.bounds as bounds_mod
 from priorprop.bounds import (
     audit_inequalities,
     compute_bound,
-    compute_flows,
     conductance,
     hop_stats,
-    neighborhood_errors,
-    prior_error,
     smoothness,
 )
 from priorprop.graph import Graph, LabelSet, compute_neighborhoods
 from priorprop.solver import PriorField, solve_with_prior
 
 from oracles import (
+    loop_flows,
+    loop_hop_errors,
     loop_node_error,
+    loop_prior_terms,
     loop_smoothness,
     mixed_row_length_edges,
     random_connected_graph,
@@ -29,6 +30,16 @@ def path_graph(n, w=1.0):
 
 def solved_stats(g, labels, y, prior, part):
     return hop_stats(g, y, prior, part, solve_with_prior(g, labels, prior))
+
+
+def truth_stats(g, part, y=None, f=None, prior=None):
+    """``hop_stats`` of ``f`` under a unit prior; the truth ``y`` defaults to
+    all zeros and ``f`` to the truth itself."""
+    if y is None:
+        y = np.zeros(g.node_count, dtype=np.int8)
+    if prior is None:
+        prior = PriorField.constant(g.node_count, mu=1.0)
+    return hop_stats(g, y, prior, part, y.astype(float) if f is None else f)
 
 
 def brute_force_flows(graph, part, k):
@@ -51,7 +62,7 @@ class TestFlows:
     def test_path_flows(self):
         g = path_graph(3)
         part = compute_neighborhoods(g, LabelSet([0], [0]))
-        flows = compute_flows(g, part)
+        flows = truth_stats(g, part).flows
         assert flows.in_flow[1] == 1.0
         assert flows.between_flow[1] == 0.0
         assert flows.out_flow[1] == 1.0
@@ -60,7 +71,7 @@ class TestFlows:
         # labeled c adjacent to both a and b, who form an edge between them
         g = Graph.from_edges(3, [(2, 0, 1.0), (2, 1, 1.0), (0, 1, 1.0)])
         part = compute_neighborhoods(g, LabelSet([2], [1]))
-        flows = compute_flows(g, part)
+        flows = truth_stats(g, part).flows
         assert flows.in_flow[1] == 2.0
         assert flows.between_flow[1] == 2.0
         assert flows.out_flow[1] == 0.0
@@ -72,7 +83,7 @@ class TestFlows:
         g = Graph.from_edges(n, random_connected_graph(rng, n, extra_edges=n // 2))
         idx, vals = random_labels(rng, n)
         part = compute_neighborhoods(g, LabelSet(idx, vals))
-        flows = compute_flows(g, part)
+        flows = truth_stats(g, part).flows
         for k in range(part.max_hop):
             assert flows.out_flow[k] == flows.in_flow[k + 1]
         assert flows.out_flow[part.max_hop] == 0.0
@@ -84,7 +95,7 @@ class TestFlows:
         g = Graph.from_edges(n, random_connected_graph(rng, n, extra_edges=n))
         idx, vals = random_labels(rng, n)
         part = compute_neighborhoods(g, LabelSet(idx, vals))
-        flows = compute_flows(g, part)
+        flows = truth_stats(g, part).flows
         for k in range(1, part.max_hop + 1):
             cin, cbet, cout = brute_force_flows(g, part, k)
             assert flows.in_flow[k] == pytest.approx(cin, rel=1e-12)
@@ -96,20 +107,20 @@ class TestConductance:
     def test_no_internal_edges(self):
         g = path_graph(3)
         part = compute_neighborhoods(g, LabelSet([0], [0]))
-        flows = compute_flows(g, part)
+        flows = truth_stats(g, part).flows
         assert conductance(flows, 1) == 1.0
 
     def test_only_internal_edges(self):
         g = Graph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)])
         part = compute_neighborhoods(g, LabelSet([0], [0]))
-        flows = compute_flows(g, part)
+        flows = truth_stats(g, part).flows
         # hop 2 = {2, 3}: in 2.0, between 2.0, out 0 -> phi = 0.5
         assert conductance(flows, 2) == pytest.approx(0.5)
 
     def test_formula(self):
         g = path_graph(3)
         part = compute_neighborhoods(g, LabelSet([0], [0]))
-        flows = compute_flows(g, part)
+        flows = truth_stats(g, part).flows
         # hop 1: in=1, bet=0, out=1 -> (1+1)/(1+0+1) = 1
         assert conductance(flows, 1) == pytest.approx(1.0)
         assert 0.0 <= conductance(flows, 1) <= 1.0
@@ -177,11 +188,11 @@ class TestSmoothnessAndPriorError:
         part = compute_neighborhoods(g, LabelSet([0], [1]))
         y = np.array([1, 0, 1, 0], dtype=np.int8)
         exact = PriorField(y.astype(float), np.ones(4))
-        assert prior_error(exact, y, part, 1) == 0.0
+        assert truth_stats(g, part, y, prior=exact).prior_error[1] == 0.0
         neutral = PriorField.constant(4, h=0.5, mu=1.0)
-        assert prior_error(neutral, y, part, 1) == 0.5
+        assert truth_stats(g, part, y, prior=neutral).prior_error[1] == 0.5
         flipped = PriorField(1.0 - y.astype(float), np.ones(4))
-        assert prior_error(flipped, y, part, 2) == 1.0
+        assert truth_stats(g, part, y, prior=flipped).prior_error[2] == 1.0
 
 
 class TestNeighborhoodErrors:
@@ -189,7 +200,7 @@ class TestNeighborhoodErrors:
         g = path_graph(4)
         part = compute_neighborhoods(g, LabelSet([0], [1]))
         y = np.ones(4, dtype=np.int8)
-        errs = neighborhood_errors(g, y.astype(float), y, part)
+        errs = truth_stats(g, part, y).errors
         assert np.all(errs.avg == 0.0)
         assert np.all(np.isnan(errs.in_ratio[1:]))
         assert np.all(np.isnan(errs.out_ratio[1:]))
@@ -200,7 +211,7 @@ class TestNeighborhoodErrors:
         y = np.ones(4, dtype=np.int8)
         f = y - 0.25
         f[0] = 1.0
-        errs = neighborhood_errors(g, f, y, part)
+        errs = truth_stats(g, part, y, f).errors
         for k in range(1, part.max_hop + 1):
             assert errs.avg[k] == pytest.approx(0.25)
             assert errs.in_err[k] == pytest.approx(0.25)
@@ -218,7 +229,8 @@ class TestNeighborhoodErrors:
         part = compute_neighborhoods(g, LabelSet(idx, vals))
         y = rng.integers(0, 2, n).astype(np.int8)
         f = rng.uniform(0, 1, n)
-        errs = neighborhood_errors(g, f, y, part)
+        f[idx] = y[idx]
+        errs = truth_stats(g, part, y, f).errors
         hop = part.hop_of
         for k in range(1, part.max_hop + 1):
             num_in = num_bet = num_out = 0.0
@@ -412,6 +424,55 @@ class TestHopStats:
         assert len(got) == len(want) == g.node_count - len(labels) - part.unreachable.size
         assert [c[0] for c in got] == [w[0] for w in want]
         assert np.array([c[1:] for c in got]).tobytes() == np.array([w[1:] for w in want]).tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_flows_errors_and_prior_terms_bitwise_equal_to_loops(self, seed):
+        g, labels, y, prior, part = mixed_row_length_instance(seed + 90)
+        pred = solve_with_prior(g, labels, prior)
+        stats = hop_stats(g, y, prior, part, pred)
+        flows, errors = stats.flows, stats.errors
+        got = {
+            "flows": (flows.in_flow, flows.between_flow, flows.out_flow),
+            "errors": (errors.avg, errors.in_err, errors.between_err, errors.out_err,
+                       errors.in_ratio, errors.out_ratio),
+            "prior terms": (stats.mu_total, stats.pull_error, stats.mu_error, stats.prior_error),
+        }
+        want = {
+            "flows": loop_flows(g, part),
+            "errors": loop_hop_errors(g, pred.f, y, part),
+            "prior terms": loop_prior_terms(prior, pred.f, y, part),
+        }
+        for name in got:
+            assert np.array(got[name]).tobytes() == np.array(want[name]).tobytes(), name
+        assert flows.sizes.tolist() == [h.size for h in part.hops]
+
+    def test_directional_weights_built_once(self, monkeypatch):
+        g, labels, y, prior, part = mixed_row_length_instance(7)
+        pred = solve_with_prior(g, labels, prior)
+        calls = []
+        original = bounds_mod._directional_weights
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(bounds_mod, "_directional_weights", counted)
+        stats = hop_stats(g, y, prior, part, pred)
+        audit_inequalities(stats)
+        compute_bound(stats)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected_naming_the_first_node(self, bad):
+        g = path_graph(5)
+        y = np.array([1, 1, 0, 0, 1], dtype=np.int8)
+        labels = LabelSet([0], [1])
+        part = compute_neighborhoods(g, labels)
+        prior = PriorField.constant(5, mu=1.0)
+        f = solve_with_prior(g, labels, prior).f.copy()
+        f[[3, 4]] = bad
+        with pytest.raises(ValueError, match=f"node 3 has non-finite prediction {bad!r}"):
+            hop_stats(g, y, prior, part, f)
 
     def test_prediction_wrong_on_labeled_node_rejected(self):
         g = path_graph(3)

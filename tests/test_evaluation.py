@@ -65,6 +65,11 @@ class TestEvaluate:
         assert a.accuracy == pytest.approx(b.accuracy, abs=1e-12)
         assert a.coverage == b.coverage
 
+    @pytest.mark.parametrize("truth", [[1, 1, 2, np.nan], [1, 1, 2, 0]])
+    def test_rejects_truth_that_is_not_0_or_1(self, truth):
+        with pytest.raises(ValueError, match="0 or 1"):
+            evaluate(np.array([0.9, 0.8, 0.1, 0.2]), truth)
+
     def test_rejects_negative_epsilon(self):
         with pytest.raises(ValueError):
             evaluate(np.array([0.5]), np.array([1]), epsilon=-1.0)

@@ -170,6 +170,12 @@ class TestAlphaSchemes:
         votes = WeakVoteMatrix(np.array([[1], [0]], dtype=np.int8))
         assert np.all(alpha_oracle(votes, y).alpha == 0.0)
 
+    @pytest.mark.parametrize("truth", [[0, 2, 1], [0, np.nan, 1], [0, ABSTAIN, 1]])
+    def test_oracle_rejects_truth_that_is_not_0_or_1(self, truth):
+        votes = WeakVoteMatrix(np.array([[0], [1], [ABSTAIN]], dtype=np.int8))
+        with pytest.raises(ValueError, match="0 or 1"):
+            alpha_oracle(votes, truth)
+
     def test_oracle_mixed_entries(self):
         rng = np.random.default_rng(10)
         y = rng.integers(0, 2, 20)

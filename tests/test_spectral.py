@@ -117,6 +117,11 @@ class TestSpectralBound:
         with pytest.raises(ValueError, match="4"):
             spectral_bound(self.g, self.y.astype(float), labels, self.y, eta=1.0)
 
+    @pytest.mark.parametrize("truth", [[1, 0, np.nan, 0], [1, 0, 2, 0]])
+    def test_rejects_truth_that_is_not_0_or_1(self, truth):
+        with pytest.raises(ValueError, match="0 or 1"):
+            spectral_bound(self.g, self.y.astype(float), self.labels, truth, eta=1.0)
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             spectral_bound(self.g, self.y.astype(float), self.labels, self.y, eta=0.0)
