@@ -4,7 +4,6 @@ from priorprop._kernels import BACKEND as KERNEL_BACKEND
 from priorprop.bounds import (
     AuditReport,
     BoundReport,
-    FlowProfile,
     HopStats,
     audit_inequalities,
     compute_bound,

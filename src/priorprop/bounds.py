@@ -21,23 +21,27 @@ giving the informal per-hop bound ``sum_{i<=k} d_i`` and, with the measured
 ratios, the certified bound ``(1/a_k) sum_{i<=k} d_i prod_{j=i}^{k-1} delta_j``
 on the hop's average error.
 
-``hop_stats`` validates one analysis (graph, truth, prior, partition and the
-prediction being analyzed) and computes every per-hop quantity above once,
-with array code. ``compute_bound`` assembles the bound from those statistics
-and ``audit_inequalities`` numerically re-checks the chain of per-node and
-per-hop inequalities the bound rests on; neither solves anything.
+Everything per hop lives in one table. ``hop_stats`` validates one analysis
+(graph, truth, prior, partition and the prediction being analyzed) and
+computes every quantity above once, as a :class:`HopStats` column indexed by
+hop and named after the report's JSON key (``c_k`` is ``local_term``).
+``compute_bound`` adds the columns ``d_k``, informal bound, certified bound
+and bound source; its report's JSON has one row per hop, read across the
+columns. ``audit_inequalities`` re-checks the chain of per-node and per-hop
+inequalities the bound rests on as array expressions over the same columns,
+one :class:`AuditFamily` of ``lhs``/``rhs``/``passed`` arrays per family.
+Neither solves anything.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from itertools import repeat
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from priorprop.graph import Graph, NeighborhoodPartition, _as_truth, _row_sums
-from priorprop.solver import Prediction, PriorField
+from priorprop.solver import Prediction, PriorField, scores
 
 BETWEEN_FLOW_CONVENTION = "ordered-pairs (each within-hop edge counted twice)"
 
@@ -60,30 +64,15 @@ def _directional_weights(
     return inw, betw, outw
 
 
-@dataclass(frozen=True, eq=False)
-class FlowProfile:
-    """Per-hop flows, indexed by hop (index 0 = labeled set).
-
-    ``out_flow[k]`` is stored as ``in_flow[k+1]``; the two are the same
-    edge-boundary sum, so the identity between them holds exactly.
-    ``out_flow[l]`` is 0: the last hop has nowhere to flow to.
-    """
-
-    in_flow: np.ndarray
-    between_flow: np.ndarray
-    out_flow: np.ndarray
-    sizes: np.ndarray
-
-
-def conductance(flows: FlowProfile, k: int) -> float | None:
+def conductance(stats: HopStats, k: int) -> float | None:
     """Fraction of hop k's incident edge weight that crosses its boundary.
 
     None (missing) for a hop with no incident edges at all.
     """
-    denom = flows.in_flow[k] + flows.between_flow[k] + flows.out_flow[k]
+    denom = stats.in_flow[k] + stats.between_flow[k] + stats.out_flow[k]
     if denom <= 0:
         return None
-    return float((flows.in_flow[k] + flows.out_flow[k]) / denom)
+    return float((stats.in_flow[k] + stats.out_flow[k]) / denom)
 
 
 def _disagreement(graph: Graph, y: np.ndarray) -> np.ndarray:
@@ -106,112 +95,21 @@ def smoothness(
 
 
 @dataclass(frozen=True, eq=False)
-class HopErrors:
-    """Measured solution errors per hop; nan marks undefined entries.
-
-    ``avg`` is the mean of |f - y| over the hop. The in-/between-/out-errors
-    are flow-weighted averages of |f - y| over the hop's nodes, weighting each
-    node by its edge weight in the corresponding direction. Ratios
-    ``a_k = in/avg`` and ``b_k = out/avg`` are nan wherever the hop's average
-    error is zero or the corresponding flow is zero.
-    """
-
-    avg: np.ndarray
-    in_err: np.ndarray
-    between_err: np.ndarray
-    out_err: np.ndarray
-    in_ratio: np.ndarray
-    out_ratio: np.ndarray
-
-    @property
-    def delta(self) -> np.ndarray:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return self.out_ratio / self.in_ratio
-
-
-def _none_if_nan(x: float | None) -> float | None:
-    if x is None:
-        return None
-    x = float(x)
-    return None if np.isnan(x) else x
-
-
-@dataclass(frozen=True, eq=False)
-class HopRecord:
-    hop: int
-    size: int
-    in_flow: float
-    between_flow: float
-    out_flow: float
-    conductance: float | None
-    mu_total: float
-    smoothness: float
-    prior_error: float
-    gamma: float
-    local_term: float
-    accumulated_term: float
-    informal_bound: float
-    avg_error: float
-    in_error: float | None
-    between_error: float | None
-    out_error: float | None
-    in_error_ratio: float | None
-    out_error_ratio: float | None
-    error_ratio: float | None
-    certified_bound: float
-    bound_source: str
-
-    def to_dict(self) -> dict[str, Any]:
-        """Every field in declaration order, with undefined optional values as None."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        for name in _OPTIONAL_FIELDS:
-            out[name] = _none_if_nan(out[name])
-        return out
-
-
-_OPTIONAL_FIELDS = (
-    "conductance", "in_error", "between_error", "out_error",
-    "in_error_ratio", "out_error_ratio", "error_ratio",
-)
-
-
-@dataclass(frozen=True, eq=False)
-class BoundReport:
-    """Bound ingredients and measured errors for every hop, plus globals."""
-
-    hops: tuple[HopRecord, ...]
-    labeled_count: int
-    unreachable_count: int
-    mu_constant: float | None
-    solver_method: str
-    solver_residual: float
-    ratio_min: float | None
-    ratio_max: float | None
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "labeled_count": self.labeled_count,
-            "unreachable_count": self.unreachable_count,
-            "mu_constant": self.mu_constant,
-            "solver_method": self.solver_method,
-            "solver_residual": self.solver_residual,
-            "error_ratio_min": _none_if_nan(self.ratio_min),
-            "error_ratio_max": _none_if_nan(self.ratio_max),
-            "between_flow_convention": BETWEEN_FLOW_CONVENTION,
-            "hops": [h.to_dict() for h in self.hops],
-        }
-
-
-@dataclass(frozen=True, eq=False)
 class HopStats:
-    """One prediction's per-hop statistics, read by the bound and the audit.
+    """One prediction's per-hop table, read by the bound and the audit.
 
-    Per-hop arrays are indexed by hop and hold 0 at hop 0 (the labeled set):
-    ``mu_total``, ``pull_error`` (sum of ``mu |h - y|``), ``mu_error`` (sum of
-    ``mu |f - y|``), ``smoothness``, ``prior_error``, the local term ``c`` and
-    ``gamma``. ``flows`` and ``errors`` hold the flows and the measured
-    solution errors of every hop. ``error`` and ``node_smoothness`` are per
-    node.
+    Every per-hop column is an array indexed by hop, hop 0 being the labeled
+    set, and is named after the bound report's JSON key where it has one:
+    the flows (``out_flow[k]`` is stored as ``in_flow[k+1]``, the same
+    edge-boundary sum, and ``out_flow[l]`` is 0), the prior terms
+    ``mu_total``, ``pull_error`` (sum of ``mu |h - y|``) and ``mu_error``
+    (sum of ``mu |f - y|``), ``smoothness``, ``prior_error`` and the bound
+    terms ``local_term`` and ``gamma``, all 0 at hop 0, and the measured
+    errors. ``avg_error`` is the mean of |f - y| over the hop; the in-,
+    between- and out-errors weight each node's |f - y| by its edge weight in
+    that direction, and are nan where that flow is zero. The ratios
+    ``a_k = in/avg`` and ``b_k = out/avg`` are nan wherever the average
+    error or the flow is zero. ``error`` and ``node_smoothness`` are per node.
     """
 
     graph: Graph
@@ -221,15 +119,29 @@ class HopStats:
     prediction: Prediction | np.ndarray
     error: np.ndarray
     node_smoothness: np.ndarray
-    flows: FlowProfile
-    errors: HopErrors
+    size: np.ndarray
+    in_flow: np.ndarray
+    between_flow: np.ndarray
+    out_flow: np.ndarray
     mu_total: np.ndarray
     pull_error: np.ndarray
     mu_error: np.ndarray
     smoothness: np.ndarray
     prior_error: np.ndarray
-    c: np.ndarray
+    local_term: np.ndarray
     gamma: np.ndarray
+    avg_error: np.ndarray
+    in_error: np.ndarray
+    between_error: np.ndarray
+    out_error: np.ndarray
+    in_error_ratio: np.ndarray
+    out_error_ratio: np.ndarray
+
+    @property
+    def error_ratio(self) -> np.ndarray:
+        """``delta_k = b_k / a_k``, nan where either ratio is undefined."""
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return self.out_error_ratio / self.in_error_ratio
 
 
 def hop_stats(
@@ -248,7 +160,7 @@ def hop_stats(
     ``ValueError``.
     """
     y = _as_truth(true_labels_full, graph.node_count)
-    f = prediction.f if isinstance(prediction, Prediction) else np.asarray(prediction, float)
+    f = scores(prediction)
     if f.shape != y.shape:
         raise ValueError("prediction does not cover every node")
     if prior.node_count != graph.node_count:
@@ -280,7 +192,6 @@ def hop_stats(
     in_flow, between, out_weight = (hop_sums(w) for w in (inw, betw, outw))
     out_flow = np.zeros(l + 1)
     out_flow[:l] = in_flow[1:]
-    flows = FlowProfile(in_flow=in_flow, between_flow=between, out_flow=out_flow, sizes=sizes)
 
     avg = hop_sums(err) / sizes
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -290,7 +201,6 @@ def hop_stats(
         )
         a = np.where(avg > 0, e_in / avg, np.nan)
         b = np.where(avg > 0, e_out / avg, np.nan)
-    errors = HopErrors(avg=avg, in_err=e_in, between_err=e_bet, out_err=e_out, in_ratio=a, out_ratio=b)
 
     mu = prior.mu
     mu_total, pull_error, mu_error = (hop_sums(v) for v in (mu, mu * pull, mu * err))
@@ -314,24 +224,90 @@ def hop_stats(
         prediction=prediction if isinstance(prediction, Prediction) else f,
         error=err,
         node_smoothness=node_s,
-        flows=flows,
-        errors=errors,
+        size=sizes,
+        in_flow=in_flow,
+        between_flow=between,
+        out_flow=out_flow,
         mu_total=mu_total,
         pull_error=pull_error,
         mu_error=mu_error,
         smoothness=s,
         prior_error=a_err,
-        c=c,
+        local_term=c,
         gamma=gam,
+        avg_error=avg,
+        in_error=e_in,
+        between_error=e_bet,
+        out_error=e_out,
+        in_error_ratio=a,
+        out_error_ratio=b,
     )
+
+
+HOP_KEYS = (
+    "hop", "size", "in_flow", "between_flow", "out_flow", "conductance", "mu_total",
+    "smoothness", "prior_error", "gamma", "local_term", "accumulated_term", "informal_bound",
+    "avg_error", "in_error", "between_error", "out_error", "in_error_ratio", "out_error_ratio",
+    "error_ratio", "certified_bound", "bound_source",
+)
+
+
+@dataclass(frozen=True, eq=False)
+class BoundReport:
+    """The bound's columns beside the per-hop table it was built from, plus globals.
+
+    ``accumulated_term`` (``d_k``), ``informal_bound``, ``certified_bound`` and
+    ``bound_source`` are indexed by hop like ``stats``; hop 0, whose error is
+    exactly 0, holds a measured bound of 0.
+    """
+
+    stats: HopStats
+    accumulated_term: np.ndarray
+    informal_bound: np.ndarray
+    certified_bound: np.ndarray
+    bound_source: tuple[str, ...]
+    labeled_count: int
+    unreachable_count: int
+    mu_constant: float | None
+    solver_method: str
+    solver_residual: float
+    ratio_min: float | None
+    ratio_max: float | None
+
+    def to_dict(self) -> dict[str, Any]:
+        """The globals, and one dict per hop from 1 on, keyed by ``HOP_KEYS``
+        in that order, with undefined (nan) values as None."""
+        s = self.stats
+        hops = range(1, s.partition.max_hop + 1)
+
+        def column(key: str) -> list:
+            if key == "hop":
+                return list(hops)
+            if key == "conductance":
+                return [conductance(s, k) for k in hops]
+            values = np.asarray(getattr(self if hasattr(self, key) else s, key))[1:].tolist()
+            return [None if v != v else v for v in values]
+
+        rows = zip(*map(column, HOP_KEYS))
+        return {
+            "labeled_count": self.labeled_count,
+            "unreachable_count": self.unreachable_count,
+            "mu_constant": self.mu_constant,
+            "solver_method": self.solver_method,
+            "solver_residual": self.solver_residual,
+            "error_ratio_min": self.ratio_min,
+            "error_ratio_max": self.ratio_max,
+            "between_flow_convention": BETWEEN_FLOW_CONVENTION,
+            "hops": [dict(zip(HOP_KEYS, row)) for row in rows],
+        }
 
 
 def compute_bound(stats: HopStats) -> BoundReport:
     """Assemble the per-hop error bound and the measured errors of a prediction.
 
-    The bound terms (``c``, ``gamma``, ``d``, informal bound) use only flows,
-    smoothness and prior error. The certified bound additionally uses the
-    measured error ratios of ``stats.prediction``, which must be a solver
+    The bound terms (``local_term``, ``gamma``, ``d``, informal bound) use only
+    flows, smoothness and prior error. The certified bound additionally uses
+    the measured error ratios of ``stats.prediction``, which must be a solver
     :class:`Prediction`; at hops where a needed ratio is undefined (zero
     average error somewhere in the chain) it falls back to the informal bound
     and says so in ``bound_source``.
@@ -339,65 +315,41 @@ def compute_bound(stats: HopStats) -> BoundReport:
     prediction = stats.prediction
     if not isinstance(prediction, Prediction):
         raise TypeError("compute_bound needs a solver Prediction, not bare scores")
-    flows, errors, partition = stats.flows, stats.errors, stats.partition
+    partition = stats.partition
     l = partition.max_hop
-    c, gam = stats.c, stats.gamma
+    c, gam = stats.local_term, stats.gamma
 
     d = np.zeros(l + 1)
     for k in range(l, 0, -1):
         d[k] = c[k] + (gam[k] * d[k + 1] if k < l else 0.0)
     informal = np.cumsum(d)
 
-    delta = errors.delta
-    records = []
+    a, delta = stats.in_error_ratio, stats.error_ratio
+    certified = informal.copy()
+    source = ["measured"]
     for k in range(1, l + 1):
-        a_k = errors.in_ratio[k]
-        chain_ok = np.isfinite(a_k) and np.all(np.isfinite(delta[1:k]))
-        if chain_ok:
+        if np.isfinite(a[k]) and np.all(np.isfinite(delta[1:k])):
             total = 0.0
             prod = 1.0
             for i in range(k, 0, -1):
                 total += d[i] * prod
                 if i > 1:
                     prod *= delta[i - 1]
-            certified = float(total / a_k)
-            source = "measured"
+            certified[k] = total / a[k]
+            source.append("measured")
         else:
-            certified = float(informal[k])
-            source = "informal_fallback"
-        records.append(
-            HopRecord(
-                hop=k,
-                size=int(flows.sizes[k]),
-                in_flow=float(flows.in_flow[k]),
-                between_flow=float(flows.between_flow[k]),
-                out_flow=float(flows.out_flow[k]),
-                conductance=conductance(flows, k),
-                mu_total=float(stats.mu_total[k]),
-                smoothness=float(stats.smoothness[k]),
-                prior_error=float(stats.prior_error[k]),
-                gamma=float(gam[k]),
-                local_term=float(c[k]),
-                accumulated_term=float(d[k]),
-                informal_bound=float(informal[k]),
-                avg_error=float(errors.avg[k]),
-                in_error=float(errors.in_err[k]),
-                between_error=float(errors.between_err[k]),
-                out_error=float(errors.out_err[k]),
-                in_error_ratio=float(errors.in_ratio[k]),
-                out_error_ratio=float(errors.out_ratio[k]),
-                error_ratio=float(delta[k]),
-                certified_bound=certified,
-                bound_source=source,
-            )
-        )
+            source.append("informal_fallback")
 
     mu_vals = stats.prior.mu
     mu_constant = float(mu_vals[0]) if mu_vals.size and np.all(mu_vals == mu_vals[0]) else None
-    ratios = np.concatenate([errors.in_ratio[1:], errors.out_ratio[1:]])
+    ratios = np.concatenate([a[1:], stats.out_error_ratio[1:]])
     ratios = ratios[np.isfinite(ratios)]
     return BoundReport(
-        hops=tuple(records),
+        stats=stats,
+        accumulated_term=d,
+        informal_bound=informal,
+        certified_bound=certified,
+        bound_source=tuple(source),
         labeled_count=int(partition.hops[0].size),
         unreachable_count=int(partition.unreachable.size),
         mu_constant=mu_constant,
@@ -408,59 +360,72 @@ def compute_bound(stats: HopStats) -> BoundReport:
     )
 
 
+AUDIT_SLACK = 1e-6
+
+
 @dataclass(frozen=True, eq=False)
-class AuditCheck:
-    family: str
-    location: str
-    lhs: float
-    rhs: float
-    passed: bool
+class AuditFamily:
+    """One family of checks as columns: check i compares ``lhs[i] <= rhs[i]``
+    at the ``unit`` (node or hop) ``ids[i]``, and passed if it held to within
+    ``AUDIT_SLACK``."""
+
+    unit: str
+    ids: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    passed: np.ndarray
 
     @property
-    def margin(self) -> float:
+    def margin(self) -> np.ndarray:
         return self.rhs - self.lhs
+
+
+def _family(unit: str, ids: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, keep=slice(None)):
+    lhs, rhs = lhs[keep], rhs[keep]
+    return AuditFamily(unit, ids[keep], lhs, rhs, lhs <= rhs + AUDIT_SLACK)
 
 
 @dataclass(frozen=True, eq=False)
 class AuditReport:
-    passed: bool
-    slack: float
-    checks: tuple[AuditCheck, ...]
+    """The audit's families in check order, each present only if it has checks."""
 
-    def failures(self) -> list[AuditCheck]:
-        return [c for c in self.checks if not c.passed]
+    families: dict[str, AuditFamily]
 
-    def worst_by_family(self) -> dict[str, AuditCheck]:
-        worst: dict[str, AuditCheck] = {}
-        for c in self.checks:
-            if c.family not in worst or c.margin < worst[c.family].margin:
-                worst[c.family] = c
-        return worst
+    @property
+    def checks(self) -> np.ndarray:
+        """Whether each check passed, family by family."""
+        return np.concatenate([np.zeros(0, dtype=bool), *(f.passed for f in self.families.values())])
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.checks.all())
 
     def to_dict(self) -> dict[str, Any]:
-        families = {
-            family: {"count": 0, "failed": 0, "worst_margin": c.margin, "worst_at": c.location}
-            for family, c in self.worst_by_family().items()
-        }
-        for c in self.checks:
-            families[c.family]["count"] += 1
-            if not c.passed:
-                families[c.family]["failed"] += 1
-        return {
-            "passed": self.passed,
-            "slack": self.slack,
-            "families": families,
-            "failures": [
-                {"family": c.family, "at": c.location, "lhs": c.lhs, "rhs": c.rhs}
-                for c in self.failures()
-            ],
-        }
+        """Per family its count, failures and first smallest margin; then every
+        failed check, family by family."""
+        families: dict[str, Any] = {}
+        failures = []
+        for name, fam in self.families.items():
+            margin = fam.margin
+            worst = int(np.argmin(margin))
+            failed = np.flatnonzero(~fam.passed)
+            families[name] = {
+                "count": int(fam.ids.size),
+                "failed": int(failed.size),
+                "worst_margin": float(margin[worst]),
+                "worst_at": f"{fam.unit} {fam.ids[worst]}",
+            }
+            failures += [
+                {"family": name, "at": f"{fam.unit} {i}", "lhs": lhs, "rhs": rhs}
+                for i, lhs, rhs in zip(*(v[failed].tolist() for v in (fam.ids, fam.lhs, fam.rhs)))
+            ]
+        return {"passed": self.passed, "slack": AUDIT_SLACK, "families": families, "failures": failures}
 
 
-def audit_inequalities(stats: HopStats, slack: float = 1e-6) -> AuditReport:
+def audit_inequalities(stats: HopStats) -> AuditReport:
     """Numerically verify the inequality chain behind the certified bound.
 
-    Checks ``stats.prediction``, each check allowed ``slack`` of violation:
+    Checks ``stats.prediction``, each check allowed ``AUDIT_SLACK`` of violation:
 
     * ``node_error``: per unlabeled reachable node, its error is at most the
       prior/label-weighted average of its neighbors' errors plus the local
@@ -475,56 +440,40 @@ def audit_inequalities(stats: HopStats, slack: float = 1e-6) -> AuditReport:
     the optimum (or was perturbed).
     """
     graph, prior, y, err = stats.graph, stats.prior, stats.truth, stats.error
-    flows, errors = stats.flows, stats.errors
     l = stats.partition.max_hop
 
     nodes = np.concatenate([np.zeros(0, dtype=np.int64), *stats.partition.hops[1:]])
     nbr_err = _row_sums(graph.indptr, graph.weights * err[graph.indices])[nodes]
     mu = prior.mu[nodes]
-    lhs = err[nodes]
     prior_term = mu * np.abs(prior.h[nodes] - y[nodes])
-    rhs = (nbr_err + stats.node_smoothness[nodes] + prior_term) / (graph.degrees[nodes] + mu)
-    locations = map("node {}".format, nodes.tolist())
-    passed = (lhs <= rhs + slack).tolist()
-    checks = list(
-        map(AuditCheck, repeat("node_error"), locations, lhs.tolist(), rhs.tolist(), passed)
-    )
+    node_rhs = (nbr_err + stats.node_smoothness[nodes] + prior_term) / (graph.degrees[nodes] + mu)
 
-    s, pull_error, mu_err = stats.smoothness, stats.pull_error, stats.mu_error
-    # hop_stats holds the labeled set's error at exactly 0, so E_out(0) is 0 too
-    e_in, e_out = errors.in_err, errors.out_err
-    for k in range(1, l):
-        lhs = flows.in_flow[k] * (e_in[k] - e_out[k - 1]) + mu_err[k]
-        rhs = flows.out_flow[k] * (e_in[k + 1] - e_out[k]) + s[k] + pull_error[k]
-        checks.append(
-            AuditCheck("hop_transfer", f"hop {k}", float(lhs), float(rhs), lhs <= rhs + slack)
-        )
-    if l >= 1:
-        lhs = flows.in_flow[l] * (e_in[l] - e_out[l - 1]) + mu_err[l]
-        rhs = s[l] + pull_error[l]
-        checks.append(
-            AuditCheck("hop_transfer_last", f"hop {l}", float(lhs), float(rhs), lhs <= rhs + slack)
-        )
+    # the per-hop forms for hops 1..l; the onward term to hop k+1 is 0 at the
+    # last hop. hop_stats holds the labeled set's error at exactly 0, so
+    # E_out(0) and b_0 E_0 are 0 too
+    hops = np.arange(1, l + 1)
+    inner = hops < l
+    e_in, e_out = stats.in_error, stats.out_error
+    hop_lhs = stats.in_flow[1:] * (e_in[1:] - e_out[:-1]) + stats.mu_error[1:]
+    onward = np.zeros(l)
+    onward[:-1] = stats.out_flow[1:l] * (e_in[2:] - e_out[1:l])
+    hop_rhs = onward + stats.smoothness[1:] + stats.pull_error[1:]
 
-    a, e = errors.in_ratio, errors.avg
-    local, gam = stats.c, stats.gamma
-    term = errors.out_ratio * e  # b_k E_k, nan where a ratio is undefined
-    term[0] = 0.0  # b_0 E_0 is exactly 0
-    for k in range(1, l):
-        if np.isnan([term[k - 1], term[k], a[k], a[k + 1]]).any():
-            continue
-        lhs = a[k] * e[k] - term[k - 1]
-        rhs = gam[k] * (a[k + 1] * e[k + 1] - term[k]) + local[k]
-        checks.append(
-            AuditCheck("ratio_transfer", f"hop {k}", float(lhs), float(rhs), lhs <= rhs + slack)
-        )
-    if l >= 1 and not np.isnan([term[l - 1], a[l]]).any():
-        lhs = a[l] * e[l] - term[l - 1]
-        rhs = local[l]
-        checks.append(
-            AuditCheck(
-                "ratio_transfer_last", f"hop {l}", float(lhs), float(rhs), lhs <= rhs + slack
-            )
-        )
+    a, e = stats.in_error_ratio, stats.avg_error
+    term = stats.out_error_ratio * e  # b_k E_k, nan where a ratio is undefined
+    term[0] = 0.0
+    ratio_lhs = a[1:] * e[1:] - term[:-1]
+    onward = np.zeros(l)
+    onward[:-1] = stats.gamma[1:l] * (a[2:] * e[2:] - term[1:l])
+    ratio_rhs = onward + stats.local_term[1:]
+    defined = ~np.isnan(term[:-1]) & ~np.isnan(a[1:])  # the ratios hop k's check reads
+    chained = defined & np.append(defined[1:], False)  # and hop k+1's
 
-    return AuditReport(passed=all(c.passed for c in checks), slack=slack, checks=tuple(checks))
+    families = {
+        "node_error": _family("node", nodes, err[nodes], node_rhs),
+        "hop_transfer": _family("hop", hops, hop_lhs, hop_rhs, inner),
+        "hop_transfer_last": _family("hop", hops, hop_lhs, hop_rhs, ~inner),
+        "ratio_transfer": _family("hop", hops, ratio_lhs, ratio_rhs, chained),
+        "ratio_transfer_last": _family("hop", hops, ratio_lhs, ratio_rhs, ~inner & defined),
+    }
+    return AuditReport({name: fam for name, fam in families.items() if fam.ids.size})

@@ -43,6 +43,10 @@ def _add_graph_inputs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t", type=float, help="average-degree target for graph construction")
 
 
+# flags that only shape the --votes prior; unset, they are None
+_VOTE_FLAGS = ("accuracies", "alpha_scheme", "alpha_constant", "k_neighbors")
+
+
 def _add_prior_flags(p: argparse.ArgumentParser, default_mu: float) -> None:
     p.add_argument(
         "--mu",
@@ -54,19 +58,26 @@ def _add_prior_flags(p: argparse.ArgumentParser, default_mu: float) -> None:
     p.add_argument(
         "--alpha-scheme",
         choices=multisource.ALPHA_SCHEMES,
-        default="accuracy",
-        help="trust-weight scheme for --votes",
+        help="trust-weight scheme for --votes (default accuracy)",
     )
-    p.add_argument("--alpha-constant", type=float, default=1.0)
-    p.add_argument("--k-neighbors", type=int, default=10)
+    p.add_argument("--alpha-constant", type=float, help="cast-vote weight of the constant scheme")
+    p.add_argument("--k-neighbors", type=int, help="k-NN size of the probabilistic scheme")
     p.set_defaults(default_mu=default_mu)
 
 
+def _check_vote_flags(args) -> None:
+    """Without ``--votes`` a vote-only flag would be silently ignored."""
+    given = [f"--{name.replace('_', '-')}" for name in _VOTE_FLAGS if getattr(args, name) is not None]
+    if given and not args.votes:
+        raise ValueError(f"--votes is required by {', '.join(given)}")
+
+
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", choices=("direct", "iterative"), default="direct")
-    p.add_argument("--tolerance", type=float, default=1e-8)
-    p.add_argument("--max-iterations", type=int, default=10_000)
-    p.add_argument("--unreachable-fill", type=float, default=0.5)
+    default = SolverConfig()
+    p.add_argument("--method", choices=("direct", "iterative"), default=default.method)
+    p.add_argument("--tolerance", type=float, default=default.tolerance)
+    p.add_argument("--max-iterations", type=int, default=default.max_iterations)
+    p.add_argument("--unreachable-fill", type=float, default=default.unreachable_fill)
 
 
 def _load_graph_input(args) -> tuple[Graph, np.ndarray | None]:
@@ -123,15 +134,16 @@ def _prior(args, node_count: int, labels, y, features) -> PriorField:
     votes = fileio.load_votes(args.votes)
     if votes.node_count != node_count:
         raise ValueError("vote matrix does not match graph size")
+    # only the flags given, so that vote_prior's defaults are the only copy
+    options = {"constant": args.alpha_constant, "k_neighbors": args.k_neighbors}
     return multisource.vote_prior(
         votes,
-        args.alpha_scheme,
+        args.alpha_scheme or "accuracy",
         labels,
         accuracy=fileio.load_accuracies(args.accuracies) if args.accuracies else None,
         features=features,
         truth=y,
-        constant=args.alpha_constant,
-        k_neighbors=args.k_neighbors,
+        **{key: value for key, value in options.items() if value is not None},
     )
 
 
@@ -148,6 +160,7 @@ def cmd_build_graph(args) -> int:
 
 def cmd_propagate(args) -> int:
     evaluation.check_epsilon(args.epsilon)
+    _check_vote_flags(args)
     graph, features = _load_graph_input(args)
     labels = _load_labels(args, graph.node_count)
     y = _load_truth(args, graph.node_count)
@@ -175,6 +188,7 @@ def cmd_propagate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    _check_vote_flags(args)
     graph, features = _load_graph_input(args)
     labels = _load_labels(args, graph.node_count)
     y = _load_truth(args, graph.node_count)
@@ -271,18 +285,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("demo", help="synthetic end-to-end comparison table")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--clusters", type=int, default=2)
-    p.add_argument("--points-per-cluster", type=int, default=250)
-    p.add_argument("--separation", type=float, default=100.0)
-    p.add_argument("--dimension", type=int, default=2)
-    p.add_argument("--noise", type=float, default=1.0)
-    p.add_argument("--accuracies", default="0.8,0.8,0.8")
-    p.add_argument("--coverages", default="0.6,0.6,0.6")
-    p.add_argument("--labeled", type=int, default=100)
-    p.add_argument("--t", type=float, default=10.0)
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--epsilon", type=float, default=evaluation.DEFAULT_EPSILON)
+    spec = evaluation.SyntheticSpec()
+    p.add_argument("--seed", type=int, default=spec.seed)
+    p.add_argument("--clusters", type=int, default=spec.cluster_count)
+    p.add_argument("--points-per-cluster", type=int, default=spec.points_per_cluster)
+    p.add_argument("--separation", type=float, default=spec.separation)
+    p.add_argument("--dimension", type=int, default=spec.dimension)
+    p.add_argument("--noise", type=float, default=spec.noise_scale)
+    p.add_argument("--accuracies", default=",".join(map(str, spec.labeler_accuracies)))
+    p.add_argument("--coverages", default=",".join(map(str, spec.labeler_coverages)))
+    p.add_argument("--labeled", type=int, default=spec.labeled_count)
+    p.add_argument("--t", type=float, default=spec.graph_degree_target)
+    p.add_argument("--mu", type=float, default=spec.mu)
+    p.add_argument("--epsilon", type=float, default=spec.epsilon)
     p.add_argument("--methods", default=",".join(evaluation.PIPELINE_METHODS))
     p.add_argument("--no-bounds", action="store_true", help="skip per-method bound reports")
     p.add_argument("--output", required=True)

@@ -20,7 +20,7 @@ import numpy as np
 from priorprop.bounds import BoundReport, compute_bound, hop_stats
 from priorprop.graph import LabelSet, _as_truth, build_threshold_graph, compute_neighborhoods
 from priorprop.multisource import ABSTAIN, WeakVoteMatrix, vote_prior
-from priorprop.solver import Prediction, PriorField, SolverConfig, solve_with_prior
+from priorprop.solver import PriorField, SolverConfig, scores, solve_with_prior
 
 DEFAULT_EPSILON = 1e-3
 
@@ -68,7 +68,7 @@ def evaluate(prediction, true_labels_full, epsilon: float = DEFAULT_EPSILON) -> 
     correct iff its score is on the true label's side of 0.5.
     """
     epsilon = check_epsilon(epsilon)
-    f = prediction.f if isinstance(prediction, Prediction) else np.asarray(prediction, float)
+    f = scores(prediction)
     y = _as_truth(true_labels_full, f.size)
     if f.shape != y.shape:
         raise ValueError("prediction and truth sizes differ")

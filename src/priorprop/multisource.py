@@ -206,7 +206,8 @@ def alpha_probabilistic(
     overall multiplier absorbing the smoothness-field coupling constant of
     the underlying probabilistic model. A labeler with no cast vote on any
     labeled node falls back to its Laplace-estimated accuracy and is recorded
-    in ``fallback_labelers``.
+    in ``fallback_labelers``. Every feature must be finite; the ``ValueError``
+    names the first node with one that is not.
     """
     if k_neighbors < 1:
         raise ValueError("k_neighbors must be positive")
@@ -215,6 +216,9 @@ def alpha_probabilistic(
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != votes.node_count:
         raise ValueError("features must be (node_count, d)")
+    non_finite = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if non_finite.size:
+        raise ValueError(f"node {int(non_finite[0])} has a non-finite feature")
     labels.validate_against(votes.node_count)
     acc = estimate_accuracy_from_labeled(votes, labels)
     n, k = votes.votes.shape

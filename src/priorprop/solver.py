@@ -121,6 +121,11 @@ class Prediction:
         return [FLAG_NAMES[int(c)] for c in self.node_flags]
 
 
+def scores(prediction) -> np.ndarray:
+    """The scores of a :class:`Prediction`, or bare scores as a float array."""
+    return prediction.f if isinstance(prediction, Prediction) else np.asarray(prediction, float)
+
+
 def _validate_inputs(graph: Graph, labels: LabelSet, prior: PriorField) -> None:
     labels.validate_against(graph.node_count)
     if prior.node_count != graph.node_count:

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from priorprop.graph import Graph, LabelSet, _as_truth
-from priorprop.solver import Prediction
+from priorprop.solver import scores
 
 DENSE_EIG_LIMIT = 2000
 EIG_TOL = 1e-9
@@ -117,7 +117,7 @@ def spectral_bound(
     if t < 1 or not (0 < m_bound < math.inf) or not (0 < k_bound < math.inf):
         raise ValueError("full parameters (t, M, K) must be positive and finite")
 
-    f = prediction.f if isinstance(prediction, Prediction) else np.asarray(prediction, float)
+    f = scores(prediction)
     y = _as_truth(true_labels_full, graph.node_count)
     if f.shape != y.shape:
         raise ValueError("prediction must cover every node")

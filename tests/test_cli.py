@@ -326,6 +326,41 @@ def test_votes_with_explicit_mu_exit_2(workspace, capsys, command, mu):
     assert not (workspace / "out.txt").exists()
 
 
+@pytest.mark.parametrize("command", ["propagate", "analyze", "propagate-eta"])
+@pytest.mark.parametrize("flags", [
+    ["--accuracies", "acc.txt"],
+    ["--alpha-scheme", "accuracy"],
+    ["--alpha-constant", "1"],
+    ["--alpha-scheme", "probabilistic", "--k-neighbors", "10"],
+], ids=["accuracies", "alpha-scheme", "alpha-constant", "k-neighbors"])
+def test_vote_flags_without_votes_exit_2(workspace, capsys, command, flags):
+    (workspace / "acc.txt").write_text("0.8\n0.8\n0.8\n")
+    extra = ["--eta", "1"] if command == "propagate-eta" else []
+    code = run([command.split("-")[0], "--graph", workspace / "graph.txt",
+                "--labels", workspace / "labels.txt", "--truth", workspace / "truth.txt",
+                *[workspace / a if a.endswith(".txt") else a for a in flags], *extra,
+                "--output", workspace / "out.txt"])
+    assert code == 2
+    given = ", ".join(a for a in flags if a.startswith("--"))
+    assert f"--votes is required by {given}" in capsys.readouterr().err
+    assert not (workspace / "out.txt").exists()
+
+
+@pytest.mark.parametrize("scheme", ["constant", "probabilistic"])
+def test_unset_vote_flags_take_vote_prior_defaults(workspace, scheme):
+    out = workspace / "out.txt"
+    assert run(["propagate", "--features", workspace / "features.txt", "--t", "6",
+                "--labels", workspace / "labels.txt", "--votes", workspace / "votes.txt",
+                "--alpha-scheme", scheme, "--output", out]) == 0
+    feats = fileio.load_features(workspace / "features.txt")
+    labels = fileio.load_labels(workspace / "labels.txt")
+    prior = pp.vote_prior(fileio.load_votes(workspace / "votes.txt"), scheme, labels,
+                          features=feats)
+    pred = pp.solve_with_prior(pp.build_threshold_graph(feats, 6), labels, prior)
+    fileio.save_prediction(pred, workspace / "ref.txt")
+    assert out.read_bytes() == (workspace / "ref.txt").read_bytes()
+
+
 class TestAnalyze:
     def test_smooth_fixture_zero_bound_column(self, tmp_path):
         feats = np.vstack([
@@ -351,6 +386,46 @@ class TestAnalyze:
             assert hop["informal_bound"] == 0.0
             assert hop["avg_error"] <= 1e-10
         assert report["audit"]["passed"] is True
+
+    GOLDEN_ARGS = ["--mu", "0", "--method", "iterative", "--tolerance", "1e-30",
+                   "--max-iterations", "40"]
+
+    @staticmethod
+    def write_golden_instance(path, seed=29):
+        """A seeded instance whose 40-sweep analysis reaches every report branch.
+
+        A random cluster hangs on four labels by weak edges, so 40 Gauss-Seidel
+        sweeps leave it short of the optimum and the audit fails there. A path
+        hangs on a fifth label with weights falling tenfold per hop; it reaches
+        the float 1.0 within those sweeps, so its truth-1 hops have zero error
+        (undefined ratios, informal fallback) and its two truth-0 hops end the
+        layering with nonzero error.
+        """
+        rng = np.random.default_rng(seed)
+        n = 24
+        edges = {(i, j): rng.uniform(0.5, 2.0) for i in range(4, n) for j in range(i + 1, n)
+                 if rng.random() < 0.5}
+        for i in range(4):
+            edges[(i, int(rng.integers(4, n)))] = 0.05
+        for i in range(4, n - 1):
+            edges.setdefault((i, i + 1), 1.0)
+        y = [0, 1, 1, 1] + [int(v) for v in rng.random(n - 4) < 0.8]
+        for k in range(1, 7):
+            edges[(n + k - 1, n + k)] = 10.0 ** -k
+        y += [1, 1, 1, 1, 1, 0, 0]
+        g = pp.Graph.from_edges(len(y), [(i, j, w) for (i, j), w in edges.items()])
+        fileio.save_graph(g, path / "g.txt")
+        y = np.array(y, dtype=np.int8)
+        fileio.save_labels(pp.LabelSet(np.arange(y.size), y), path / "truth.txt")
+        lab = [0, 1, 2, 3, n]
+        fileio.save_labels(pp.LabelSet(lab, y[lab]), path / "labels.txt")
+
+    def test_reproduces_golden_file(self, tmp_path):
+        self.write_golden_instance(tmp_path)
+        out = tmp_path / "r.json"
+        assert run(["analyze", "--graph", tmp_path / "g.txt", "--labels", tmp_path / "labels.txt",
+                    "--truth", tmp_path / "truth.txt", *self.GOLDEN_ARGS, "--output", out]) == 0
+        assert out.read_bytes() == (DATA / "analyze_golden.json").read_bytes()
 
     def test_disconnected_graph_flags_infinite_spectral(self, tmp_path):
         g = pp.Graph.from_edges(6, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0)])

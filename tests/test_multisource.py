@@ -322,6 +322,18 @@ class TestEstimateAccuracy:
 
 
 class TestAlphaProbabilistic:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_rejected_naming_the_first_node(self, bad):
+        y = np.array([0, 1, 0, 1, 1])
+        votes = WeakVoteMatrix(y.astype(np.int8)[:, None])
+        feats = np.arange(10, dtype=float).reshape(5, 2)
+        feats[[2, 4], 1] = bad
+        labels = LabelSet([0, 1], [0, 1])
+        with pytest.raises(ValueError, match="node 2 has a non-finite feature"):
+            alpha_probabilistic(votes, feats, labels, k_neighbors=2)
+        with pytest.raises(ValueError, match="node 2 has a non-finite feature"):
+            vote_prior(votes, "probabilistic", labels, features=feats, k_neighbors=2)
+
     def test_exact_labeler_hits_trust_cap(self):
         y = np.array([0, 1, 0, 1])
         votes = WeakVoteMatrix(y.astype(np.int8)[:, None])
