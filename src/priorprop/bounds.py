@@ -30,7 +30,9 @@ and bound source; its report's JSON has one row per hop, read across the
 columns. ``audit_inequalities`` re-checks the chain of per-node and per-hop
 inequalities the bound rests on as array expressions over the same columns,
 one :class:`AuditFamily` of ``lhs``/``rhs``/``passed`` arrays per family.
-Neither solves anything.
+Both read one ratio chain: a hop's bound is "measured" where the chain's
+ratios are defined up to it, not where its inequalities hold (the audit's
+``ratio_transfer`` families check that). Neither solves anything.
 """
 
 from __future__ import annotations
@@ -53,15 +55,11 @@ def _directional_weights(
     hop_of = partition.hop_of
     rows = np.repeat(np.arange(graph.node_count), np.diff(graph.indptr))
     row_hops = hop_of[rows]
-    nbr_hops = hop_of[graph.indices]
-    reachable = (row_hops >= 0) & (nbr_hops >= 0)
-    inw = np.zeros(graph.node_count)
-    betw = np.zeros(graph.node_count)
-    outw = np.zeros(graph.node_count)
-    for target, arr in ((-1, inw), (0, betw), (1, outw)):
-        mask = reachable & (nbr_hops == row_hops + target)
-        np.add.at(arr, rows[mask], graph.weights[mask])
-    return inw, betw, outw
+    # a hop-k node's neighbors all lie in hops k-1, k and k+1: bins 0, 1, 2
+    keep = row_hops >= 0
+    bins = 3 * rows[keep] + (hop_of[graph.indices] - row_hops + 1)[keep]
+    sums = np.bincount(bins, weights=graph.weights[keep], minlength=3 * graph.node_count)
+    return tuple(sums.reshape(-1, 3).T)
 
 
 def conductance(stats: HopStats, k: int) -> float | None:
@@ -81,17 +79,14 @@ def _disagreement(graph: Graph, y: np.ndarray) -> np.ndarray:
     return _row_sums(graph.indptr, graph.weights * np.abs(y[graph.indices] - y[rows]))
 
 
-def _in_order_sum(values: np.ndarray) -> float:
-    """Sum from left to right, as a running ``total += v`` adds."""
-    return float(np.cumsum(values)[-1]) if values.size else 0.0
-
-
 def smoothness(
     graph: Graph, true_labels_full, partition: NeighborhoodPartition, k: int
 ) -> float:
-    """Total weighted true-label disagreement on edges incident to hop k."""
+    """Total weighted true-label disagreement on edges incident to hop k,
+    summed from left to right as a running ``total += v`` adds."""
     y = _as_truth(true_labels_full, graph.node_count)
-    return _in_order_sum(_disagreement(graph, y)[partition.hops[k]])
+    values = _disagreement(graph, y)[partition.hops[k]]
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,9 +176,10 @@ def hop_stats(
     node_s = _disagreement(graph, y)
     inw, betw, outw = _directional_weights(graph, partition)
     l = partition.max_hop
-    sizes = np.array([h.size for h in partition.hops], dtype=np.int64)
-    hop_ptr = np.concatenate(([0], np.cumsum(sizes)))
     hop_order = np.concatenate(partition.hops)
+    hop_index = partition.hop_of[hop_order]
+    sizes = np.bincount(hop_index, minlength=l + 1)
+    hop_ptr = np.concatenate(([0], np.cumsum(sizes)))
 
     def hop_sums(values: np.ndarray) -> np.ndarray:
         """``np.sum(values[hops[k]])`` for every hop k, bit for bit."""
@@ -205,9 +201,10 @@ def hop_stats(
     mu = prior.mu
     mu_total, pull_error, mu_error = (hop_sums(v) for v in (mu, mu * pull, mu * err))
     a_err = hop_sums(pull) / sizes
-    for per_hop in (mu_total, pull_error, mu_error, a_err):
+    # bincount adds in input order, as a running ``total += v`` does
+    s = np.bincount(hop_index, weights=node_s[hop_order], minlength=l + 1)
+    for per_hop in (mu_total, pull_error, mu_error, a_err, s):
         per_hop[0] = 0.0
-    s = np.array([0.0] + [_in_order_sum(node_s[nodes]) for nodes in partition.hops[1:]])
 
     denom = in_flow[1:] + mu_total[1:]
     if np.any(denom <= 0):
@@ -254,11 +251,12 @@ HOP_KEYS = (
 
 @dataclass(frozen=True, eq=False)
 class BoundReport:
-    """The bound's columns beside the per-hop table it was built from, plus globals.
+    """The bound's columns beside the per-hop table they were built from.
 
     ``accumulated_term`` (``d_k``), ``informal_bound``, ``certified_bound`` and
     ``bound_source`` are indexed by hop like ``stats``; hop 0, whose error is
-    exactly 0, holds a measured bound of 0.
+    exactly 0, holds a measured bound of 0. The report's globals are read off
+    ``stats``.
     """
 
     stats: HopStats
@@ -266,13 +264,6 @@ class BoundReport:
     informal_bound: np.ndarray
     certified_bound: np.ndarray
     bound_source: tuple[str, ...]
-    labeled_count: int
-    unreachable_count: int
-    mu_constant: float | None
-    solver_method: str
-    solver_residual: float
-    ratio_min: float | None
-    ratio_max: float | None
 
     def to_dict(self) -> dict[str, Any]:
         """The globals, and one dict per hop from 1 on, keyed by ``HOP_KEYS``
@@ -288,18 +279,36 @@ class BoundReport:
             values = np.asarray(getattr(self if hasattr(self, key) else s, key))[1:].tolist()
             return [None if v != v else v for v in values]
 
+        mu = s.prior.mu
+        ratios = np.concatenate([s.in_error_ratio[1:], s.out_error_ratio[1:]])
+        ratios = ratios[np.isfinite(ratios)]
         rows = zip(*map(column, HOP_KEYS))
         return {
-            "labeled_count": self.labeled_count,
-            "unreachable_count": self.unreachable_count,
-            "mu_constant": self.mu_constant,
-            "solver_method": self.solver_method,
-            "solver_residual": self.solver_residual,
-            "error_ratio_min": self.ratio_min,
-            "error_ratio_max": self.ratio_max,
+            "labeled_count": int(s.partition.hops[0].size),
+            "unreachable_count": int(s.partition.unreachable.size),
+            "mu_constant": float(mu[0]) if mu.size and np.all(mu == mu[0]) else None,
+            "solver_method": s.prediction.method,
+            "solver_residual": s.prediction.residual,
+            "error_ratio_min": float(ratios.min()) if ratios.size else None,
+            "error_ratio_max": float(ratios.max()) if ratios.size else None,
             "between_flow_convention": BETWEEN_FLOW_CONVENTION,
             "hops": [dict(zip(HOP_KEYS, row)) for row in rows],
         }
+
+
+def _ratio_chain(stats: HopStats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hops 1..l's ratio-form transfer inequalities ``lhs <= rhs``, and where
+    the ratios each one reads (``a_k``, ``b_{k-1}``) are ``defined``."""
+    l = stats.partition.max_hop
+    a, e = stats.in_error_ratio, stats.avg_error
+    term = stats.out_error_ratio * e  # b_k E_k, nan where a ratio is undefined
+    term[0] = 0.0  # b_0 E_0: the labeled set's error is exactly 0
+    lhs = a[1:] * e[1:] - term[:-1]
+    onward = np.zeros(l)
+    onward[:-1] = stats.gamma[1:l] * (a[2:] * e[2:] - term[1:l])
+    rhs = onward + stats.local_term[1:]
+    defined = ~np.isnan(term[:-1]) & ~np.isnan(a[1:])
+    return lhs, rhs, defined
 
 
 def compute_bound(stats: HopStats) -> BoundReport:
@@ -308,15 +317,13 @@ def compute_bound(stats: HopStats) -> BoundReport:
     The bound terms (``local_term``, ``gamma``, ``d``, informal bound) use only
     flows, smoothness and prior error. The certified bound additionally uses
     the measured error ratios of ``stats.prediction``, which must be a solver
-    :class:`Prediction`; at hops where a needed ratio is undefined (zero
-    average error somewhere in the chain) it falls back to the informal bound
-    and says so in ``bound_source``.
+    :class:`Prediction`. Its ``bound_source`` is ``"measured"`` at hops 1..k
+    while the ratio chain is defined there, and ``"informal_fallback"`` (the
+    informal bound) from the first hop where it is not.
     """
-    prediction = stats.prediction
-    if not isinstance(prediction, Prediction):
+    if not isinstance(stats.prediction, Prediction):
         raise TypeError("compute_bound needs a solver Prediction, not bare scores")
-    partition = stats.partition
-    l = partition.max_hop
+    l = stats.partition.max_hop
     c, gam = stats.local_term, stats.gamma
 
     d = np.zeros(l + 1)
@@ -325,39 +332,15 @@ def compute_bound(stats: HopStats) -> BoundReport:
     informal = np.cumsum(d)
 
     a, delta = stats.in_error_ratio, stats.error_ratio
+    measured = int(np.logical_and.accumulate(_ratio_chain(stats)[2]).sum())
     certified = informal.copy()
-    source = ["measured"]
-    for k in range(1, l + 1):
-        if np.isfinite(a[k]) and np.all(np.isfinite(delta[1:k])):
-            total = 0.0
-            prod = 1.0
-            for i in range(k, 0, -1):
-                total += d[i] * prod
-                if i > 1:
-                    prod *= delta[i - 1]
-            certified[k] = total / a[k]
-            source.append("measured")
-        else:
-            source.append("informal_fallback")
-
-    mu_vals = stats.prior.mu
-    mu_constant = float(mu_vals[0]) if mu_vals.size and np.all(mu_vals == mu_vals[0]) else None
-    ratios = np.concatenate([a[1:], stats.out_error_ratio[1:]])
-    ratios = ratios[np.isfinite(ratios)]
-    return BoundReport(
-        stats=stats,
-        accumulated_term=d,
-        informal_bound=informal,
-        certified_bound=certified,
-        bound_source=tuple(source),
-        labeled_count=int(partition.hops[0].size),
-        unreachable_count=int(partition.unreachable.size),
-        mu_constant=mu_constant,
-        solver_method=prediction.method,
-        solver_residual=prediction.residual,
-        ratio_min=float(ratios.min()) if ratios.size else None,
-        ratio_max=float(ratios.max()) if ratios.size else None,
-    )
+    for k in range(1, measured + 1):
+        # d_k + d_{k-1} delta_{k-1} + ..., multiplied and summed left to right
+        prods = np.cumprod(np.concatenate(([1.0], delta[k - 1:0:-1])))
+        certified[k] = np.cumsum(d[k:0:-1] * prods)[-1] / a[k]
+    source = ("measured",) * (measured + 1) + ("informal_fallback",) * (l - measured)
+    return BoundReport(stats=stats, accumulated_term=d, informal_bound=informal,
+                       certified_bound=certified, bound_source=source)
 
 
 AUDIT_SLACK = 1e-6
@@ -450,7 +433,7 @@ def audit_inequalities(stats: HopStats) -> AuditReport:
 
     # the per-hop forms for hops 1..l; the onward term to hop k+1 is 0 at the
     # last hop. hop_stats holds the labeled set's error at exactly 0, so
-    # E_out(0) and b_0 E_0 are 0 too
+    # E_out(0) is 0 too
     hops = np.arange(1, l + 1)
     inner = hops < l
     e_in, e_out = stats.in_error, stats.out_error
@@ -459,15 +442,8 @@ def audit_inequalities(stats: HopStats) -> AuditReport:
     onward[:-1] = stats.out_flow[1:l] * (e_in[2:] - e_out[1:l])
     hop_rhs = onward + stats.smoothness[1:] + stats.pull_error[1:]
 
-    a, e = stats.in_error_ratio, stats.avg_error
-    term = stats.out_error_ratio * e  # b_k E_k, nan where a ratio is undefined
-    term[0] = 0.0
-    ratio_lhs = a[1:] * e[1:] - term[:-1]
-    onward = np.zeros(l)
-    onward[:-1] = stats.gamma[1:l] * (a[2:] * e[2:] - term[1:l])
-    ratio_rhs = onward + stats.local_term[1:]
-    defined = ~np.isnan(term[:-1]) & ~np.isnan(a[1:])  # the ratios hop k's check reads
-    chained = defined & np.append(defined[1:], False)  # and hop k+1's
+    ratio_lhs, ratio_rhs, defined = _ratio_chain(stats)
+    chained = defined & np.append(defined[1:], False)  # at hop k and hop k+1
 
     families = {
         "node_error": _family("node", nodes, err[nodes], node_rhs),

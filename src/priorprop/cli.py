@@ -218,7 +218,10 @@ def cmd_analyze(args) -> int:
         "spectral_report": spectral.to_dict(),
     }
     fileio.write_json(report, args.output)
-    print(f"wrote {args.output}: audit_passed={audit.passed} spectral_finite={spectral.finite}")
+    print(
+        f"wrote {args.output}: converged={prediction.converged} audit_passed={audit.passed} "
+        f"spectral_finite={spectral.finite}"
+    )
     return 0
 
 

@@ -188,14 +188,20 @@ class LabelSet:
     values: np.ndarray
 
     def __init__(self, indices: Sequence[int], values: Sequence[int]):
-        idx = np.asarray(indices, dtype=np.int64)
-        val = np.asarray(values, dtype=np.int8)
+        idx = np.asarray(indices)
+        val = np.asarray(values)
         if idx.ndim != 1 or val.shape != idx.shape:
             raise ValueError("indices and values must be 1-D and equally long")
-        if idx.size and np.unique(idx).size != idx.size:
-            raise ValueError("labeled indices must be unique")
+        # validate the raw values: a cast truncates or wraps what it cannot hold
+        with np.errstate(invalid="ignore"):
+            cast = idx.astype(np.int64) if idx.dtype.kind in "biuf" else None
+        if cast is None or not np.array_equal(cast, idx):
+            raise ValueError("labeled indices must be finite integers")
         if not np.all(np.isin(val, (0, 1))):
             raise ValueError("labels must be 0 or 1")
+        idx, val = cast, val.astype(np.int8)
+        if idx.size and np.unique(idx).size != idx.size:
+            raise ValueError("labeled indices must be unique")
         order = np.argsort(idx)
         object.__setattr__(self, "indices", idx[order])
         object.__setattr__(self, "values", val[order])

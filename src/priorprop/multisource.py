@@ -43,10 +43,9 @@ class WeakVoteMatrix:
             v = v[:, None]
         if v.ndim != 2 or v.shape[1] < 1:
             raise ValueError("votes must be a (node_count, k) matrix with k >= 1")
-        v = v.astype(np.int8)
         if not np.all(np.isin(v, (0, 1, ABSTAIN))):
             raise ValueError("votes must be 0, 1 or -1 (abstain)")
-        object.__setattr__(self, "votes", v)
+        object.__setattr__(self, "votes", v.astype(np.int8))
 
     @property
     def node_count(self) -> int:

@@ -52,7 +52,8 @@ FLAG_NAMES = {FLAG_OK: "ok", FLAG_UNREACHABLE: "unreachable", FLAG_NONCONVERGED:
 
 
 class SingularSystemError(ValueError):
-    """A node's value is not determined by labels, edges or prior weight."""
+    """A node's value is not determined by labels, edges or prior weight, or the
+    dense system that determines it is numerically singular."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,7 +225,13 @@ def _direct_solve(
     b = prior.mu[solved] * prior.h[solved] + (w @ y_ext)[solved]
     wuu = w[solved][:, solved]
     if solved.size < DENSE_LIMIT:
-        return scipy.linalg.solve(np.diag(diag) - wuu.toarray(), b, assume_a="pos")
+        try:
+            return scipy.linalg.solve(np.diag(diag) - wuu.toarray(), b, assume_a="pos")
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(
+                f"the system of {solved.size} unknowns is numerically singular; its weights "
+                f"(weighted degree plus prior weight) span {diag.min():g} to {diag.max():g}"
+            ) from exc
     a = (sp.diags(diag) - wuu).tocsr()
     x, info = spla.cg(a, b, rtol=1e-13, atol=0.0, maxiter=20 * b.size, M=sp.diags(1.0 / diag))
     if info != 0:

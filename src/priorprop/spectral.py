@@ -113,9 +113,11 @@ def spectral_bound(
     if n < 4:
         raise ValueError("the bound requires at least 4 labeled points")
     t, m_bound, k_bound = (1, 1.0, 1.0) if full_params is None else full_params
+    # an integral t is checked before int(), which truncates 1.5 and overflows on inf
+    t_ok = math.isfinite(t) and t == math.trunc(t) and t >= 1
+    if not t_ok or not (0 < m_bound < math.inf) or not (0 < k_bound < math.inf):
+        raise ValueError("full parameters (t, M, K) must be positive and finite, t an integer")
     t = int(t)
-    if t < 1 or not (0 < m_bound < math.inf) or not (0 < k_bound < math.inf):
-        raise ValueError("full parameters (t, M, K) must be positive and finite")
 
     f = scores(prediction)
     y = _as_truth(true_labels_full, graph.node_count)

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 import priorprop.bounds as bounds_mod
+from priorprop import fileio
 from priorprop.bounds import (
     AUDIT_SLACK,
     audit_inequalities,
@@ -11,7 +14,9 @@ from priorprop.bounds import (
     smoothness,
 )
 from priorprop.graph import Graph, LabelSet, compute_neighborhoods
-from priorprop.solver import PriorField, solve_with_prior
+from priorprop.solver import PriorField, SolverConfig, solve_with_prior
+
+import test_cli
 
 from oracles import (
     loop_flows,
@@ -273,6 +278,19 @@ def random_bound_instance(seed, n_max=30, mu_choices=(0.1, 1.0, 10.0)):
     return g, labels, y, prior, part
 
 
+def analyze_golden_stats(path):
+    """The table behind ``tests/data/analyze_golden.json``: its instance under
+    its flags (``--mu 0``, 40 Gauss-Seidel sweeps)."""
+    test_cli.TestAnalyze.write_golden_instance(path)
+    g = fileio.load_graph(path / "g.txt")
+    labels = fileio.load_labels(path / "labels.txt")
+    y = fileio.load_labels(path / "truth.txt").values
+    prior = PriorField.constant(g.node_count, h=0.5, mu=0.0)
+    config = SolverConfig(method="iterative", tolerance=1e-30, max_iterations=40)
+    pred = solve_with_prior(g, labels, prior, config)
+    return hop_stats(g, y, prior, compute_neighborhoods(g, labels), pred)
+
+
 class TestComputeBound:
     def test_smooth_exact_prior_gives_zero_bound(self):
         # two clusters, perfectly smooth labels, prior equal to the truth
@@ -352,6 +370,27 @@ class TestComputeBound:
                 assert report.certified_bound[k] == pytest.approx(
                     total / stats.in_error_ratio[k], rel=1e-10
                 )
+
+    @pytest.mark.parametrize("seed", [*range(25), "analyze-golden"])
+    def test_measured_exactly_where_the_ratios_are_finite(self, seed, tmp_path):
+        # the rule in full: hop k is measured iff a_1..a_k and b_1..b_{k-1}
+        # are finite, read off the table rather than the ratio chain
+        if seed == "analyze-golden":
+            stats = analyze_golden_stats(tmp_path)
+        else:
+            stats = solved_stats(*random_bound_instance(seed))
+        a, b = stats.in_error_ratio, stats.out_error_ratio
+        want = [
+            np.all(np.isfinite(a[1:k + 1])) and np.all(np.isfinite(b[1:k]))
+            for k in range(stats.partition.max_hop + 1)
+        ]
+        report = compute_bound(stats)
+        got = [source == "measured" for source in report.bound_source]
+        assert got == want
+        if seed == "analyze-golden":
+            golden = json.loads((test_cli.DATA / "analyze_golden.json").read_text())
+            assert report.to_dict() == golden["bound_report"]
+            assert True in got[1:] and False in got
 
     def test_mu_monotonicity_of_ingredients(self):
         g, labels, y, _, part = random_bound_instance(77)

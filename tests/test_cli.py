@@ -361,6 +361,27 @@ def test_unset_vote_flags_take_vote_prior_defaults(workspace, scheme):
     assert out.read_bytes() == (workspace / "ref.txt").read_bytes()
 
 
+@pytest.mark.parametrize("command", [
+    ["propagate", "--eta", "0.01"],
+    ["analyze", "--truth", "truth.txt"],
+], ids=["propagate-eta", "analyze"])
+# analyze's first, hard solve is ill-conditioned but still solves
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_numerically_singular_dense_solve_exits_2(tmp_path, capsys, command):
+    # 1e18 edges swamp the unit ones: the soft system is singular in floats
+    (tmp_path / "g.txt").write_text("# nodes 6\n0 1 1e18\n1 2 1e18\n2 3 1\n3 4 1\n4 5 1\n")
+    (tmp_path / "labels.txt").write_text("0 0\n5 1\n")
+    (tmp_path / "truth.txt").write_text("0 0\n1 0\n2 0\n3 1\n4 1\n5 1\n")
+    code = run([command[0], "--graph", tmp_path / "g.txt", "--labels", tmp_path / "labels.txt",
+                *[tmp_path / a if a.endswith(".txt") else a for a in command[1:]],
+                "--output", tmp_path / "out"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "system of 6 unknowns is numerically singular" in err
+    assert "(weighted degree plus prior weight) span 1.005 to 2e+18" in err
+    assert not (tmp_path / "out").exists()
+
+
 class TestAnalyze:
     def test_smooth_fixture_zero_bound_column(self, tmp_path):
         feats = np.vstack([
@@ -426,6 +447,14 @@ class TestAnalyze:
         assert run(["analyze", "--graph", tmp_path / "g.txt", "--labels", tmp_path / "labels.txt",
                     "--truth", tmp_path / "truth.txt", *self.GOLDEN_ARGS, "--output", out]) == 0
         assert out.read_bytes() == (DATA / "analyze_golden.json").read_bytes()
+
+    def test_prints_whether_the_solve_converged(self, tmp_path, capsys):
+        # 40 sweeps to a tolerance of 1e-30 stop short of convergence
+        self.write_golden_instance(tmp_path)
+        out = tmp_path / "r.json"
+        assert run(["analyze", "--graph", tmp_path / "g.txt", "--labels", tmp_path / "labels.txt",
+                    "--truth", tmp_path / "truth.txt", *self.GOLDEN_ARGS, "--output", out]) == 0
+        assert f"wrote {out}: converged=False audit_passed=False" in capsys.readouterr().out
 
     def test_disconnected_graph_flags_infinite_spectral(self, tmp_path):
         g = pp.Graph.from_edges(6, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0)])

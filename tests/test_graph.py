@@ -260,6 +260,26 @@ class TestLabelSet:
         with pytest.raises(ValueError):
             LabelSet([0], [2])
 
+    @pytest.mark.parametrize("indices, values, message", [
+        (np.array([0]), np.array([257]), "0 or 1"),
+        ([0], np.array([0.7]), "0 or 1"),
+        ([0], [256], "0 or 1"),
+        ([0.5], [1], "finite integers"),
+        ([np.nan], [1], "finite integers"),
+        ([np.inf], [1], "finite integers"),
+        ([1e30], [1], "finite integers"),
+        (np.array([2**64 - 1], dtype=np.uint64), [1], "finite integers"),
+    ])
+    def test_raw_values_validated_before_the_cast(self, indices, values, message):
+        # cast first, 257 and 0.7 became labels 1 and 0, and index 0.5 node 0
+        with pytest.raises(ValueError, match=message):
+            LabelSet(indices, values)
+
+    def test_integral_floats_accepted(self):
+        ls = LabelSet([2.0, 0.0], [1.0, 0.0])
+        assert ls.indices.tolist() == [0, 2]
+        assert ls.values.tolist() == [0, 1]
+
 
 class TestNeighborhoods:
     def test_path_layers(self):

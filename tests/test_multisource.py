@@ -407,6 +407,17 @@ class TestVoteMatrix:
         with pytest.raises(ValueError):
             WeakVoteMatrix(np.array([[2]], dtype=np.int8))
 
+    @pytest.mark.parametrize("votes", [[[255]], [[0.9]], [[-1.5]]])
+    def test_raw_entries_validated_before_the_cast(self, votes):
+        # cast first, 255 and -1.5 became abstains and 0.9 a vote for 0
+        with pytest.raises(ValueError, match="abstain"):
+            WeakVoteMatrix(votes)
+
+    def test_integral_floats_accepted(self):
+        v = WeakVoteMatrix([[1.0, -1.0]])
+        assert v.votes.dtype == np.int8
+        assert v.votes.tolist() == [[1, ABSTAIN]]
+
     def test_single_column_promotion(self):
         v = WeakVoteMatrix(np.array([0, 1, ABSTAIN], dtype=np.int8))
         assert v.votes.shape == (3, 1)

@@ -122,6 +122,13 @@ class TestSpectralBound:
         with pytest.raises(ValueError, match="0 or 1"):
             spectral_bound(self.g, self.y.astype(float), self.labels, truth, eta=1.0)
 
+    @pytest.mark.parametrize("t", [1.5, np.inf, np.nan])
+    def test_rejects_a_t_that_is_not_an_integer(self, t):
+        # int() used to truncate 1.5 to 1 and raise OverflowError on inf
+        with pytest.raises(ValueError, match="t an integer"):
+            spectral_bound(self.g, self.y.astype(float), self.labels, self.y, eta=1.0,
+                           full_params=(t, 1.0, 1.0))
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             spectral_bound(self.g, self.y.astype(float), self.labels, self.y, eta=0.0)
