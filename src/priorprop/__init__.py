@@ -31,7 +31,6 @@ from priorprop.graph import (
 )
 from priorprop.multisource import (
     ABSTAIN,
-    AlphaAssignment,
     LabelerAccuracy,
     WeakVoteMatrix,
     alpha_accuracy,

@@ -152,7 +152,8 @@ def hop_stats(
     Its scores must be finite, and it must equal the truth on every labeled
     node, since the bound and the audit take the labeled set's error to be
     exactly 0; the first node that breaks either rule is named in the
-    ``ValueError``.
+    ``ValueError``. ``partition`` must be a hop layering of ``graph`` (see
+    :meth:`NeighborhoodPartition.validate_against`).
     """
     y = _as_truth(true_labels_full, graph.node_count)
     f = scores(prediction)
@@ -161,10 +162,6 @@ def hop_stats(
     if prior.node_count != graph.node_count:
         raise ValueError("prior size does not match graph")
     partition.validate_against(graph)
-    non_finite = np.flatnonzero(~np.isfinite(f))
-    if non_finite.size:
-        i = int(non_finite[0])
-        raise ValueError(f"node {i} has non-finite prediction {float(f[i])!r}")
     labeled = partition.hops[0]
     wrong = np.flatnonzero(f[labeled] != y[labeled])
     if wrong.size:

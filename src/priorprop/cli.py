@@ -65,11 +65,11 @@ def _add_prior_flags(p: argparse.ArgumentParser, default_mu: float) -> None:
     p.set_defaults(default_mu=default_mu)
 
 
-def _check_vote_flags(args) -> None:
-    """Without ``--votes`` a vote-only flag would be silently ignored."""
-    given = [f"--{name.replace('_', '-')}" for name in _VOTE_FLAGS if getattr(args, name) is not None]
-    if given and not args.votes:
-        raise ValueError(f"--votes is required by {', '.join(given)}")
+def _check_required_by(args, needed: str, names) -> None:
+    """Without ``--<needed>`` a flag that only it uses would be silently ignored."""
+    given = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is not None]
+    if given and not getattr(args, needed):
+        raise ValueError(f"--{needed} is required by {', '.join(given)}")
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -128,7 +128,7 @@ def _prior(args, node_count: int, labels, y, features) -> PriorField:
     """The ``--votes`` prior under ``--alpha-scheme``, else ``h = 0.5`` at ``--mu``."""
     if not args.votes:
         mu = args.default_mu if args.mu is None else args.mu
-        return PriorField.constant(node_count, h=0.5, mu=mu)
+        return PriorField.constant(node_count, mu=mu)
     if args.mu is not None:
         raise ValueError("--mu cannot be combined with --votes (the votes set the prior weight)")
     votes = fileio.load_votes(args.votes)
@@ -159,8 +159,11 @@ def cmd_build_graph(args) -> int:
 
 
 def cmd_propagate(args) -> int:
-    evaluation.check_epsilon(args.epsilon)
-    _check_vote_flags(args)
+    _check_required_by(args, "truth", ("metrics_output", "epsilon"))
+    epsilon = evaluation.check_epsilon(
+        evaluation.DEFAULT_EPSILON if args.epsilon is None else args.epsilon
+    )
+    _check_required_by(args, "votes", _VOTE_FLAGS)
     graph, features = _load_graph_input(args)
     labels = _load_labels(args, graph.node_count)
     y = _load_truth(args, graph.node_count)
@@ -180,7 +183,7 @@ def cmd_propagate(args) -> int:
         f"residual={fileio.fmt_float(prediction.residual)}"
     )
     if y is not None:
-        metrics = evaluation.evaluate(prediction, y, args.epsilon)
+        metrics = evaluation.evaluate(prediction, y, epsilon)
         metrics_path = args.metrics_output or args.output + ".metrics.json"
         fileio.write_json(metrics.to_dict(), metrics_path)
         print(f"wrote {metrics_path}")
@@ -188,7 +191,7 @@ def cmd_propagate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    _check_vote_flags(args)
+    _check_required_by(args, "votes", _VOTE_FLAGS)
     graph, features = _load_graph_input(args)
     labels = _load_labels(args, graph.node_count)
     y = _load_truth(args, graph.node_count)
@@ -267,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_prior_flags(p, default_mu=0.0)
     p.add_argument("--eta", type=float, help="soft-constraint weight (selects the soft solve)")
     p.add_argument("--truth", help="full ground-truth labels (enables metrics output)")
-    p.add_argument("--epsilon", type=float, default=evaluation.DEFAULT_EPSILON)
+    p.add_argument("--epsilon", type=float,
+                   help=f"metrics abstention width (default {evaluation.DEFAULT_EPSILON:g})")
     _add_solver_flags(p)
     p.add_argument("--output", required=True, help="prediction output path")
     p.add_argument("--metrics-output", help="metrics JSON path (default: <output>.metrics.json)")

@@ -19,7 +19,7 @@ import numpy as np
 
 from priorprop.bounds import BoundReport, compute_bound, hop_stats
 from priorprop.graph import LabelSet, _as_truth, build_threshold_graph, compute_neighborhoods
-from priorprop.multisource import ABSTAIN, WeakVoteMatrix, vote_prior
+from priorprop.multisource import ABSTAIN, ALPHA_SCHEMES, WeakVoteMatrix, vote_prior
 from priorprop.solver import PriorField, SolverConfig, scores, solve_with_prior
 
 DEFAULT_EPSILON = 1e-3
@@ -33,16 +33,7 @@ def check_epsilon(epsilon: float) -> float:
     return epsilon
 
 
-PIPELINE_METHODS = (
-    "lpa",
-    "wl",
-    "lpa+wl",
-    "lpad:accuracy",
-    "lpad:boosting",
-    "lpad:probabilistic",
-    "lpad:constant",
-    "lpad:oracle",
-)
+PIPELINE_METHODS = ("lpa", "wl", "lpa+wl", *(f"lpad:{s}" for s in ALPHA_SCHEMES))
 
 
 @dataclass(frozen=True, eq=False)

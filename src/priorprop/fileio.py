@@ -40,25 +40,24 @@ _NODES = re.compile(r"^[^\S\n]*#[^\S\n]*nodes[^\S\n]+(\S+)[^\S\n]*$", re.M)
 
 
 def fmt_float(x: float) -> str:
-    s = format(float(x), ".17g")
-    return s
+    return format(float(x), ".17g")
 
 
 def _json_number(x: float) -> str:
     if not np.isfinite(x):
         raise ValueError("non-finite numbers cannot be serialized; map them to null first")
-    s = format(float(x), ".17g")
+    s = fmt_float(x)
     if not any(c in s for c in ".eE"):
         s += ".0"
     return s
 
 
-def dumps_json(obj: Any, indent: int = 2) -> str:
-    """Deterministic JSON with fixed-precision floats (17 significant digits)."""
+def dumps_json(obj: Any) -> str:
+    """Deterministic JSON indented by 2, floats to 17 significant digits."""
 
     def emit(o: Any, depth: int) -> str:
-        pad = " " * (indent * depth)
-        pad_in = " " * (indent * (depth + 1))
+        pad = "  " * depth
+        pad_in = "  " * (depth + 1)
         if o is None:
             return "null"
         if isinstance(o, bool) or isinstance(o, np.bool_):
@@ -148,18 +147,18 @@ def save_graph(graph: Graph, path) -> None:
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
-def load_graph(path, node_count: int | None = None) -> Graph:
-    """Parse an edge list of ``node_count`` nodes, else as many as the first
-    ``# nodes N`` comment line gives, else the largest index + 1."""
+def load_graph(path) -> Graph:
+    """Parse an edge list of as many nodes as the first ``# nodes N`` comment
+    line gives, else the largest index + 1."""
     dtype = [("i", np.int64), ("j", np.int64), ("w", np.float64)]
     rows, text = _read_table(path, dtype, "'i j w'", error=GraphFormatError)
     edges = np.column_stack((rows["i"], rows["j"], rows["w"]))
-    if node_count is None and (header := _NODES.search(text)):
+    if header := _NODES.search(text):
         if not re.fullmatch(r"[+-]?[0-9]+", header[1]):
             line = text.count("\n", 0, header.start()) + 1
             raise GraphFormatError(f"{path}:{line}: expected '# nodes N', got N = {header[1]!r}")
         node_count = int(header[1])
-    if node_count is None:
+    else:
         node_count = int(edges[:, :2].max()) + 1 if edges.size else 0
     if node_count < 1:
         raise GraphFormatError(f"{path}: no nodes")
@@ -187,11 +186,10 @@ def save_features(features: np.ndarray, path) -> None:
 
 
 def load_features(path) -> np.ndarray:
-    x, _ = _read_table(path, np.float64, "'x_1 ... x_d'", commas=True)
+    x, _ = _read_table(path, np.float64, "'x_1 ... x_d' with finite values",
+                       lambda rows: np.isfinite(rows).all(), commas=True)
     if len(x) == 0:
         raise ValueError(f"{path}: no feature rows")
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{path}: features must be finite")
     return x
 
 

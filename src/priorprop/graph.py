@@ -245,8 +245,17 @@ class NeighborhoodPartition:
         return len(self.hops) - 1
 
     def validate_against(self, graph: Graph) -> None:
+        """Every edge must join hops at most one apart, or two unreachable nodes."""
         if self.hop_of.size != graph.node_count:
             raise ValueError("partition does not match graph size")
+        rows = np.repeat(np.arange(graph.node_count), np.diff(graph.indptr))
+        hi, hj = self.hop_of[rows], self.hop_of[graph.indices]
+        bad = np.flatnonzero(((hi < 0) != (hj < 0)) | (np.abs(hi - hj) > 1))
+        if bad.size:
+            e = bad[0]
+            ends = [f"hop {h}" if h >= 0 else "an unreachable node" for h in (hi[e], hj[e])]
+            raise ValueError(f"partition does not layer the graph: edge "
+                             f"{rows[e]}-{graph.indices[e]} joins {ends[0]} and {ends[1]}")
 
 
 def compute_neighborhoods(graph: Graph, labels: LabelSet) -> NeighborhoodPartition:

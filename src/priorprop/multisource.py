@@ -1,12 +1,14 @@
 """Fusing several abstaining binary labelers into label propagation.
 
-Each labeler votes ``0``/``1`` or abstains (encoded ``-1``). A per-node,
-per-labeler trust weight ``alpha`` says how strongly each cast vote pulls its
-node. The paper attaches the labelers to the graph as hard-labeled class
-anchors, one per labeler and class, with each cast vote wired to the anchor of
-its class at weight ``alpha``. That problem has the same minimizers as one
-prior on the base graph, ``h = weighted vote average`` and ``mu = total
-alpha`` per node, so :func:`reduce_to_single_prior` builds that prior and
+Each labeler votes ``0``/``1`` or abstains (encoded ``-1``). The trust weights
+``alpha``, a plain ``(node_count, k)`` float array that each ``alpha_*``
+scheme returns, say how strongly each cast vote pulls its node. The paper
+attaches the labelers to the graph as hard-labeled class anchors, one per
+labeler and class, with each cast vote wired to the anchor of its class at
+weight ``alpha``. That problem has the same minimizers as one prior on the
+base graph, ``h = weighted vote average`` and ``mu = total alpha`` per node,
+so :func:`reduce_to_single_prior`, the one consumer of ``alpha`` and the one
+place it is validated, builds that prior and
 :func:`priorprop.solver.solve_with_prior` solves it. :func:`vote_prior` picks
 the trust scheme by name and builds that prior in one call.
 """
@@ -23,7 +25,7 @@ from priorprop.solver import PriorField
 
 ABSTAIN = -1
 
-ALPHA_SCHEMES = ("oracle", "accuracy", "boosting", "probabilistic", "constant")
+ALPHA_SCHEMES = ("accuracy", "boosting", "probabilistic", "constant", "oracle")
 
 ACCURACY_CLIP = (0.01, 0.99)
 RESIDUAL_FLOOR = 1e-4
@@ -75,83 +77,58 @@ class LabelerAccuracy:
         object.__setattr__(self, "p", pv)
 
 
-@dataclass(frozen=True, eq=False)
-class AlphaAssignment:
-    """Non-negative trust weights, zero wherever the labeler abstained."""
-
-    alpha: np.ndarray
-    scheme: str
-    fallback_labelers: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        a = np.asarray(self.alpha, dtype=np.float64)
-        if a.ndim != 2:
-            raise ValueError("alpha must be a (node_count, k) matrix")
-        if not np.all(np.isfinite(a)) or np.any(a < 0):
-            raise ValueError("alpha must be finite and non-negative")
-        object.__setattr__(self, "alpha", a)
-
-
-def _check_vote_alpha(votes: WeakVoteMatrix, alpha: AlphaAssignment) -> None:
-    if alpha.alpha.shape != votes.votes.shape:
-        raise ValueError("alpha shape does not match votes")
-    if np.any(alpha.alpha[~votes.cast_mask] > 0):
-        raise ValueError("alpha must be zero wherever the labeler abstained")
-
-
-def reduce_to_single_prior(votes: WeakVoteMatrix, alpha: AlphaAssignment) -> PriorField:
+def reduce_to_single_prior(votes: WeakVoteMatrix, alpha: np.ndarray) -> PriorField:
     """Collapse weighted votes into one prior: h = weighted mean, mu = total weight.
 
-    Nodes where every labeler abstained (or all weights are zero) get
-    ``h = 0.5, mu = 0`` - no prior influence.
+    ``alpha`` must have the shape of the votes, be finite and non-negative,
+    and be zero wherever the labeler abstained. Nodes where every labeler
+    abstained (or all weights are zero) get ``h = 0.5, mu = 0`` - no prior
+    influence.
     """
-    _check_vote_alpha(votes, alpha)
+    a = np.asarray(alpha, dtype=np.float64)
+    if a.shape != votes.votes.shape:
+        raise ValueError("alpha shape does not match votes")
+    if not np.all(np.isfinite(a)) or np.any(a < 0):
+        raise ValueError("alpha must be finite and non-negative")
+    if np.any(a[~votes.cast_mask] > 0):
+        raise ValueError("alpha must be zero wherever the labeler abstained")
     cast_votes = np.where(votes.cast_mask, votes.votes, 0).astype(np.float64)
-    total = alpha.alpha.sum(axis=1)
-    weighted = (alpha.alpha * cast_votes).sum(axis=1)
+    total = a.sum(axis=1)
+    weighted = (a * cast_votes).sum(axis=1)
     h = np.full(votes.node_count, 0.5)
     supported = total > 0
     h[supported] = weighted[supported] / total[supported]
     return PriorField(np.clip(h, 0.0, 1.0), total)
 
 
-def alpha_oracle(votes: WeakVoteMatrix, true_labels: Sequence[int]) -> AlphaAssignment:
+def alpha_oracle(votes: WeakVoteMatrix, true_labels: Sequence[int]) -> np.ndarray:
     """Full trust on correct votes, none on wrong ones (analysis mode only)."""
     y = _as_truth(true_labels, votes.node_count)
-    a = (votes.cast_mask & (votes.votes == y[:, None])).astype(np.float64)
-    return AlphaAssignment(alpha=a, scheme="oracle")
+    return (votes.cast_mask & (votes.votes == y[:, None])).astype(np.float64)
 
 
-def alpha_accuracy(votes: WeakVoteMatrix, acc: LabelerAccuracy) -> AlphaAssignment:
+def alpha_accuracy(votes: WeakVoteMatrix, acc: LabelerAccuracy) -> np.ndarray:
     """Constant per-labeler trust equal to its estimated accuracy."""
     if acc.p.size != votes.labeler_count:
         raise ValueError("accuracy vector does not match labeler count")
-    a = votes.cast_mask * acc.p[None, :]
-    return AlphaAssignment(alpha=a, scheme="accuracy")
+    return votes.cast_mask * acc.p[None, :]
 
 
-def alpha_boosting(
-    votes: WeakVoteMatrix, acc: LabelerAccuracy, scale: float = 1.0
-) -> AlphaAssignment:
-    """Log-odds trust ``scale * ln(p / (1-p))``, floored at zero.
+def alpha_boosting(votes: WeakVoteMatrix, acc: LabelerAccuracy) -> np.ndarray:
+    """Log-odds trust ``ln(p / (1-p))``, floored at zero.
 
     Accuracies are clipped to [0.01, 0.99] before the log-odds so the weights
-    stay finite; ``scale=0.5`` gives the exponential-loss-optimal variant.
+    stay finite.
     """
     if acc.p.size != votes.labeler_count:
         raise ValueError("accuracy vector does not match labeler count")
     p = np.clip(acc.p, *ACCURACY_CLIP)
-    w = np.maximum(0.0, scale * np.log(p / (1.0 - p)))
-    a = votes.cast_mask * w[None, :]
-    return AlphaAssignment(alpha=a, scheme="boosting")
+    return votes.cast_mask * np.maximum(0.0, np.log(p / (1.0 - p)))[None, :]
 
 
-def alpha_constant(votes: WeakVoteMatrix, value: float = 1.0) -> AlphaAssignment:
+def alpha_constant(votes: WeakVoteMatrix, value: float = 1.0) -> np.ndarray:
     """The same fixed trust on every cast vote."""
-    if not (value >= 0) or not np.isfinite(value):
-        raise ValueError("constant alpha must be finite and non-negative")
-    a = votes.cast_mask * float(value)
-    return AlphaAssignment(alpha=a, scheme="constant")
+    return votes.cast_mask * float(value)
 
 
 def estimate_accuracy_from_labeled(
@@ -193,25 +170,19 @@ def alpha_probabilistic(
     features: np.ndarray,
     labels: LabelSet,
     k_neighbors: int = 10,
-    residual_floor: float = RESIDUAL_FLOOR,
-    scale: float = 1.0,
-) -> AlphaAssignment:
+) -> np.ndarray:
     """Per-node inverse-variance trust from log-residual regression.
 
     For each labeler, the log squared residual ``log((vote - y)^2 + floor)``
     on labeled cast votes is carried to every node by k-nearest-neighbor
     averaging in feature space, and the trust is the inverse of the
-    exponentiated estimate (capped at ``scale / floor``). ``scale`` is an
-    overall multiplier absorbing the smoothness-field coupling constant of
-    the underlying probabilistic model. A labeler with no cast vote on any
-    labeled node falls back to its Laplace-estimated accuracy and is recorded
-    in ``fallback_labelers``. Every feature must be finite; the ``ValueError``
-    names the first node with one that is not.
+    exponentiated estimate (capped at ``1 / RESIDUAL_FLOOR``). A labeler with
+    no cast vote on any labeled node falls back to its Laplace-estimated
+    accuracy. Every feature must be finite; the ``ValueError`` names the
+    first node with one that is not.
     """
     if k_neighbors < 1:
         raise ValueError("k_neighbors must be positive")
-    if not (scale > 0) or not np.isfinite(scale):
-        raise ValueError("scale must be positive and finite")
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != votes.node_count:
         raise ValueError("features must be (node_count, d)")
@@ -222,19 +193,17 @@ def alpha_probabilistic(
     acc = estimate_accuracy_from_labeled(votes, labels)
     n, k = votes.votes.shape
     a = np.zeros((n, k))
-    fallback = []
     for j in range(k):
         cast_lab = votes.votes[labels.indices, j] != ABSTAIN
         support = labels.indices[cast_lab]
         if support.size == 0:
-            fallback.append(j)
-            a[:, j] = votes.cast_mask[:, j] * (scale * acc.p[j])
+            a[:, j] = votes.cast_mask[:, j] * acc.p[j]
             continue
         resid = (votes.votes[support, j] - labels.values[cast_lab]) ** 2
-        log_resid = np.log(resid.astype(np.float64) + residual_floor)
+        log_resid = np.log(resid.astype(np.float64) + RESIDUAL_FLOOR)
         g = _knn_mean(x, x[support], log_resid, min(k_neighbors, support.size))
-        a[:, j] = votes.cast_mask[:, j] * (scale / np.exp(g))
-    return AlphaAssignment(alpha=a, scheme="probabilistic", fallback_labelers=tuple(fallback))
+        a[:, j] = votes.cast_mask[:, j] * (1.0 / np.exp(g))
+    return a
 
 
 def vote_prior(

@@ -76,8 +76,9 @@ class PriorField:
         object.__setattr__(self, "mu", mv)
 
     @classmethod
-    def constant(cls, node_count: int, h: float = 0.5, mu: float = 0.0) -> "PriorField":
-        return cls(np.full(node_count, h), np.full(node_count, mu))
+    def constant(cls, node_count: int, mu: float = 0.0) -> "PriorField":
+        """The neutral prior ``h = 0.5`` at the same weight ``mu`` on every node."""
+        return cls(np.full(node_count, 0.5), np.full(node_count, mu))
 
     @property
     def node_count(self) -> int:
@@ -123,8 +124,17 @@ class Prediction:
 
 
 def scores(prediction) -> np.ndarray:
-    """The scores of a :class:`Prediction`, or bare scores as a float array."""
-    return prediction.f if isinstance(prediction, Prediction) else np.asarray(prediction, float)
+    """The scores of a :class:`Prediction`, or bare scores as a float array.
+
+    Every score must be finite; the ``ValueError`` names the first node whose
+    score is not.
+    """
+    f = prediction.f if isinstance(prediction, Prediction) else np.asarray(prediction, float)
+    non_finite = np.flatnonzero(~np.isfinite(f))
+    if non_finite.size:
+        i = int(non_finite[0])
+        raise ValueError(f"node {i} has non-finite prediction {float(f.flat[i])!r}")
+    return f
 
 
 def _validate_inputs(graph: Graph, labels: LabelSet, prior: PriorField) -> None:

@@ -70,7 +70,7 @@ def anchor_graph(graph, labels, votes, alpha):
         for j in range(k):
             v = int(votes.votes[i, j])
             if v != -1:
-                edges.append((i, n + v * k + j, float(alpha.alpha[i, j])))
+                edges.append((i, n + v * k + j, float(alpha[i, j])))
     anchors = np.arange(n, n + 2 * k)
     return Graph.from_edges(n + 2 * k, edges), LabelSet(
         np.concatenate([labels.indices, anchors]),
@@ -371,8 +371,8 @@ def _data_lines(path):
     return lines
 
 
-def loop_load_graph(path, node_count=None):
-    declared = node_count
+def loop_load_graph(path):
+    declared = None
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     edges = np.empty((len(lines), 3), dtype=np.float64)
     count = 0
@@ -422,6 +422,8 @@ def loop_load_features(path):
     width = None
     for lineno, line in _data_lines(path):
         vals = [float(v) for v in line.replace(",", " ").split()]
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"{path}:{lineno}: features must be finite")
         if width is None:
             width = len(vals)
         elif len(vals) != width:
@@ -429,10 +431,7 @@ def loop_load_features(path):
         rows.append(vals)
     if not rows:
         raise ValueError(f"{path}: no feature rows")
-    x = np.asarray(rows, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{path}: features must be finite")
-    return x
+    return np.asarray(rows, dtype=np.float64)
 
 
 def loop_load_votes(path):

@@ -14,7 +14,7 @@ import priorprop as pp
 from priorprop import fileio
 from priorprop.cli import main as cli_main
 from priorprop.evaluation import SyntheticSpec, evaluate, pipeline_report
-from priorprop.multisource import ABSTAIN, AlphaAssignment, WeakVoteMatrix
+from priorprop.multisource import ABSTAIN, WeakVoteMatrix
 
 from oracles import (
     anchor_graph_solve,
@@ -47,9 +47,7 @@ def make_votes(rng, n, k_max=4, abstain_rate=0.3):
     k = int(rng.integers(1, k_max + 1))
     probs = [(1 - abstain_rate) / 2, (1 - abstain_rate) / 2, abstain_rate]
     votes = WeakVoteMatrix(rng.choice([0, 1, ABSTAIN], size=(n, k), p=probs).astype(np.int8))
-    alpha = AlphaAssignment(alpha=votes.cast_mask * rng.uniform(0, 2, (n, k)),
-                            scheme="constant")
-    return votes, alpha
+    return votes, votes.cast_mask * rng.uniform(0, 2, (n, k))
 
 
 def oracle_constrained(objective, n, labeled_pairs):
@@ -96,7 +94,7 @@ def test_criterion_1_solver_oracle_equivalence():
         votes, alpha = make_votes(rng, n)
         multi = pp.solve_with_prior(g, labels, pp.reduce_to_single_prior(votes, alpha))
         ref_multi = oracle_constrained(
-            lambda f: naive_multi_objective(edges, votes.votes, alpha.alpha, f), n, pairs
+            lambda f: naive_multi_objective(edges, votes.votes, alpha, f), n, pairs
         )
         worst["multi"] = max(worst["multi"], float(np.max(np.abs(multi.f - ref_multi))))
 

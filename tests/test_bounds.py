@@ -195,7 +195,7 @@ class TestSmoothnessAndPriorError:
         y = np.array([1, 0, 1, 0], dtype=np.int8)
         exact = PriorField(y.astype(float), np.ones(4))
         assert truth_stats(g, part, y, prior=exact).prior_error[1] == 0.0
-        neutral = PriorField.constant(4, h=0.5, mu=1.0)
+        neutral = PriorField.constant(4, mu=1.0)
         assert truth_stats(g, part, y, prior=neutral).prior_error[1] == 0.5
         flipped = PriorField(1.0 - y.astype(float), np.ones(4))
         assert truth_stats(g, part, y, prior=flipped).prior_error[2] == 1.0
@@ -285,7 +285,7 @@ def analyze_golden_stats(path):
     g = fileio.load_graph(path / "g.txt")
     labels = fileio.load_labels(path / "labels.txt")
     y = fileio.load_labels(path / "truth.txt").values
-    prior = PriorField.constant(g.node_count, h=0.5, mu=0.0)
+    prior = PriorField.constant(g.node_count, mu=0.0)
     config = SolverConfig(method="iterative", tolerance=1e-30, max_iterations=40)
     pred = solve_with_prior(g, labels, prior, config)
     return hop_stats(g, y, prior, compute_neighborhoods(g, labels), pred)
@@ -314,7 +314,7 @@ class TestComputeBound:
         y = np.array([1, 1, 0], dtype=np.int8)
         labels = LabelSet([0], [1])
         part = compute_neighborhoods(g, labels)
-        prior = PriorField.constant(3, h=0.5, mu=1.0)
+        prior = PriorField.constant(3, mu=1.0)
         report = compute_bound(solved_stats(g, labels, y, prior, part))
         stats = report.stats
         assert stats.partition.max_hop == 1
@@ -398,7 +398,7 @@ class TestComputeBound:
         prev_gamma = None
         prev_c = None
         for mu in (0.1, 1.0, 10.0, 100.0):
-            prior = PriorField.constant(n, h=0.5, mu=mu)
+            prior = PriorField.constant(n, mu=mu)
             stats = compute_bound(solved_stats(g, labels, y, prior, part)).stats
             gam = stats.gamma[1:]
             c = stats.local_term[1:]
@@ -513,6 +513,19 @@ class TestHopStats:
         with pytest.raises(ValueError, match=f"node 3 has non-finite prediction {bad!r}"):
             hop_stats(g, y, prior, part, f)
 
+    def test_layering_of_another_graph_rejected(self):
+        # hop_of [0, 2, 1, 3]: unchecked, hop 2 (node 1) reports in_flow 2, edge
+        # 0-1 landing in its in-flow bin, though only its edge 1-2 reaches hop 1
+        g = path_graph(4)
+        y = np.array([1, 1, 0, 0], dtype=np.int8)
+        labels = LabelSet([0], [1])
+        other = Graph.from_edges(4, [(0, 2, 1.0), (2, 1, 1.0), (1, 3, 1.0)])
+        part = compute_neighborhoods(other, labels)
+        prior = PriorField.constant(4, mu=1.0)
+        f = solve_with_prior(g, labels, prior).f
+        with pytest.raises(ValueError, match="edge 0-1 joins hop 0 and hop 2"):
+            hop_stats(g, y, prior, part, f)
+
     def test_prediction_wrong_on_labeled_node_rejected(self):
         g = path_graph(3)
         y = np.array([1, 0, 1], dtype=np.int8)
@@ -565,7 +578,7 @@ class TestAuditInequalities:
         y = np.array([1, 0], dtype=np.int8)
         labels = LabelSet([0], [1])
         part = compute_neighborhoods(g, labels)
-        prior = PriorField.constant(2, h=0.5, mu=1.0)
+        prior = PriorField.constant(2, mu=1.0)
         pred = solve_with_prior(g, labels, prior)
         audit = audit_inequalities(hop_stats(g, y, prior, part, pred))
         families = set(audit.families)

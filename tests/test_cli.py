@@ -7,7 +7,12 @@ import pytest
 import priorprop as pp
 from priorprop import fileio
 from priorprop.cli import main
-from priorprop.evaluation import SyntheticSpec, generate_clusters, generate_weak_labelers
+from priorprop.evaluation import (
+    DEFAULT_EPSILON,
+    SyntheticSpec,
+    generate_clusters,
+    generate_weak_labelers,
+)
 from priorprop.multisource import ALPHA_SCHEMES
 
 from oracles import anchor_graph_solve
@@ -300,6 +305,34 @@ def test_invalid_epsilon_exits_2_before_writing(workspace, capsys, epsilon):
     assert "wrote" not in captured.out
     assert not (workspace / "out.txt").exists()
     assert not (workspace / "out.txt.metrics.json").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--metrics-output", "m.json"],
+    ["--epsilon", "0.2"],
+    ["--metrics-output", "m.json", "--epsilon", "0.2"],
+], ids=["metrics-output", "epsilon", "both"])
+def test_metrics_flags_without_truth_exit_2(workspace, capsys, flags):
+    # without --truth no metrics are written, so these flags would be ignored
+    code = run(["propagate", "--graph", workspace / "graph.txt",
+                "--labels", workspace / "labels.txt",
+                *[workspace / a if a.endswith(".json") else a for a in flags],
+                "--output", workspace / "out.txt"])
+    assert code == 2
+    given = ", ".join(a for a in flags if a.startswith("--"))
+    assert f"--truth is required by {given}" in capsys.readouterr().err
+    assert not (workspace / "out.txt").exists()
+
+
+def test_metrics_epsilon_defaults_with_truth(workspace):
+    args = ["propagate", "--graph", workspace / "graph.txt", "--labels", workspace / "labels.txt",
+            "--truth", workspace / "truth.txt", "--output", workspace / "out.txt"]
+    assert run(args + ["--metrics-output", workspace / "m.json"]) == 0
+    metrics = json.loads((workspace / "m.json").read_text())
+    assert metrics["abstain_epsilon"] == DEFAULT_EPSILON
+    assert run(args + ["--epsilon", "0.2"]) == 0
+    metrics = json.loads((workspace / "out.txt.metrics.json").read_text())
+    assert metrics["abstain_epsilon"] == 0.2
 
 
 @pytest.mark.parametrize("tolerance", ["inf", "nan", "0"])

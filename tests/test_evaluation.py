@@ -70,6 +70,12 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="0 or 1"):
             evaluate(np.array([0.9, 0.8, 0.1, 0.2]), truth)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_scores(self, bad):
+        # unchecked, a nan reads as a vote for class 0: coverage 1.0, accuracy 0.5
+        with pytest.raises(ValueError, match=f"node 0 has non-finite prediction {bad!r}"):
+            evaluate(np.array([bad, 0.9]), np.array([1, 1]))
+
     def test_rejects_negative_epsilon(self):
         with pytest.raises(ValueError):
             evaluate(np.array([0.5]), np.array([1]), epsilon=-1.0)

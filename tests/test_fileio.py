@@ -104,6 +104,14 @@ class TestOtherFormats:
         comma.write_text("1.0,2.0\n3.0,4.0\n")
         assert fileio.load_features(comma).tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+    def test_features_non_finite_value_names_the_line(self, tmp_path, bad):
+        path = tmp_path / "f.txt"
+        path.write_text(f"1 2\n3 {bad}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: expected 'x_1 ... x_d' "
+                                                       "with finite values")):
+            fileio.load_features(path)
+
     def test_features_reject_ragged(self, tmp_path):
         path = tmp_path / "f.txt"
         path.write_text("1.0 2.0\n3.0\n")

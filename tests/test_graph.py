@@ -306,6 +306,20 @@ class TestNeighborhoods:
         with pytest.raises(ValueError):
             compute_neighborhoods(g, LabelSet([], []))
 
+    @pytest.mark.parametrize("other_edges, message", [
+        # hop_of [0, 2, 1, 3]: the path's edge 0-1 spans hops 0 and 2
+        ([(0, 2, 1.0), (2, 1, 1.0), (1, 3, 1.0)], "edge 0-1 joins hop 0 and hop 2"),
+        # node 3 unreachable there, but joined to hop 2 in the path
+        ([(0, 1, 1.0), (1, 2, 1.0)], "edge 2-3 joins hop 2 and an unreachable node"),
+    ])
+    def test_layering_of_another_graph_rejected(self, other_edges, message):
+        path = Graph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        labels = LabelSet([0], [1])
+        part = compute_neighborhoods(Graph.from_edges(4, other_edges), labels)
+        with pytest.raises(ValueError, match=f"does not layer the graph: {message}"):
+            part.validate_against(path)
+        compute_neighborhoods(path, labels).validate_against(path)
+
     def test_hop_sets_partition_nodes(self):
         rng = np.random.default_rng(11)
         edges = random_connected_graph(rng, 20, extra_edges=10)

@@ -6,7 +6,6 @@ from priorprop import multisource
 from priorprop.graph import Graph, LabelSet
 from priorprop.multisource import (
     ABSTAIN,
-    AlphaAssignment,
     LabelerAccuracy,
     WeakVoteMatrix,
     alpha_accuracy,
@@ -35,8 +34,7 @@ def random_votes(rng, n, k, abstain_rate=0.3):
 
 
 def random_alpha(rng, votes, low=0.05, high=2.0):
-    a = votes.cast_mask * rng.uniform(low, high, size=votes.votes.shape)
-    return AlphaAssignment(alpha=a, scheme="constant")
+    return votes.cast_mask * rng.uniform(low, high, size=votes.votes.shape)
 
 
 def reduce_and_solve(g, labels, votes, alpha, config=None):
@@ -146,16 +144,31 @@ class TestReduceToSinglePrior:
 
     def test_weighted_average(self):
         votes = WeakVoteMatrix(np.array([[1, 0]], dtype=np.int8))
-        alpha = AlphaAssignment(alpha=np.array([[2.0, 1.0]]), scheme="constant")
-        prior = reduce_to_single_prior(votes, alpha)
+        prior = reduce_to_single_prior(votes, np.array([[2.0, 1.0]]))
         assert prior.h[0] == pytest.approx(2.0 / 3.0, rel=1e-12)
         assert prior.mu[0] == pytest.approx(3.0, rel=1e-12)
 
     def test_rejects_alpha_on_abstain(self):
         votes = WeakVoteMatrix(np.array([[ABSTAIN], [1]], dtype=np.int8))
-        bad = AlphaAssignment(alpha=np.array([[0.5], [0.5]]), scheme="constant")
         with pytest.raises(ValueError, match="abstain"):
-            reduce_to_single_prior(votes, bad)
+            reduce_to_single_prior(votes, np.array([[0.5], [0.5]]))
+
+    @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
+    def test_rejects_negative_or_non_finite_alpha(self, bad):
+        votes = WeakVoteMatrix(np.array([[1, 0], [0, 1]], dtype=np.int8))
+        alpha = np.ones((2, 2))
+        alpha[1, 0] = bad
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            reduce_to_single_prior(votes, alpha)
+        # the constant scheme's weight reaches the same check through vote_prior
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            vote_prior(votes, "constant", LabelSet([0], [1]), constant=bad)
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 1), (3, 2), (2, 2, 1)])
+    def test_rejects_alpha_of_another_shape(self, shape):
+        votes = WeakVoteMatrix(np.array([[1, 0], [0, 1]], dtype=np.int8))
+        with pytest.raises(ValueError, match="alpha shape does not match votes"):
+            reduce_to_single_prior(votes, np.ones(shape))
 
 
 class TestAlphaSchemes:
@@ -163,12 +176,12 @@ class TestAlphaSchemes:
         y = np.array([0, 1, 1])
         votes = WeakVoteMatrix(np.array([[0], [1], [ABSTAIN]], dtype=np.int8))
         a = alpha_oracle(votes, y)
-        assert a.alpha[:, 0].tolist() == [1.0, 1.0, 0.0]
+        assert a[:, 0].tolist() == [1.0, 1.0, 0.0]
 
     def test_oracle_always_wrong(self):
         y = np.array([0, 1])
         votes = WeakVoteMatrix(np.array([[1], [0]], dtype=np.int8))
-        assert np.all(alpha_oracle(votes, y).alpha == 0.0)
+        assert np.all(alpha_oracle(votes, y) == 0.0)
 
     @pytest.mark.parametrize("truth", [[0, 2, 1], [0, np.nan, 1], [0, ABSTAIN, 1]])
     def test_oracle_rejects_truth_that_is_not_0_or_1(self, truth):
@@ -185,33 +198,26 @@ class TestAlphaSchemes:
             for j in range(3):
                 v = votes.votes[i, j]
                 expect = 1.0 if (v != ABSTAIN and v == y[i]) else 0.0
-                assert a.alpha[i, j] == expect
+                assert a[i, j] == expect
 
     def test_accuracy_constant_columns(self):
         votes = WeakVoteMatrix(np.array([[1, 0], [0, 1], [1, ABSTAIN]], dtype=np.int8))
         a = alpha_accuracy(votes, LabelerAccuracy([0.6, 0.9]))
-        assert a.alpha[:, 0].tolist() == [0.6, 0.6, 0.6]
-        assert a.alpha[:, 1].tolist() == [0.9, 0.9, 0.0]
+        assert a[:, 0].tolist() == [0.6, 0.6, 0.6]
+        assert a[:, 1].tolist() == [0.9, 0.9, 0.0]
 
     def test_boosting_values(self):
         votes = WeakVoteMatrix(np.array([[1, 1, 1]], dtype=np.int8))
         e = np.e
         a = alpha_boosting(votes, LabelerAccuracy([0.5, e / (1 + e), 0.3]))
-        assert a.alpha[0, 0] == pytest.approx(0.0, abs=1e-12)
-        assert a.alpha[0, 1] == pytest.approx(1.0, rel=1e-12)
-        assert a.alpha[0, 2] == 0.0  # ln(3/7) < 0, clamped
-
-    def test_boosting_scale_flag(self):
-        votes = WeakVoteMatrix(np.array([[1]], dtype=np.int8))
-        p = 0.9
-        full = alpha_boosting(votes, LabelerAccuracy([p]))
-        half = alpha_boosting(votes, LabelerAccuracy([p]), scale=0.5)
-        assert half.alpha[0, 0] == pytest.approx(full.alpha[0, 0] / 2.0, rel=1e-12)
+        assert a[0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert a[0, 1] == pytest.approx(1.0, rel=1e-12)
+        assert a[0, 2] == 0.0  # ln(3/7) < 0, clamped
 
     def test_boosting_clips_extreme_accuracy(self):
         votes = WeakVoteMatrix(np.array([[1]], dtype=np.int8))
         a = alpha_boosting(votes, LabelerAccuracy([0.999]))
-        assert a.alpha[0, 0] == pytest.approx(np.log(0.99 / 0.01), rel=1e-12)
+        assert a[0, 0] == pytest.approx(np.log(0.99 / 0.01), rel=1e-12)
 
     def test_accuracy_type_rejects_extremes(self):
         with pytest.raises(ValueError):
@@ -225,7 +231,7 @@ class TestAlphaSchemes:
             return
         votes = WeakVoteMatrix(np.array([[1, 1]], dtype=np.int8))
         a = alpha_boosting(votes, LabelerAccuracy([p1, p2]))
-        assert (a.alpha[0, 0] < a.alpha[0, 1]) == (p1 < p2)
+        assert (a[0, 0] < a[0, 1]) == (p1 < p2)
 
     @pytest.mark.parametrize("scheme", ["oracle", "accuracy", "boosting", "constant", "probabilistic"])
     def test_all_schemes_zero_on_abstain(self, scheme):
@@ -246,7 +252,7 @@ class TestAlphaSchemes:
             a = alpha_constant(votes, 1.3)
         else:
             a = alpha_probabilistic(votes, feats, labels)
-        assert np.all(a.alpha[~votes.cast_mask] == 0.0)
+        assert np.all(a[~votes.cast_mask] == 0.0)
 
 
 class TestVotePrior:
@@ -340,7 +346,7 @@ class TestAlphaProbabilistic:
         feats = np.arange(4, dtype=float)[:, None]
         labels = LabelSet(np.arange(4), y)
         a = alpha_probabilistic(votes, feats, labels, k_neighbors=2)
-        assert np.allclose(a.alpha[:, 0], 1e4, rtol=1e-9)
+        assert np.allclose(a[:, 0], 1e4, rtol=1e-9)
 
     def test_constant_residual_gives_constant_trust(self):
         # every labeled residual is 1, so the kNN regression is constant and
@@ -351,7 +357,7 @@ class TestAlphaProbabilistic:
         labels = LabelSet([0, 1], [0, 0])
         a = alpha_probabilistic(votes, feats, labels, k_neighbors=2)
         expected = 1.0 / (1.0 + 1e-4)
-        assert np.allclose(a.alpha[:, 0], expected, rtol=1e-9)
+        assert np.allclose(a[:, 0], expected, rtol=1e-9)
 
     def test_equidistant_geometric_mean(self):
         # two labeled support points with residuals 0.25 (vote .5 impossible;
@@ -364,16 +370,7 @@ class TestAlphaProbabilistic:
         a = alpha_probabilistic(votes, feats, labels, k_neighbors=2)
         eps = 1e-4
         expected = 1.0 / np.exp((np.log(0.0 + eps) + np.log(1.0 + eps)) / 2.0)
-        assert a.alpha[2, 0] == pytest.approx(expected, rel=1e-9)
-
-    def test_scale_multiplies_trust(self):
-        y = np.array([0, 1, 0, 1])
-        votes = WeakVoteMatrix(y.astype(np.int8)[:, None])
-        feats = np.arange(4, dtype=float)[:, None]
-        labels = LabelSet(np.arange(4), y)
-        base = alpha_probabilistic(votes, feats, labels, k_neighbors=2)
-        scaled = alpha_probabilistic(votes, feats, labels, k_neighbors=2, scale=0.25)
-        assert np.allclose(scaled.alpha, 0.25 * base.alpha, rtol=1e-12)
+        assert a[2, 0] == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize("block_elements", [1, 150, 1001])
     def test_row_blocks_bitwise_equal_to_one_block(self, monkeypatch, block_elements):
@@ -388,8 +385,8 @@ class TestAlphaProbabilistic:
         whole = alpha_probabilistic(votes, feats, labels, k_neighbors=4)
         monkeypatch.setattr(multisource, "KNN_BLOCK_ELEMENTS", block_elements)
         blocked = alpha_probabilistic(votes, feats, labels, k_neighbors=4)
-        assert blocked.alpha.tobytes() == whole.alpha.tobytes()
-        assert np.unique(whole.alpha).size > 3
+        assert blocked.tobytes() == whole.tobytes()
+        assert np.unique(whole).size > 3
 
     def test_fallback_when_no_labeled_support(self):
         votes = WeakVoteMatrix(
@@ -398,8 +395,7 @@ class TestAlphaProbabilistic:
         feats = np.arange(4, dtype=float)[:, None]
         labels = LabelSet([0, 1], [0, 1])  # labeler abstains on both
         a = alpha_probabilistic(votes, feats, labels)
-        assert a.fallback_labelers == (0,)
-        assert a.alpha[2, 0] == 0.5 and a.alpha[3, 0] == 0.5
+        assert a[2, 0] == 0.5 and a[3, 0] == 0.5
 
 
 class TestVoteMatrix:

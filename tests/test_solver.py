@@ -328,8 +328,10 @@ class TestPriorField:
             PriorField([0.5, 0.5], [1.0])
 
     def test_constant_constructor(self):
-        p = PriorField.constant(3, h=0.25, mu=2.0)
+        p = PriorField(np.full(3, 0.25), np.full(3, 2.0))
         assert np.all(p.h == 0.25) and np.all(p.mu == 2.0)
+        neutral = PriorField.constant(3, mu=2.0)
+        assert np.all(neutral.h == 0.5) and np.all(neutral.mu == 2.0)
 
 
 class TestSolverConfig:

@@ -122,6 +122,13 @@ class TestSpectralBound:
         with pytest.raises(ValueError, match="0 or 1"):
             spectral_bound(self.g, self.y.astype(float), self.labels, truth, eta=1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_rejects_non_finite_scores(self, bad):
+        f = self.y.astype(float)
+        f[2] = bad
+        with pytest.raises(ValueError, match=f"node 2 has non-finite prediction {bad!r}"):
+            spectral_bound(self.g, f, self.labels, self.y, eta=1.0)
+
     @pytest.mark.parametrize("t", [1.5, np.inf, np.nan])
     def test_rejects_a_t_that_is_not_an_integer(self, t):
         # int() used to truncate 1.5 to 1 and raise OverflowError on inf
