@@ -53,7 +53,7 @@ def _directional_weights(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-node edge weight going one hop in, within the hop, one hop out."""
     hop_of = partition.hop_of
-    rows = np.repeat(np.arange(graph.node_count), np.diff(graph.indptr))
+    rows = graph.rows
     row_hops = hop_of[rows]
     # a hop-k node's neighbors all lie in hops k-1, k and k+1: bins 0, 1, 2
     keep = row_hops >= 0
@@ -75,8 +75,7 @@ def conductance(stats: HopStats, k: int) -> float | None:
 
 def _disagreement(graph: Graph, y: np.ndarray) -> np.ndarray:
     """Per node, the weighted true-label disagreement on its edges."""
-    rows = np.repeat(np.arange(graph.node_count), np.diff(graph.indptr))
-    return _row_sums(graph.indptr, graph.weights * np.abs(y[graph.indices] - y[rows]))
+    return _row_sums(graph.indptr, graph.weights * np.abs(y[graph.indices] - y[graph.rows]))
 
 
 def smoothness(

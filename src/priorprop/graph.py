@@ -7,6 +7,7 @@ construction; reads are safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -14,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial.distance import cdist
+from scipy.spatial import cKDTree
 
 
 class GraphFormatError(ValueError):
@@ -156,14 +157,20 @@ class Graph:
 
         Each undirected edge appears once, sorted by row and then column.
         """
-        rows = np.repeat(np.arange(self.node_count), np.diff(self.indptr))
-        upper = self.indices > rows
-        return rows[upper], self.indices[upper], self.weights[upper]
+        upper = self.indices > self.rows
+        return self.rows[upper], self.indices[upper], self.weights[upper]
 
     def edge_list(self) -> list[tuple[int, int, float]]:
         """Each undirected edge once, as ``(i, j, w)`` with ``i < j``, sorted."""
         rows, cols, w = self._upper_triangle()
         return list(zip(rows.tolist(), cols.tolist(), w.tolist()))
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """Row of each CSR entry, aligned with ``indices`` (shared, read-only)."""
+        rows = np.repeat(np.arange(self.node_count), np.diff(self.indptr))
+        rows.flags.writeable = False
+        return rows
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
@@ -248,7 +255,7 @@ class NeighborhoodPartition:
         """Every edge must join hops at most one apart, or two unreachable nodes."""
         if self.hop_of.size != graph.node_count:
             raise ValueError("partition does not match graph size")
-        rows = np.repeat(np.arange(graph.node_count), np.diff(graph.indptr))
+        rows = graph.rows
         hi, hj = self.hop_of[rows], self.hop_of[graph.indices]
         bad = np.flatnonzero(((hi < 0) != (hj < 0)) | (np.abs(hi - hj) > 1))
         if bad.size:
@@ -290,6 +297,35 @@ def compute_neighborhoods(graph: Graph, labels: LabelSet) -> NeighborhoodPartiti
     return NeighborhoodPartition(hops=tuple(hops), unreachable=unreachable, hop_of=hop_of)
 
 
+def _quantile_positions(m: int, q: float) -> tuple[int, int, float]:
+    """Sorted positions and weight of numpy's linear quantile ``q`` of ``m`` values.
+
+    ``np.quantile(a, q)`` is ``_lerp(s[lo], s[hi], gamma)`` for ``s = np.sort(a)``,
+    bit for bit: numpy's virtual index ``(m - 1) * q``, its floor and the
+    next position, both clipped to the last one.
+    """
+    virtual = (m - 1) * q
+    if virtual >= m - 1:
+        return m - 1, m - 1, 0.0
+    lo = math.floor(virtual)
+    return lo, lo + 1, virtual - lo
+
+
+def _lerp(a: float, b: float, gamma: float) -> float:
+    """numpy's quantile interpolation, including its branch for ``gamma >= 0.5``."""
+    diff = b - a
+    return b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
+
+
+def _distances(x: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Euclidean distances of rows ``i`` and ``j`` of ``x`` as ``cdist`` computes
+    them: the squared differences summed in feature order, then the root."""
+    total = np.zeros(i.size)
+    for k in range(x.shape[1]):
+        total += (x[i, k] - x[j, k]) ** 2
+    return np.sqrt(total)
+
+
 def build_threshold_graph(features: np.ndarray, t: float) -> Graph:
     """Euclidean distance-threshold graph with unit edge weights.
 
@@ -300,6 +336,13 @@ def build_threshold_graph(features: np.ndarray, t: float) -> Graph:
     the largest distance and yields the complete graph. Duplicated points are
     connected whenever the threshold is positive, but a point is never
     connected to itself.
+
+    The pool is never built. It holds ``N`` zeros and every pair distance
+    twice, so the quantile needs only the smallest pair distances. A kd-tree
+    finds each point's ``ceil(t)`` nearest neighbours; the pairs among them
+    bound the largest distance needed, and one radius query returns every pair
+    within that bound. Distances are summed as ``cdist`` sums them, so the
+    edges are exactly those of the full ``N**2`` computation; memory is O(N·t).
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim == 1:
@@ -314,11 +357,31 @@ def build_threshold_graph(features: np.ndarray, t: float) -> Graph:
         raise ValueError(f"degree target t must be positive, got {t}")
     if t / n > 100:
         raise ValueError(f"degree target t={t} is out of range for {n} nodes")
-    dist = cdist(x, x)
     q = t / n
-    threshold = np.inf if q > 1 else float(np.quantile(dist.ravel(), q))
-    iu, ju = np.nonzero(np.triu(dist < threshold, 1))
-    return Graph.from_edges(n, np.column_stack((iu, ju, np.ones(iu.size))))
+    if q > 1:
+        iu, ju = np.triu_indices(n, 1)
+        return Graph.from_edges(n, np.column_stack((iu, ju, np.ones(iu.size))))
+    lo, hi, gamma = _quantile_positions(n * n, q)
+    # pool position p >= n holds the ((p - n) // 2)-th smallest pair distance
+    need = (hi - n) // 2 + 1
+    if need <= 0:  # the threshold is a self-zero, and no distance is below it
+        return Graph.from_edges(n, np.empty((0, 3)))
+    tree = cKDTree(x)
+    _, near = tree.query(x, min(n, math.ceil(t) + 1))
+    i = np.repeat(np.arange(n), near.shape[1])
+    j = near.ravel()
+    off = i != j
+    keys = np.unique(np.minimum(i, j)[off] * n + np.maximum(i, j)[off])
+    # these candidates are some of the pairs, so the need-th smallest of them
+    # is at least the need-th smallest pair distance
+    bound = np.partition(_distances(x, keys // n, keys % n), need - 1)[need - 1]
+    # the margin covers the kd-tree summing distances in its own order
+    pairs = tree.query_pairs(bound * (1 + 1e-9), output_type="ndarray")
+    dist = _distances(x, pairs[:, 0], pairs[:, 1])
+    smallest = np.sort(dist)
+    pool = [0.0 if p < n else float(smallest[(p - n) // 2]) for p in (lo, hi)]
+    edges = pairs[dist < _lerp(*pool, gamma)]
+    return Graph.from_edges(n, np.column_stack((edges, np.ones(len(edges)))))
 
 
 def average_degree(graph: Graph) -> float:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from priorprop.graph import LabelSet, _as_truth
 from priorprop.solver import PriorField
@@ -29,8 +30,6 @@ ALPHA_SCHEMES = ("accuracy", "boosting", "probabilistic", "constant", "oracle")
 
 ACCURACY_CLIP = (0.01, 0.99)
 RESIDUAL_FLOOR = 1e-4
-# entries of the difference tensor one k-NN block may hold (512 KB of float64)
-KNN_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,19 +148,28 @@ def estimate_accuracy_from_labeled(
 def _knn_mean(x: np.ndarray, points: np.ndarray, values: np.ndarray, kk: int) -> np.ndarray:
     """Mean of ``values`` over each row of ``x``'s ``kk`` nearest ``points``.
 
-    Rows go in blocks of at most ``KNN_BLOCK_ELEMENTS`` entries of the
-    row-by-point-by-feature difference tensor, so memory stays bounded
-    whatever the node count. Each row's distances, neighbour order and mean
-    do not depend on the block it falls in.
+    Neighbours rank by distance, the lower point index first on ties, with
+    each distance summed as ``np.sum`` sums the squared differences. A kd-tree
+    proposes ``kk + 4`` candidates per row. A row is settled when its
+    ``kk``-th exact distance is clearly below the farthest candidate's, so
+    that no other point can rank among its ``kk`` nearest; the other rows are
+    asked again for twice as many candidates. Memory is O(N·kk), not O(N·S).
     """
-    rows = max(1, KNN_BLOCK_ELEMENTS // max(1, points.size))
+    tree = cKDTree(points)
     g = np.empty(x.shape[0])
-    for start in range(0, x.shape[0], rows):
-        block = x[start : start + rows]
-        d = np.sqrt(((block[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
-        # stable argsort keeps the lowest point index on distance ties
-        nearest = np.argsort(d, axis=1, kind="stable")[:, :kk]
-        g[start : start + rows] = values[nearest].mean(axis=1)
+    rows = np.arange(x.shape[0])
+    kq = min(points.shape[0], kk + 4)
+    while rows.size:
+        far, idx = tree.query(x[rows], kq)
+        far, idx = far.reshape(rows.size, kq)[:, -1], idx.reshape(rows.size, kq)
+        d = np.sqrt(((x[rows, None, :] - points[idx]) ** 2).sum(axis=2))
+        order = np.lexsort((idx, d), axis=1)
+        nearest = np.take_along_axis(idx, order[:, :kk], axis=1)
+        kth = np.take_along_axis(d, order[:, kk - 1 : kk], axis=1)[:, 0]
+        settled = (kth * (1 + 1e-9) < far * (1 - 1e-9)) | (kq == points.shape[0])
+        g[rows[settled]] = values[nearest[settled]].mean(axis=1)
+        rows = rows[~settled]
+        kq = min(points.shape[0], 2 * kq)
     return g
 
 

@@ -16,6 +16,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.spatial.distance import cdist
 
 from priorprop.graph import Graph, GraphFormatError, LabelSet
 from priorprop.multisource import ABSTAIN, LabelerAccuracy, WeakVoteMatrix
@@ -248,6 +249,46 @@ def mixed_row_length_edges(rng, n):
                 edges[(min(hub, other), max(hub, other))] = None
     weights = rng.uniform(0.05, 2.0, len(edges)) * 10.0 ** rng.integers(-3, 3, len(edges))
     return [(i, j, float(w)) for (i, j), w in zip(sorted(edges), weights)]
+
+
+def feature_points(kind, n, d, seed):
+    """``n`` points in ``d`` dimensions: ``"grid"`` integer points (many pairs
+    tie at every distance), ``"tripled"`` points each given three times (zero
+    distances and ties), or ``"normal"`` draws."""
+    rng = np.random.default_rng(seed)
+    if kind == "grid":
+        return rng.integers(0, 4, size=(n, d)).astype(float)
+    if kind == "tripled":
+        return np.repeat(rng.normal(size=(n // 3, d)), 3, axis=0)
+    return rng.normal(size=(n, d))
+
+
+def cdist_threshold_graph(features, t):
+    """The threshold graph from the full ``N**2`` distance matrix and
+    ``np.quantile`` over all of it (inputs assumed valid)."""
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[:, None]
+    n = x.shape[0]
+    dist = cdist(x, x)
+    q = float(t) / n
+    threshold = np.inf if q > 1 else float(np.quantile(dist.ravel(), q))
+    iu, ju = np.nonzero(np.triu(dist < threshold, 1))
+    return Graph.from_edges(n, np.column_stack((iu, ju, np.ones(iu.size))))
+
+
+def block_knn_mean(x, points, values, kk, block_elements=1 << 16):
+    """Mean of ``values`` over each row's ``kk`` nearest ``points``, from the
+    full row-by-point distances taken in row blocks and a stable sort of each
+    row (the lowest point index first on ties)."""
+    rows = max(1, block_elements // max(1, points.size))
+    g = np.empty(x.shape[0])
+    for start in range(0, x.shape[0], rows):
+        block = x[start : start + rows]
+        d = np.sqrt(((block[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
+        nearest = np.argsort(d, axis=1, kind="stable")[:, :kk]
+        g[start : start + rows] = values[nearest].mean(axis=1)
+    return g
 
 
 def loop_smoothness(graph, y, partition, k):

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from priorprop.evaluation import SyntheticSpec, generate_clusters
 from priorprop.graph import (
     Graph,
     GraphFormatError,
@@ -10,9 +13,16 @@ from priorprop.graph import (
     build_threshold_graph,
     compute_neighborhoods,
 )
-from priorprop.graph import _row_sums
+from priorprop.graph import _lerp, _quantile_positions, _row_sums
 
-from oracles import loop_from_edges, loop_row_sums, mixed_row_length_edges, random_connected_graph
+from oracles import (
+    cdist_threshold_graph,
+    feature_points,
+    loop_from_edges,
+    loop_row_sums,
+    mixed_row_length_edges,
+    random_connected_graph,
+)
 
 
 def brute_force_threshold_edges(points, t):
@@ -42,6 +52,12 @@ class TestGraphConstruction:
                 pos = list(back_n).index(i)
                 assert back_w[pos] == wv
             assert g.degrees[i] == np.sum(w)
+
+    def test_rows_name_each_entry_once_and_are_built_once(self):
+        g = Graph.from_edges(5, [(0, 1, 2.0), (2, 1, 0.5), (3, 0, 1.25)])
+        assert g.rows.tolist() == [0, 0, 1, 1, 2, 3]
+        assert g.rows is g.rows
+        assert not g.rows.flags.writeable
 
     def test_rejects_self_loop(self):
         with pytest.raises(GraphFormatError, match="self-loop"):
@@ -244,6 +260,71 @@ class TestThresholdGraph:
             build_threshold_graph(np.array([[np.nan, 0.0], [0.0, 1.0]]), t=1.0)
         with pytest.raises(ValueError):
             build_threshold_graph(np.zeros((1, 2)), t=0.5)
+
+
+THRESHOLD_CASES = [
+    # (kind, n, d, t)
+    ("grid", 60, 2, 4.0),
+    ("grid", 90, 2, 7.0),
+    ("grid", 80, 1, 10.0),
+    ("grid", 70, 5, 12.0),
+    ("tripled", 90, 2, 1.7),
+    ("tripled", 90, 2, 4.0),
+    ("tripled", 60, 10, 7.0),
+    ("normal", 50, 2, 0.5),  # every pool position used is a self-zero
+    ("tripled", 60, 2, 0.9),
+    ("normal", 50, 3, 49.5),  # q just below 1
+    ("normal", 50, 3, 50.0),  # q = 1: strictly below the largest distance
+    ("normal", 50, 3, 51.0),  # q > 1: the complete graph
+    ("normal", 40, 2, 400.0),
+    ("normal", 200, 1, 10.0),
+    ("normal", 200, 5, 10.0),
+    ("normal", 200, 10, 10.0),
+    ("normal", 200, 10, 1.0),
+]
+
+
+class TestThresholdGraphMatchesDistanceMatrix:
+    @pytest.mark.parametrize("kind, n, d, t", THRESHOLD_CASES)
+    def test_bitwise_equal_to_cdist_quantile(self, kind, n, d, t):
+        x = feature_points(kind, n, d, seed=n + d)
+        got, want = build_threshold_graph(x, t), cdist_threshold_graph(x, t)
+        for field in ("indptr", "indices", "weights", "degrees"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+    def test_cases_cover_empty_partial_and_complete_graphs(self):
+        counts = {
+            (kind, t): build_threshold_graph(feature_points(kind, n, d, seed=n + d), t).edge_count
+            for kind, n, d, t in THRESHOLD_CASES
+        }
+        assert counts[("normal", 0.5)] == 0
+        assert counts[("normal", 51.0)] == 50 * 49 // 2
+        assert counts[("normal", 400.0)] == 40 * 39 // 2
+        assert 0 < counts[("normal", 50.0)] < 50 * 49 // 2
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 64, 1001, 250_000])
+    def test_quantile_positions_match_numpy(self, m):
+        rng = np.random.default_rng(m)
+        # few distinct values, so neighbouring positions often tie
+        pool = rng.integers(0, 50, size=m) * rng.uniform(0.5, 2.0)
+        ordered = np.sort(pool)
+        qs = [0.0, 1.0, 0.5, 1e-12, 1.0 - 1e-12, 1.0 / m, (m - 1.0) / m]
+        for q in qs + rng.uniform(0, 1, size=40).tolist():
+            lo, hi, gamma = _quantile_positions(m, q)
+            got = np.float64(_lerp(float(ordered[lo]), float(ordered[hi]), gamma))
+            assert got.tobytes() == np.float64(np.quantile(pool, q)).tobytes(), q
+
+    def test_twenty_thousand_nodes_in_bounded_memory(self):
+        # the N**2 distance matrix alone would take 3.2 GB
+        x, _ = generate_clusters(SyntheticSpec(points_per_cluster=10_000))
+        tracemalloc.start()
+        try:
+            g = build_threshold_graph(x, 10.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert abs(average_degree(g) - 10.0) < 2.0
 
 
 class TestLabelSet:

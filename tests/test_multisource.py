@@ -1,8 +1,13 @@
+import tracemalloc
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.spatial import cKDTree
 
 from priorprop import multisource
+from priorprop.evaluation import SyntheticSpec, generate_clusters
 from priorprop.graph import Graph, LabelSet
 from priorprop.multisource import (
     ABSTAIN,
@@ -25,7 +30,14 @@ from priorprop.solver import (
     solve_with_prior,
 )
 
-from oracles import anchor_graph, anchor_graph_solve, random_connected_graph, random_labels
+from oracles import (
+    anchor_graph,
+    anchor_graph_solve,
+    block_knn_mean,
+    feature_points,
+    random_connected_graph,
+    random_labels,
+)
 
 
 def random_votes(rng, n, k, abstain_rate=0.3):
@@ -373,7 +385,7 @@ class TestAlphaProbabilistic:
         assert a[2, 0] == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize("block_elements", [1, 150, 1001])
-    def test_row_blocks_bitwise_equal_to_one_block(self, monkeypatch, block_elements):
+    def test_kd_tree_bitwise_equal_to_row_blocks(self, monkeypatch, block_elements):
         rng = np.random.default_rng(12)
         n = 90
         # 30 distinct points, each three times: every row has distance ties
@@ -381,12 +393,38 @@ class TestAlphaProbabilistic:
         votes = random_votes(rng, n, 3)
         y = rng.integers(0, 2, n)
         labels = LabelSet(np.arange(0, n, 2), y[::2])
-        monkeypatch.setattr(multisource, "KNN_BLOCK_ELEMENTS", n * n * 2)
-        whole = alpha_probabilistic(votes, feats, labels, k_neighbors=4)
-        monkeypatch.setattr(multisource, "KNN_BLOCK_ELEMENTS", block_elements)
-        blocked = alpha_probabilistic(votes, feats, labels, k_neighbors=4)
-        assert blocked.tobytes() == whole.tobytes()
-        assert np.unique(whole).size > 3
+        got = alpha_probabilistic(votes, feats, labels, k_neighbors=4)
+        monkeypatch.setattr(multisource, "_knn_mean", partial(block_knn_mean, block_elements=block_elements))
+        want = alpha_probabilistic(votes, feats, labels, k_neighbors=4)
+        assert got.tobytes() == want.tobytes()
+        assert np.unique(got).size > 3
+
+    @pytest.mark.parametrize("n, d, labeled", [(2_500, 2, 250), (2_000, 5, 200), (1_000, 10, 300)])
+    def test_clustered_instances_bitwise_equal_to_row_blocks(self, monkeypatch, n, d, labeled):
+        x, y = generate_clusters(SyntheticSpec(points_per_cluster=n // 2, dimension=d, seed=d))
+        rng = np.random.default_rng(d)
+        votes = random_votes(rng, n, 3)
+        chosen = rng.choice(n, size=labeled, replace=False)
+        labels = LabelSet(chosen, y[chosen])
+        got = alpha_probabilistic(votes, x, labels)
+        monkeypatch.setattr(multisource, "_knn_mean", block_knn_mean)
+        assert got.tobytes() == alpha_probabilistic(votes, x, labels).tobytes()
+
+    def test_ten_thousand_nodes_allocate_no_node_by_support_array(self):
+        n, labeled = 10_000, 1_000
+        x, y = generate_clusters(SyntheticSpec(points_per_cluster=n // 2))
+        rng = np.random.default_rng(0)
+        votes = random_votes(rng, n, 3)
+        chosen = rng.choice(n, size=labeled, replace=False)
+        labels = LabelSet(chosen, y[chosen])
+        tracemalloc.start()
+        try:
+            alpha_probabilistic(votes, x, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # not even a boolean N x S array (9.5 MB; a float64 one is 76 MB)
+        assert peak < n * labeled
 
     def test_fallback_when_no_labeled_support(self):
         votes = WeakVoteMatrix(
@@ -396,6 +434,41 @@ class TestAlphaProbabilistic:
         labels = LabelSet([0, 1], [0, 1])  # labeler abstains on both
         a = alpha_probabilistic(votes, feats, labels)
         assert a[2, 0] == 0.5 and a[3, 0] == 0.5
+
+
+class TestKnnMeanMatchesRowBlocks:
+    @pytest.mark.parametrize("kind", ["normal", "grid", "tripled"])
+    @pytest.mark.parametrize("d", [1, 2, 5, 10])
+    @pytest.mark.parametrize("support, kk", [(60, 10), (12, 10), (14, 10), (10, 10), (1, 1), (40, 1)])
+    def test_bitwise_equal(self, kind, d, support, kk):
+        rng = np.random.default_rng(support * 100 + kk * 10 + d)
+        x = feature_points(kind, 120, d, seed=d)
+        points = x[rng.choice(x.shape[0], size=support, replace=False)]
+        values = rng.normal(size=support) * 10.0 ** rng.integers(-3, 3, size=support)
+        got = multisource._knn_mean(x, points, values, kk)
+        assert got.tobytes() == block_knn_mean(x, points, values, kk).tobytes()
+
+    def test_tied_rows_are_asked_again_until_settled(self, monkeypatch):
+        # twenty copies of one point beside twenty spread points: near the
+        # copies every candidate ties with the farthest one, so those rows
+        # settle only once the query reaches past the copies
+        asked = []
+
+        class CountingTree(cKDTree):
+            def query(self, x, k):
+                asked.append((len(x), k))
+                return super().query(x, k)
+
+        monkeypatch.setattr(multisource, "cKDTree", CountingTree)
+        spread = np.column_stack((100.0 + np.arange(20), np.zeros(20)))
+        points = np.vstack((np.zeros((20, 2)), spread))
+        rng = np.random.default_rng(3)
+        x = np.vstack((rng.normal(size=(30, 2)), rng.normal(size=(25, 2)) + [110.0, 0.0]))
+        values = np.arange(40.0) ** 2
+        got = multisource._knn_mean(x, points, values, 3)
+        assert asked == [(55, 7), (30, 14), (30, 28)]
+        assert got.tobytes() == block_knn_mean(x, points, values, 3).tobytes()
+        assert np.all(got[:30] == values[:3].mean())
 
 
 class TestVoteMatrix:
