@@ -16,11 +16,11 @@ residual is therefore the fixed-point residual too.
 
 The direct method solves the symmetric positive-definite system over the
 unlabeled nodes (dense Cholesky below ``DENSE_LIMIT`` unknowns, Jacobi
-preconditioned conjugate gradient above, sparse LU if CG fails); the
-iterative method applies Gauss-Seidel sweeps of the update in fixed node order,
-with the sweep's triangular split built once per solve (see
-:mod:`priorprop._kernels`), until the max-norm fixed-point residual ``resid``
-that each sweep returns satisfies both
+preconditioned conjugate gradient above, the sparse LU of :func:`factor_spd`
+if CG fails); the iterative method applies Gauss-Seidel sweeps of the update
+in fixed node order, with the sweep's triangular split built once per solve
+(see :mod:`priorprop._kernels`), until the max-norm fixed-point residual
+``resid`` that each sweep returns satisfies both
 ``resid < tolerance`` and ``resid <= 5 * tolerance * (1 - rho)``, with ``rho``
 the observed contraction rate. That certifies an error of about
 ``5 * tolerance``, not ``tolerance``.
@@ -225,6 +225,20 @@ def solve_with_prior(
     )
 
 
+def factor_spd(a: sp.spmatrix) -> spla.SuperLU:
+    """SuperLU factor of a symmetric positive-definite sparse matrix.
+
+    Minimum-degree ordering on the symmetric pattern, diagonal pivots only:
+    an SPD matrix needs no pivoting, so the fill is that of the ordering.
+    """
+    return spla.splu(
+        a.tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+
+
 def _direct_solve(
     graph: Graph, labels: LabelSet, prior: PriorField, solved: np.ndarray
 ) -> np.ndarray:
@@ -246,7 +260,7 @@ def _direct_solve(
     x, info = spla.cg(a, b, rtol=1e-13, atol=0.0, maxiter=20 * b.size, M=sp.diags(1.0 / diag))
     if info != 0:
         # fall back to a sparse LU factorization rather than return a bad iterate
-        x = spla.splu(a.tocsc()).solve(b)
+        x = factor_spd(a).solve(b)
     return x
 
 

@@ -5,6 +5,24 @@ squared error over all nodes for the soft-constrained solution, in terms of
 the Laplacian's second smallest eigenvalue. The full variant carries the
 (multiplicity, label magnitude, score magnitude) parameters ``(t, M, K)``; the
 simplified variant is ``t = M = K = 1``.
+
+The eigenvalue ``lambda_2`` of a connected graph takes one of three routes:
+
+* below ``DENSE_EIG_LIMIT`` nodes, a dense symmetric eigensolve;
+* above it, exact shift-invert Lanczos on a sparse LU of ``L - sigma I``
+  when that factor is cheap, and plain Lanczos on ``L`` when it is not.
+
+The choice between the sparse routes costs O(nnz). A reverse Cuthill-McKee
+ordering gives the bandwidth ``band``, so ``band**3`` stands for the
+factor's dense-front work. The Rayleigh quotient ``R`` of the centred
+breadth-first hop vector from the ordering's first node is an upper bound on
+``lambda_2``; Lanczos needs about ``sqrt(lambda_max / lambda_2)`` iterations
+with ``lambda_max <= 2 d_max``, so ``n_edges * sqrt(d_max / R)`` is a lower
+estimate of its work. Shift-invert runs when
+``band**3 <= SHIFT_INVERT_GATE * n_edges * sqrt(d_max / R)``: on long, thin
+and planar-like graphs (paths, rings, grids, 2-D geometric graphs) Lanczos
+crawls and the factor stays small, while on expanders and geometric graphs
+of higher dimension the factor fills in and Lanczos converges fast.
 """
 
 from __future__ import annotations
@@ -17,12 +35,17 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee, shortest_path
 
 from priorprop.graph import Graph, LabelSet, _as_truth
-from priorprop.solver import scores
+from priorprop.solver import factor_spd, scores
 
-DENSE_EIG_LIMIT = 2000
+DENSE_EIG_LIMIT = 300
 EIG_TOL = 1e-9
+# band**3 / (n_edges * sqrt(d_max / R)) was at most 110 on the graphs measured
+# where shift-invert won (2-D geometric graphs of degree 8 and 13, 2k-12k
+# nodes) and at least 345 where it lost (degree 30 and up, 3-D, expanders)
+SHIFT_INVERT_GATE = 150.0
 
 
 def laplacian(graph: Graph) -> sp.csr_matrix:
@@ -35,8 +58,10 @@ def second_smallest_eigenvalue(graph: Graph) -> float:
 
     Exactly 0.0 for a disconnected graph (the zero eigenvalue has higher
     multiplicity). Dense symmetric solve below ``DENSE_EIG_LIMIT`` nodes;
-    above that, Lanczos on the Laplacian with the constant vector deflated by
-    a rank-one shift.
+    above that, shift-invert Lanczos when the O(nnz) gate of
+    :func:`_rcm_profile` finds the sparse factor cheap, and otherwise Lanczos
+    on the Laplacian with the constant vector deflated by a rank-one shift.
+    Both sparse routes converge to ``EIG_TOL``.
     """
     n = graph.node_count
     if n < 2:
@@ -47,6 +72,57 @@ def second_smallest_eigenvalue(graph: Graph) -> float:
     if n < DENSE_EIG_LIMIT:
         vals = scipy.linalg.eigvalsh(lap.toarray())
         return float(vals[1])
+    band, rayleigh = _rcm_profile(graph, lap)
+    lanczos_work = graph.edge_count * math.sqrt(float(graph.degrees.max()) / rayleigh)
+    if band**3 <= SHIFT_INVERT_GATE * lanczos_work:
+        return _shift_invert(lap, rayleigh)
+    return _lanczos(graph, lap)
+
+
+def _rcm_profile(graph: Graph, lap: sp.csr_matrix) -> tuple[int, float]:
+    """Reverse Cuthill-McKee bandwidth and an upper bound ``R >= lambda_2``.
+
+    ``R`` is the Rayleigh quotient of the breadth-first hop counts from the
+    ordering's first node, centred so that they are orthogonal to the
+    constant vector. The graph must be connected, so no row is empty.
+    """
+    order = reverse_cuthill_mckee(graph.matrix, symmetric_mode=True)
+    pos = np.empty(graph.node_count, dtype=np.int64)
+    pos[order] = np.arange(graph.node_count)
+    # each edge gives pos[i] - pos[j] > 0 in one of its rows, so the largest
+    # row value of pos - (first neighbour position) is the bandwidth
+    first = np.minimum.reduceat(pos[graph.indices], graph.indptr[:-1])
+    band = int(np.max(pos - first))
+    hops = shortest_path(graph.matrix, unweighted=True, indices=int(order[0]))
+    x = hops - hops.mean()
+    return band, float(x @ (lap @ x)) / float(x @ x)
+
+
+def _shift_invert(lap: sp.csr_matrix, rayleigh: float) -> float:
+    """``lambda_2`` as ``sigma + 1 / mu`` for the top eigenvalue ``mu`` of
+    ``(L - sigma I)^-1`` with the constant vector projected out.
+
+    ``sigma = -1e-3 R`` is negative, so ``L - sigma I`` is positive definite,
+    and it scales with the weights, so the route is scale-free.
+    """
+    n = lap.shape[0]
+    sigma = -1e-3 * rayleigh
+    lu = factor_spd(lap + sp.diags(np.full(n, -sigma)))
+
+    def matvec(x):
+        y = lu.solve(x)
+        return y - y.mean()
+
+    op = spla.LinearOperator((n, n), matvec=matvec, dtype=np.float64)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    v0 -= v0.mean()
+    vals = spla.eigsh(op, k=1, which="LA", tol=EIG_TOL, v0=v0, return_eigenvectors=False)
+    return float(1.0 / vals[0] + sigma)
+
+
+def _lanczos(graph: Graph, lap: sp.csr_matrix) -> float:
+    """Smallest eigenvalue of ``L + shift * 11^T / n``, which is ``lambda_2``."""
+    n = graph.node_count
     # shift the constant eigenvector's eigenvalue above the spectrum's top
     shift = 2.0 * float(graph.degrees.max()) + 1.0
     ones = np.full(n, 1.0 / n)

@@ -10,12 +10,15 @@ component by component in its own penalized form. The ``loop_load_*`` file
 readers build the library's own result types from their line-by-line parse.
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from priorprop.graph import Graph, GraphFormatError, LabelSet
@@ -158,6 +161,27 @@ def random_connected_graph(rng, n, extra_edges=3, w_low=0.05, w_high=2.0):
         if key not in edges:
             edges[key] = float(rng.uniform(w_low, w_high))
     return [(i, j, w) for (i, j), w in sorted(edges.items())]
+
+
+def geometric_graph(n, dim, degree, seed):
+    """Connected random geometric graph on the unit torus as ``(m, 3)`` records.
+
+    The radius starts where the expected degree is ``degree`` and grows by 1%
+    until the graph is connected; weights are ``exp(-(distance / radius)^2)``.
+    """
+    points = np.random.default_rng(seed).random((n, dim))
+    tree = cKDTree(points, boxsize=1.0)
+    ball = math.pi ** (dim / 2) / math.gamma(dim / 2 + 1)
+    radius = (degree / (n * ball)) ** (1.0 / dim)
+    while True:
+        pairs = tree.query_pairs(radius, output_type="ndarray")
+        adj = sp.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+        if connected_components(adj, directed=False)[0] == 1:
+            break
+        radius *= 1.01
+    diff = np.abs(points[pairs[:, 0]] - points[pairs[:, 1]])
+    dist = np.sqrt((np.minimum(diff, 1.0 - diff) ** 2).sum(axis=1))
+    return np.column_stack([pairs, np.exp(-((dist / radius) ** 2))])
 
 
 def random_labels(rng, n, max_labeled=3):

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 import priorprop.spectral as spectral_mod
 from priorprop.graph import Graph, LabelSet
-from priorprop.solver import solve_soft
+from priorprop.solver import factor_spd, solve_soft
 from priorprop.spectral import laplacian, second_smallest_eigenvalue, spectral_bound
 
-from oracles import random_connected_graph
+from oracles import geometric_graph, random_connected_graph
 
 
 def complete_graph(n):
@@ -17,6 +19,53 @@ def complete_graph(n):
 
 def path_graph(n):
     return Graph.from_edges(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+
+
+def cycle_graph(n):
+    return Graph.from_edges(n, [(i, i + 1, 1.0) for i in range(n - 1)] + [(0, n - 1, 1.0)])
+
+
+def grid_graph(rows, cols):
+    idx = np.arange(rows * cols).reshape(rows, cols)
+    pairs = np.concatenate([
+        np.column_stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()]),
+        np.column_stack([idx[:-1].ravel(), idx[1:].ravel()]),
+    ])
+    return Graph.from_edges(rows * cols, np.column_stack([pairs, np.ones(len(pairs))]))
+
+
+def rgg(n, dim, degree=13.0, seed=1):
+    return Graph.from_edges(n, geometric_graph(n, dim, degree, seed))
+
+
+def rcg(n, seed=3):
+    edges = random_connected_graph(np.random.default_rng(seed), n, extra_edges=n)
+    return Graph.from_edges(n, edges)
+
+
+def scaled(graph, factor):
+    return Graph.from_edges(graph.node_count, [(i, j, w * factor) for i, j, w in graph.edge_list()])
+
+
+def permuted_bandwidth(graph):
+    """Bandwidth of the adjacency matrix permuted into reverse Cuthill-McKee order."""
+    order = reverse_cuthill_mckee(graph.matrix, symmetric_mode=True)
+    coo = graph.matrix[order][:, order].tocoo()
+    return int(np.max(np.abs(coo.row - coo.col)))
+
+
+@pytest.fixture
+def factors(monkeypatch):
+    """Record ``(n, L.nnz + U.nnz)`` of every factor the shift-invert route makes."""
+    made = []
+
+    def recording(a):
+        lu = factor_spd(a)
+        made.append((a.shape[0], lu.L.nnz + lu.U.nnz))
+        return lu
+
+    monkeypatch.setattr(spectral_mod, "factor_spd", recording)
+    return made
 
 
 class TestSecondSmallestEigenvalue:
@@ -43,6 +92,75 @@ class TestSecondSmallestEigenvalue:
         monkeypatch.setattr(spectral_mod, "DENSE_EIG_LIMIT", 10)
         lanczos = second_smallest_eigenvalue(g)
         assert lanczos == pytest.approx(dense, rel=1e-7, abs=1e-9)
+
+    @pytest.mark.parametrize("make, closed_form", [
+        (path_graph, lambda n: 2.0 * (1.0 - math.cos(math.pi / n))),
+        (cycle_graph, lambda n: 2.0 * (1.0 - math.cos(2.0 * math.pi / n))),
+    ], ids=["path", "cycle"])
+    @pytest.mark.parametrize("n", [3000, 5000])
+    def test_closed_forms_on_the_shift_invert_route(self, factors, make, closed_form, n):
+        lam = second_smallest_eigenvalue(make(n))
+        assert len(factors) == 1
+        assert lam == pytest.approx(closed_form(n), rel=1e-9)
+
+    @pytest.mark.parametrize("make, shift_invert", [
+        (lambda: rgg(500, 2), True),
+        (lambda: grid_graph(20, 25), True),
+        (lambda: cycle_graph(400), True),
+        (lambda: rcg(500), False),
+        (lambda: rgg(500, 3), False),
+    ], ids=["rgg-2d", "grid", "cycle", "random-connected", "rgg-3d"])
+    def test_sparse_routes_match_dense(self, monkeypatch, factors, make, shift_invert):
+        g = make()
+        dense = scipy.linalg.eigvalsh(laplacian(g).toarray())[1]
+        monkeypatch.setattr(spectral_mod, "DENSE_EIG_LIMIT", 10)
+        lam = second_smallest_eigenvalue(g)
+        assert len(factors) == int(shift_invert)
+        assert lam == pytest.approx(dense, rel=1e-9)
+
+    @pytest.mark.parametrize("make, shift_invert", [
+        (lambda: path_graph(2000), True),
+        (lambda: grid_graph(80, 75), True),
+        (lambda: rgg(6000, 2), True),
+        (lambda: rcg(3000), False),
+        (lambda: rgg(6000, 3), False),
+    ], ids=["path", "grid", "rgg-2d", "random-connected", "rgg-3d"])
+    def test_gate_routes_thin_graphs_to_shift_invert(self, factors, make, shift_invert):
+        second_smallest_eigenvalue(make())
+        assert len(factors) == int(shift_invert)
+
+    @pytest.mark.parametrize("make, shift_invert", [
+        (lambda: rgg(2000, 2), True),
+        (lambda: rcg(2000), False),
+    ], ids=["rgg-2d", "random-connected"])
+    def test_scaling_every_weight_scales_lambda_and_keeps_the_route(
+        self, factors, make, shift_invert
+    ):
+        g = make()
+        lam = second_smallest_eigenvalue(g)
+        lam_scaled = second_smallest_eigenvalue(scaled(g, 1e6))
+        assert len(factors) == 2 * int(shift_invert)
+        assert lam_scaled == pytest.approx(1e6 * lam, rel=1e-9)
+
+    @pytest.mark.parametrize("make", [
+        lambda: path_graph(5000),
+        lambda: grid_graph(80, 75),
+        lambda: grid_graph(40, 500),
+        lambda: rgg(2000, 2),
+        lambda: rgg(6000, 2),
+        lambda: rgg(12000, 2, degree=8.0),
+        lambda: rgg(20000, 2),
+    ], ids=["path-5k", "grid-80x75", "grid-40x500", "rgg-2k", "rgg-6k", "rgg-12k-deg8", "rgg-20k"])
+    def test_shift_invert_factor_fits_the_rcm_band(self, factors, make):
+        # an RCM factor without pivoting fits in n * (band + 1) entries per
+        # triangle; the minimum-degree factor must not be larger
+        g = make()
+        band = spectral_mod._rcm_profile(g, laplacian(g))[0]
+        assert band == permuted_bandwidth(g)
+        second_smallest_eigenvalue(g)
+        assert factors, "the gate sent this graph to Lanczos"
+        (n, nnz), = factors
+        assert nnz <= 2 * n * (band + 1)
 
     def test_laplacian_rows_sum_to_zero(self):
         g = path_graph(5)
