@@ -7,7 +7,6 @@ from priorprop.bounds import (
     HopStats,
     audit_inequalities,
     compute_bound,
-    conductance,
     hop_stats,
     smoothness,
 )

@@ -62,17 +62,6 @@ def _directional_weights(
     return tuple(sums.reshape(-1, 3).T)
 
 
-def conductance(stats: HopStats, k: int) -> float | None:
-    """Fraction of hop k's incident edge weight that crosses its boundary.
-
-    None (missing) for a hop with no incident edges at all.
-    """
-    denom = stats.in_flow[k] + stats.between_flow[k] + stats.out_flow[k]
-    if denom <= 0:
-        return None
-    return float((stats.in_flow[k] + stats.out_flow[k]) / denom)
-
-
 def _disagreement(graph: Graph, y: np.ndarray) -> np.ndarray:
     """Per node, the weighted true-label disagreement on its edges."""
     return _row_sums(graph.indptr, graph.weights * np.abs(y[graph.indices] - y[graph.rows]))
@@ -130,6 +119,17 @@ class HopStats:
     out_error: np.ndarray
     in_error_ratio: np.ndarray
     out_error_ratio: np.ndarray
+
+    @property
+    def hop(self) -> np.ndarray:
+        return np.arange(self.size.size)
+
+    @property
+    def conductance(self) -> np.ndarray:
+        """Share of each hop's edge weight that leaves it; nan with no edge."""
+        with np.errstate(invalid="ignore", divide="ignore"):
+            denom = self.in_flow + self.between_flow + self.out_flow
+            return np.where(denom > 0, (self.in_flow + self.out_flow) / denom, np.nan)
 
     @property
     def error_ratio(self) -> np.ndarray:
@@ -265,13 +265,8 @@ class BoundReport:
         """The globals, and one dict per hop from 1 on, keyed by ``HOP_KEYS``
         in that order, with undefined (nan) values as None."""
         s = self.stats
-        hops = range(1, s.partition.max_hop + 1)
 
         def column(key: str) -> list:
-            if key == "hop":
-                return list(hops)
-            if key == "conductance":
-                return [conductance(s, k) for k in hops]
             values = np.asarray(getattr(self if hasattr(self, key) else s, key))[1:].tolist()
             return [None if v != v else v for v in values]
 
@@ -352,7 +347,10 @@ class AuditFamily:
     ids: np.ndarray
     lhs: np.ndarray
     rhs: np.ndarray
-    passed: np.ndarray
+
+    @property
+    def passed(self) -> np.ndarray:
+        return self.lhs <= self.rhs + AUDIT_SLACK
 
     @property
     def margin(self) -> np.ndarray:
@@ -360,8 +358,7 @@ class AuditFamily:
 
 
 def _family(unit: str, ids: np.ndarray, lhs: np.ndarray, rhs: np.ndarray, keep=slice(None)):
-    lhs, rhs = lhs[keep], rhs[keep]
-    return AuditFamily(unit, ids[keep], lhs, rhs, lhs <= rhs + AUDIT_SLACK)
+    return AuditFamily(unit, ids[keep], lhs[keep], rhs[keep])
 
 
 @dataclass(frozen=True, eq=False)

@@ -65,18 +65,24 @@ def _add_prior_flags(p: argparse.ArgumentParser, default_mu: float) -> None:
     p.set_defaults(default_mu=default_mu)
 
 
-def _check_required_by(args, needed: str, names) -> None:
-    """Without ``--<needed>`` a flag that only it uses would be silently ignored."""
+def _check_required_by(args, needed: str, present, names) -> None:
+    """Without ``needed`` a flag that only it uses would be silently ignored."""
     given = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is not None]
-    if given and not getattr(args, needed):
-        raise ValueError(f"--{needed} is required by {', '.join(given)}")
+    if given and not present:
+        raise ValueError(f"{needed} is required by {', '.join(given)}")
+
+
+# flags that only the iterative method reads; unset, they are None
+_ITERATIVE_FLAGS = ("tolerance", "max_iterations")
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     default = SolverConfig()
     p.add_argument("--method", choices=("direct", "iterative"), default=default.method)
-    p.add_argument("--tolerance", type=float, default=default.tolerance)
-    p.add_argument("--max-iterations", type=int, default=default.max_iterations)
+    p.add_argument("--tolerance", type=float,
+                   help=f"iterative method only (default {default.tolerance:g})")
+    p.add_argument("--max-iterations", type=int,
+                   help=f"iterative method only (default {default.max_iterations})")
     p.add_argument("--unreachable-fill", type=float, default=default.unreachable_fill)
 
 
@@ -93,11 +99,13 @@ def _load_graph_input(args) -> tuple[Graph, np.ndarray | None]:
 
 
 def _solver_config(args) -> SolverConfig:
+    _check_required_by(args, "--method iterative", args.method == "iterative", _ITERATIVE_FLAGS)
+    # only the flags given, so that SolverConfig's defaults are the only copy
+    given = {name: getattr(args, name) for name in _ITERATIVE_FLAGS}
     return SolverConfig(
         method=args.method,
-        max_iterations=args.max_iterations,
-        tolerance=args.tolerance,
         unreachable_fill=args.unreachable_fill,
+        **{name: value for name, value in given.items() if value is not None},
     )
 
 
@@ -159,15 +167,15 @@ def cmd_build_graph(args) -> int:
 
 
 def cmd_propagate(args) -> int:
-    _check_required_by(args, "truth", ("metrics_output", "epsilon"))
+    _check_required_by(args, "--truth", args.truth, ("metrics_output", "epsilon"))
     epsilon = evaluation.check_epsilon(
         evaluation.DEFAULT_EPSILON if args.epsilon is None else args.epsilon
     )
-    _check_required_by(args, "votes", _VOTE_FLAGS)
+    _check_required_by(args, "--votes", args.votes, _VOTE_FLAGS)
+    config = _solver_config(args)
     graph, features = _load_graph_input(args)
     labels = _load_labels(args, graph.node_count)
     y = _load_truth(args, graph.node_count)
-    config = _solver_config(args)
 
     if args.eta is not None:
         if args.votes or (args.mu is not None and args.mu > 0):
@@ -191,7 +199,8 @@ def cmd_propagate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    _check_required_by(args, "votes", _VOTE_FLAGS)
+    _check_required_by(args, "--votes", args.votes, _VOTE_FLAGS)
+    config = _solver_config(args)
     graph, features = _load_graph_input(args)
     labels = _load_labels(args, graph.node_count)
     y = _load_truth(args, graph.node_count)
@@ -201,7 +210,6 @@ def cmd_analyze(args) -> int:
         # to be 0; they would describe a different problem than these labels pose
         i = int(labels.indices[wrong[0]])
         raise ValueError(f"label of node {i} contradicts --truth ({int(y[i])})")
-    config = _solver_config(args)
     prior = _prior(args, graph.node_count, labels, y, features)
     partition = compute_neighborhoods(graph, labels)
     prediction = solve_with_prior(graph, labels, prior, config)

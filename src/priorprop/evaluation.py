@@ -250,6 +250,8 @@ def pipeline_report(
             prior = PriorField.constant(graph.node_count)
         elif method == "lpa+wl":
             prior = PriorField(wl_prior.h, np.full(graph.node_count, spec.mu))
+        elif method == "lpad:accuracy":
+            prior = wl_prior  # the accuracy scheme reads neither features nor truth
         else:
             prior = vote_prior(
                 votes, method.split(":", 1)[1], labels, features=features, truth=truth

@@ -67,19 +67,16 @@ def _row_sums(indptr: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected, non-negatively weighted graph over ``node_count`` nodes.
+    """Undirected, non-negatively weighted graph.
 
     ``indptr``/``indices``/``weights`` form a CSR adjacency in which every
     undirected edge appears in both endpoint rows and neighbor ids are sorted
-    within each row. ``degrees`` caches the per-node weighted degree and is
-    always equal to the recomputed row sums.
+    within each row. Everything else is derived from these three arrays.
     """
 
-    node_count: int
     indptr: np.ndarray
     indices: np.ndarray
     weights: np.ndarray
-    degrees: np.ndarray
 
     @classmethod
     def from_edges(
@@ -134,13 +131,11 @@ class Graph:
         rows, cols, vals = rows[order], cols[order], vals[order]
         indptr = np.zeros(node_count + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=node_count), out=indptr[1:])
-        return cls(
-            node_count=node_count,
-            indptr=indptr,
-            indices=cols,
-            weights=vals,
-            degrees=_row_sums(indptr, vals),
-        )
+        return cls(indptr=indptr, indices=cols, weights=vals)
+
+    @property
+    def node_count(self) -> int:
+        return self.indptr.size - 1
 
     @property
     def edge_count(self) -> int:
@@ -171,6 +166,13 @@ class Graph:
         rows = np.repeat(np.arange(self.node_count), np.diff(self.indptr))
         rows.flags.writeable = False
         return rows
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """Weighted degree of each node, its row sum (shared, read-only)."""
+        degrees = _row_sums(self.indptr, self.weights)
+        degrees.flags.writeable = False
+        return degrees
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
@@ -237,22 +239,32 @@ def _as_truth(true_labels_full, node_count: int) -> np.ndarray:
 class NeighborhoodPartition:
     """Hop layering around the labeled set.
 
-    ``hops[0]`` is the labeled set itself, ``hops[k]`` the nodes whose
-    shortest path to any labeled node has length ``k``; ``unreachable``
-    collects nodes with no path to a labeled node. ``hop_of`` maps each node
-    to its hop index (-1 for unreachable).
+    ``hop_of`` maps each node to its hop index, the length of its shortest
+    path to a labeled node (-1 for unreachable). ``hops[k]`` lists the nodes
+    of hop k in ascending order, ``hops[0]`` being the labeled set itself, and
+    ``unreachable`` the nodes with no path to a labeled node.
     """
 
-    hops: tuple[np.ndarray, ...]
-    unreachable: np.ndarray
     hop_of: np.ndarray
+
+    @cached_property
+    def hops(self) -> tuple[np.ndarray, ...]:
+        # a stable sort keeps each hop ascending; the unreachable nodes come first
+        order = np.argsort(self.hop_of, kind="stable")
+        return tuple(np.split(order, np.cumsum(np.bincount(self.hop_of + 1))[:-1]))[1:]
+
+    @cached_property
+    def unreachable(self) -> np.ndarray:
+        return np.flatnonzero(self.hop_of < 0)
 
     @property
     def max_hop(self) -> int:
         return len(self.hops) - 1
 
     def validate_against(self, graph: Graph) -> None:
-        """Every edge must join hops at most one apart, or two unreachable nodes."""
+        """Every edge must join hops at most one apart, or two unreachable nodes,
+        and every node past hop 0 must have a neighbor one hop closer, so that
+        ``hop_of`` is each node's shortest-path distance to hop 0."""
         if self.hop_of.size != graph.node_count:
             raise ValueError("partition does not match graph size")
         rows = graph.rows
@@ -263,6 +275,13 @@ class NeighborhoodPartition:
             ends = [f"hop {h}" if h >= 0 else "an unreachable node" for h in (hi[e], hj[e])]
             raise ValueError(f"partition does not layer the graph: edge "
                              f"{rows[e]}-{graph.indices[e]} joins {ends[0]} and {ends[1]}")
+        closer = np.zeros(graph.node_count, dtype=bool)
+        closer[rows[hj == hi - 1]] = True
+        stranded = np.flatnonzero((self.hop_of > 0) & ~closer)
+        if stranded.size:
+            i = stranded[0]
+            raise ValueError(f"partition does not layer the graph: node {i} at hop "
+                             f"{self.hop_of[i]} has no neighbor at hop {self.hop_of[i] - 1}")
 
 
 def compute_neighborhoods(graph: Graph, labels: LabelSet) -> NeighborhoodPartition:
@@ -275,11 +294,9 @@ def compute_neighborhoods(graph: Graph, labels: LabelSet) -> NeighborhoodPartiti
     if len(labels) == 0:
         raise ValueError("at least one labeled node is required")
     hop_of = np.full(graph.node_count, -1, dtype=np.int64)
-    frontier = labels.indices.copy()
+    frontier = labels.indices
     hop_of[frontier] = 0
-    hops = [frontier]
-    k = 0
-    while True:
+    for k in range(1, graph.node_count):  # no path has more than n - 1 edges
         # gather the CSR rows of the whole frontier at once
         starts = graph.indptr[frontier]
         counts = graph.indptr[frontier + 1] - starts
@@ -289,12 +306,9 @@ def compute_neighborhoods(graph: Graph, labels: LabelSet) -> NeighborhoodPartiti
         nxt = cand[hop_of[cand] < 0]
         if nxt.size == 0:
             break
-        k += 1
         hop_of[nxt] = k
-        hops.append(nxt)
         frontier = nxt
-    unreachable = np.flatnonzero(hop_of < 0).astype(np.int64)
-    return NeighborhoodPartition(hops=tuple(hops), unreachable=unreachable, hop_of=hop_of)
+    return NeighborhoodPartition(hop_of=hop_of)
 
 
 def _quantile_positions(m: int, q: float) -> tuple[int, int, float]:

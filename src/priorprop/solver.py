@@ -15,19 +15,23 @@ instead of fixing them, is the same problem with no hard labels, ``h = y`` and
 residual is therefore the fixed-point residual too.
 
 The direct method solves the symmetric positive-definite system over the
-unlabeled nodes (dense Cholesky below ``DENSE_LIMIT`` unknowns, Jacobi
-preconditioned conjugate gradient above, the sparse LU of :func:`factor_spd`
-if CG fails); the iterative method applies Gauss-Seidel sweeps of the update
-in fixed node order, with the sweep's triangular split built once per solve
-(see :mod:`priorprop._kernels`), until the max-norm fixed-point residual
-``resid`` that each sweep returns satisfies both
-``resid < tolerance`` and ``resid <= 5 * tolerance * (1 - rho)``, with ``rho``
-the observed contraction rate. That certifies an error of about
-``5 * tolerance``, not ``tolerance``.
+unlabeled nodes: dense Cholesky below ``DENSE_LIMIT`` unknowns, Jacobi
+preconditioned conjugate gradient above. CG's answer is kept only when every
+row's residual, scaled by the row's diagonal, is at most ``CG_LIMIT`` and
+every unknown lies within ``CG_LIMIT`` of [0, 1], where the exact solution
+lies; otherwise the system is solved by the sparse LU of :func:`factor_spd`.
+A system that Cholesky cannot factor, or whose LU has a pivot that is not
+positive, is numerically singular and raises :class:`SingularSystemError`.
+
+The iterative method applies Gauss-Seidel sweeps of the update in fixed node
+order, with the sweep's triangular split built once per solve (see
+:mod:`priorprop._kernels`), until the max-norm fixed-point residual ``resid``
+that each sweep returns satisfies both ``resid < tolerance`` and
+``resid <= 5 * tolerance * (1 - rho)``, with ``rho`` the observed contraction
+rate. That certifies an error of about ``5 * tolerance``, not ``tolerance``.
 
 Nodes whose entire connected component carries neither a label nor any prior
-weight are indeterminate: they receive ``unreachable_fill`` and are flagged,
-or raise :class:`SingularSystemError` when the fill is disabled.
+weight are indeterminate: they receive ``unreachable_fill`` and are flagged.
 """
 
 from __future__ import annotations
@@ -44,6 +48,9 @@ from priorprop._kernels import gs_split, gs_sweep
 from priorprop.graph import Graph, LabelSet
 
 DENSE_LIMIT = 500
+# on the benchmark instances CG's scaled residuals reach 1.5e-10, and its
+# unknowns leave [0, 1] by at most 4e-11
+CG_LIMIT = 1e-8
 
 FLAG_OK = 0
 FLAG_UNREACHABLE = 1
@@ -52,8 +59,7 @@ FLAG_NAMES = {FLAG_OK: "ok", FLAG_UNREACHABLE: "unreachable", FLAG_NONCONVERGED:
 
 
 class SingularSystemError(ValueError):
-    """A node's value is not determined by labels, edges or prior weight, or the
-    dense system that determines it is numerically singular."""
+    """The linear system that determines the unlabeled nodes is numerically singular."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +96,7 @@ class SolverConfig:
     method: str = "direct"
     max_iterations: int = 10_000
     tolerance: float = 1e-8
-    unreachable_fill: float | None = 0.5
+    unreachable_fill: float = 0.5
 
     def __post_init__(self):
         if self.method not in ("direct", "iterative"):
@@ -99,7 +105,7 @@ class SolverConfig:
             raise ValueError("max_iterations must be positive")
         if not (0 < self.tolerance < np.inf):
             raise ValueError("tolerance must be positive and finite")
-        if self.unreachable_fill is not None and not (0.0 <= self.unreachable_fill <= 1.0):
+        if not (0.0 <= self.unreachable_fill <= 1.0):
             raise ValueError("unreachable_fill must be in [0, 1]")
 
 
@@ -117,7 +123,10 @@ class Prediction:
     method: str
     iterations: int
     residual: float
-    converged: bool
+
+    @property
+    def converged(self) -> bool:
+        return not (self.node_flags == FLAG_NONCONVERGED).any()
 
     def flag_names(self) -> list[str]:
         return [FLAG_NAMES[int(c)] for c in self.node_flags]
@@ -186,19 +195,13 @@ def solve_with_prior(
     labeled_mask = np.zeros(n, dtype=bool)
     labeled_mask[labels.indices] = True
     indeterminate = _indeterminate_nodes(graph, labels, prior.mu)
-    if indeterminate.size and config.unreachable_fill is None:
-        raise SingularSystemError(
-            f"nodes {indeterminate.tolist()} have no label, no path to a label and no "
-            "prior weight; set unreachable_fill to assign them a value"
-        )
     indet_mask = np.zeros(n, dtype=bool)
     indet_mask[indeterminate] = True
     solved = np.flatnonzero(~labeled_mask & ~indet_mask).astype(np.int64)
 
     f = np.empty(n, dtype=np.float64)
     f[labels.indices] = labels.values.astype(np.float64)
-    if indeterminate.size:
-        f[indeterminate] = config.unreachable_fill
+    f[indeterminate] = config.unreachable_fill
     f[solved] = 0.5
 
     iterations = 0
@@ -216,12 +219,7 @@ def solve_with_prior(
     if not converged:
         flags[solved] = FLAG_NONCONVERGED
     return Prediction(
-        f=f,
-        node_flags=flags,
-        method=config.method,
-        iterations=iterations,
-        residual=residual,
-        converged=converged,
+        f=f, node_flags=flags, method=config.method, iterations=iterations, residual=residual
     )
 
 
@@ -239,6 +237,13 @@ def factor_spd(a: sp.spmatrix) -> spla.SuperLU:
     )
 
 
+def _singular(diag: np.ndarray) -> SingularSystemError:
+    return SingularSystemError(
+        f"the system of {diag.size} unknowns is numerically singular; its weights "
+        f"(weighted degree plus prior weight) span {diag.min():g} to {diag.max():g}"
+    )
+
+
 def _direct_solve(
     graph: Graph, labels: LabelSet, prior: PriorField, solved: np.ndarray
 ) -> np.ndarray:
@@ -252,16 +257,19 @@ def _direct_solve(
         try:
             return scipy.linalg.solve(np.diag(diag) - wuu.toarray(), b, assume_a="pos")
         except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(
-                f"the system of {solved.size} unknowns is numerically singular; its weights "
-                f"(weighted degree plus prior weight) span {diag.min():g} to {diag.max():g}"
-            ) from exc
+            raise _singular(diag) from exc
     a = (sp.diags(diag) - wuu).tocsr()
-    x, info = spla.cg(a, b, rtol=1e-13, atol=0.0, maxiter=20 * b.size, M=sp.diags(1.0 / diag))
-    if info != 0:
-        # fall back to a sparse LU factorization rather than return a bad iterate
-        x = factor_spd(a).solve(b)
-    return x
+    # on a system that is singular in floats, CG can stall, break down into
+    # nans or solve it to a point outside [0, 1]; the factor then finds out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x, info = spla.cg(a, b, rtol=1e-13, atol=0.0, maxiter=20 * b.size, M=sp.diags(1.0 / diag))
+        resid = np.max(np.abs(a @ x - b) / diag)
+    if info == 0 and resid <= CG_LIMIT and -CG_LIMIT <= x.min() and x.max() <= 1 + CG_LIMIT:
+        return x
+    lu = factor_spd(a)
+    if not np.all(lu.U.diagonal() > 0):
+        raise _singular(diag)
+    return lu.solve(b)
 
 
 def _iterative_solve(

@@ -151,11 +151,15 @@ class SpectralReport:
     bound: float
     empirical_error: float
     generalization_error: float
-    finite: bool
+
+    @property
+    def finite(self) -> bool:
+        return self.lambda1 - self.eta * self.t > 0
 
     def to_dict(self) -> dict[str, Any]:
-        """Every field in declaration order; a non-finite ``beta`` or ``bound`` is None."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        """Every field in declaration order, then ``finite``; a non-finite
+        ``beta`` or ``bound`` is None."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)} | {"finite": self.finite}
         for name in ("beta", "bound"):
             if not math.isfinite(out[name]):
                 out[name] = None
@@ -204,16 +208,12 @@ def spectral_bound(
 
     lam1 = second_smallest_eigenvalue(graph)
     gap = lam1 - eta * t
-    if gap <= 0:
-        beta = math.inf
-        bound = math.inf
-        finite = False
-    else:
+    beta = bound = math.inf
+    if gap > 0:
         beta = 3.0 * eta**2 * math.sqrt(t * n) / gap**2 + 4.0 * eta * m_bound / gap
         bound = beta + math.sqrt(2.0 * math.log(2.0 / delta) / n) * (
             n * beta + (k_bound + m_bound) ** 2
         )
-        finite = True
     return SpectralReport(
         lambda1=lam1,
         eta=eta,
@@ -226,5 +226,4 @@ def spectral_bound(
         bound=bound,
         empirical_error=r_emp,
         generalization_error=r_gen,
-        finite=finite,
     )

@@ -11,6 +11,7 @@ readers build the library's own result types from their line-by-line parse.
 """
 
 import math
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -363,6 +364,30 @@ def loop_directional_weights(graph, partition):
             elif hop[j] == hop[i] + 1:
                 outw[i] += wv
     return inw, betw, outw
+
+
+def loop_hops(graph, labels):
+    """Node-by-node breadth-first search from the labeled set: each hop's
+    nodes as a sorted list, and the list of nodes no label reaches."""
+    hop = {int(i): 0 for i in labels.indices}
+    queue = deque(hop)
+    while queue:
+        i = queue.popleft()
+        for j in graph.neighbors(i)[0].tolist():
+            if j not in hop:
+                hop[j] = hop[i] + 1
+                queue.append(j)
+    hops = [sorted(i for i, k in hop.items() if k == h) for h in range(max(hop.values()) + 1)]
+    return hops, [i for i in range(graph.node_count) if i not in hop]
+
+
+def loop_conductance(stats, k):
+    """``(in + out) / (in + between + out)`` at hop ``k`` as a float, None for
+    a hop with no incident edge."""
+    denom = stats.in_flow[k] + stats.between_flow[k] + stats.out_flow[k]
+    if denom <= 0:
+        return None
+    return float((stats.in_flow[k] + stats.out_flow[k]) / denom)
 
 
 def loop_flows(graph, partition):

@@ -9,7 +9,6 @@ from priorprop.bounds import (
     AUDIT_SLACK,
     audit_inequalities,
     compute_bound,
-    conductance,
     hop_stats,
     smoothness,
 )
@@ -17,8 +16,10 @@ from priorprop.graph import Graph, LabelSet, compute_neighborhoods
 from priorprop.solver import PriorField, SolverConfig, solve_with_prior
 
 import test_cli
+from test_acceptance import _bound_instance
 
 from oracles import (
+    loop_conductance,
     loop_flows,
     loop_hop_errors,
     loop_node_error,
@@ -114,22 +115,40 @@ class TestConductance:
         g = path_graph(3)
         part = compute_neighborhoods(g, LabelSet([0], [0]))
         stats = truth_stats(g, part)
-        assert conductance(stats, 1) == 1.0
+        assert stats.conductance[1] == 1.0
 
     def test_only_internal_edges(self):
         g = Graph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0)])
         part = compute_neighborhoods(g, LabelSet([0], [0]))
         stats = truth_stats(g, part)
         # hop 2 = {2, 3}: in 2.0, between 2.0, out 0 -> phi = 0.5
-        assert conductance(stats, 2) == pytest.approx(0.5)
+        assert stats.conductance[2] == pytest.approx(0.5)
 
     def test_formula(self):
         g = path_graph(3)
         part = compute_neighborhoods(g, LabelSet([0], [0]))
         stats = truth_stats(g, part)
         # hop 1: in=1, bet=0, out=1 -> (1+1)/(1+0+1) = 1
-        assert conductance(stats, 1) == pytest.approx(1.0)
-        assert 0.0 <= conductance(stats, 1) <= 1.0
+        assert stats.conductance[1] == pytest.approx(1.0)
+        assert 0.0 <= stats.conductance[1] <= 1.0
+
+    def test_column_matches_the_per_hop_formula(self):
+        for seed in (20240504, 20240507):
+            rng = np.random.default_rng(seed)
+            for _ in range(100):
+                g, labels, y, prior, part = _bound_instance(rng)
+                stats = solved_stats(g, labels, y, prior, part)
+                for k in range(part.max_hop + 1):
+                    want = loop_conductance(stats, k)
+                    got = stats.conductance[k]
+                    assert np.isnan(got) if want is None else got == want
+
+    def test_nan_at_a_hop_with_no_incident_edge(self):
+        g = Graph.from_edges(3, [(1, 2, 1.0)])
+        part = compute_neighborhoods(g, LabelSet([0], [0]))
+        stats = truth_stats(g, part)
+        assert loop_conductance(stats, 0) is None
+        assert np.isnan(stats.conductance).tolist() == [True]
 
 
 class TestGamma:
@@ -416,7 +435,7 @@ class TestComputeBound:
         report = compute_bound(solved_stats(g, labels, y, prior, part))
         stats = report.stats
         for k in range(1, part.max_hop + 1):
-            assert 0.0 <= conductance(stats, k) <= 1.0
+            assert 0.0 <= stats.conductance[k] <= 1.0
             assert stats.gamma[k] >= 0.0
             assert stats.local_term[k] >= 0.0
             assert report.accumulated_term[k] >= 0.0

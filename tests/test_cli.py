@@ -347,6 +347,39 @@ def test_invalid_tolerance_exits_2_before_writing(workspace, capsys, tolerance):
     assert not (workspace / "out.txt").exists()
 
 
+@pytest.mark.parametrize("command", ["propagate", "analyze", "propagate-eta"])
+@pytest.mark.parametrize("method", [[], ["--method", "direct"]], ids=["default", "direct"])
+@pytest.mark.parametrize("flags", [
+    ["--tolerance", "1e-3"],
+    ["--max-iterations", "5"],
+    ["--tolerance", "1e-3", "--max-iterations", "5"],
+], ids=["tolerance", "max-iterations", "both"])
+def test_iterative_flags_without_iterative_method_exit_2(workspace, capsys, command, method,
+                                                         flags):
+    # the direct method has no tolerance and no iteration cap to apply them to
+    extra = ["--eta", "1"] if command == "propagate-eta" else []
+    code = run([command.split("-")[0], "--graph", workspace / "graph.txt",
+                "--labels", workspace / "labels.txt", "--truth", workspace / "truth.txt",
+                *method, *flags, *extra, "--output", workspace / "out.txt"])
+    assert code == 2
+    given = ", ".join(a for a in flags if a.startswith("--"))
+    assert f"--method iterative is required by {given}" in capsys.readouterr().err
+    assert not (workspace / "out.txt").exists()
+
+
+def test_iterative_flags_reach_the_solver(workspace, capsys):
+    args = ["propagate", "--graph", workspace / "graph.txt", "--labels", workspace / "labels.txt",
+            "--method", "iterative", "--output", workspace / "out.txt"]
+    assert run(args + ["--max-iterations", "1"]) == 0
+    assert "converged=False" in capsys.readouterr().out
+    assert run(args + ["--tolerance", "1e-3"]) == 0
+    loose, _ = fileio.load_prediction(workspace / "out.txt")
+    assert run(args) == 0
+    assert "converged=True" in capsys.readouterr().out
+    tight, _ = fileio.load_prediction(workspace / "out.txt")
+    assert 1e-6 < np.max(np.abs(loose - tight)) < 1e-2
+
+
 @pytest.mark.parametrize("command", ["propagate", "analyze"])
 @pytest.mark.parametrize("mu", ["0", "1"])
 def test_votes_with_explicit_mu_exit_2(workspace, capsys, command, mu):
@@ -398,19 +431,22 @@ def test_unset_vote_flags_take_vote_prior_defaults(workspace, scheme):
     ["propagate", "--eta", "0.01"],
     ["analyze", "--truth", "truth.txt"],
 ], ids=["propagate-eta", "analyze"])
+# 6 nodes take the dense route and 606 the sparse one
+@pytest.mark.parametrize("n", [6, 606])
 # analyze's first, hard solve is ill-conditioned but still solves
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
-def test_numerically_singular_dense_solve_exits_2(tmp_path, capsys, command):
+def test_numerically_singular_dense_solve_exits_2(tmp_path, capsys, command, n):
     # 1e18 edges swamp the unit ones: the soft system is singular in floats
-    (tmp_path / "g.txt").write_text("# nodes 6\n0 1 1e18\n1 2 1e18\n2 3 1\n3 4 1\n4 5 1\n")
-    (tmp_path / "labels.txt").write_text("0 0\n5 1\n")
-    (tmp_path / "truth.txt").write_text("0 0\n1 0\n2 0\n3 1\n4 1\n5 1\n")
+    edges = "".join(f"{i} {i + 1} {1e18 if i < 2 else 1}\n" for i in range(n - 1))
+    (tmp_path / "g.txt").write_text(f"# nodes {n}\n{edges}")
+    (tmp_path / "labels.txt").write_text(f"0 0\n{n - 1} 1\n")
+    (tmp_path / "truth.txt").write_text("".join(f"{i} {int(2 * i >= n)}\n" for i in range(n)))
     code = run([command[0], "--graph", tmp_path / "g.txt", "--labels", tmp_path / "labels.txt",
                 *[tmp_path / a if a.endswith(".txt") else a for a in command[1:]],
                 "--output", tmp_path / "out"])
     assert code == 2
     err = capsys.readouterr().err
-    assert "system of 6 unknowns is numerically singular" in err
+    assert f"system of {n} unknowns is numerically singular" in err
     assert "(weighted degree plus prior weight) span 1.005 to 2e+18" in err
     assert not (tmp_path / "out").exists()
 

@@ -9,6 +9,7 @@ from priorprop.graph import (
     Graph,
     GraphFormatError,
     LabelSet,
+    NeighborhoodPartition,
     average_degree,
     build_threshold_graph,
     compute_neighborhoods,
@@ -19,10 +20,13 @@ from oracles import (
     cdist_threshold_graph,
     feature_points,
     loop_from_edges,
+    loop_hops,
     loop_row_sums,
     mixed_row_length_edges,
     random_connected_graph,
+    random_labels,
 )
+from test_acceptance import _bound_instance
 
 
 def brute_force_threshold_edges(points, t):
@@ -392,6 +396,9 @@ class TestNeighborhoods:
         ([(0, 2, 1.0), (2, 1, 1.0), (1, 3, 1.0)], "edge 0-1 joins hop 0 and hop 2"),
         # node 3 unreachable there, but joined to hop 2 in the path
         ([(0, 1, 1.0), (1, 2, 1.0)], "edge 2-3 joins hop 2 and an unreachable node"),
+        # hop_of [0, 1, 1, 2]: every path edge joins hops at most one apart,
+        # but node 2 is two edges from node 0
+        ([(0, 1, 1.0), (0, 2, 1.0), (2, 3, 1.0)], "node 2 at hop 1 has no neighbor at hop 0"),
     ])
     def test_layering_of_another_graph_rejected(self, other_edges, message):
         path = Graph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
@@ -431,3 +438,51 @@ class TestNeighborhoods:
         )
         for i in range(n):
             assert part.hop_of[i] == part2.hop_of[perm[i]]
+
+
+def bound_instance_graphs():
+    """The graphs and labels the acceptance criteria 4 and 7 draw, and a few
+    with nodes that no label reaches."""
+    for seed in (20240504, 20240507):
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            g, labels, *_ = _bound_instance(rng)
+            yield g, labels
+    rng = np.random.default_rng(8)
+    for n in (6, 15, 30):
+        edges = random_connected_graph(rng, n, extra_edges=n // 2)
+        cut = [(i + n, j + n, w) for i, j, w in random_connected_graph(rng, n // 2)]
+        yield Graph.from_edges(n + n // 2, edges + cut), LabelSet(*random_labels(rng, n))
+
+
+class TestDerivedFields:
+    def test_partition_hops_match_breadth_first_search(self):
+        unreachable = 0
+        for g, labels in bound_instance_graphs():
+            part = compute_neighborhoods(g, labels)
+            hops, lost = loop_hops(g, labels)
+            assert [h.tolist() for h in part.hops] == hops
+            assert part.unreachable.tolist() == lost
+            assert all(h.dtype == np.int64 for h in (*part.hops, part.unreachable))
+            unreachable += len(lost)
+        assert unreachable > 0
+
+    def test_degrees_are_read_only_row_sums(self):
+        for g, _ in bound_instance_graphs():
+            assert g.node_count == g.indptr.size - 1
+            want = [np.sum(g.weights[g.indptr[i]:g.indptr[i + 1]]) for i in range(g.node_count)]
+            assert g.degrees.tobytes() == np.array(want, dtype=np.float64).tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                g.degrees[0] = 2 * g.degrees[0]
+
+    def test_constructors_take_only_the_source_fields(self):
+        g = Graph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        copy = Graph(g.indptr, g.indices, g.weights)
+        assert copy.node_count == 4 and copy.degrees.tolist() == [1.0, 2.0, 2.0, 1.0]
+        with pytest.raises(TypeError):
+            Graph(g.indptr, g.indices, g.weights, degrees=2 * g.degrees)
+        part = NeighborhoodPartition(np.array([0, 2, 1, -1]))
+        assert [h.tolist() for h in part.hops] == [[0], [2], [1]]
+        assert part.unreachable.tolist() == [3]
+        with pytest.raises(TypeError):
+            NeighborhoodPartition(hops=([0], [2], [1], [3]), hop_of=np.arange(4))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import priorprop.solver as solver_mod
@@ -12,6 +13,7 @@ from priorprop.solver import (
     PriorField,
     SingularSystemError,
     SolverConfig,
+    factor_spd,
     fixed_point_residual,
     objective_value,
     solve_soft,
@@ -27,6 +29,13 @@ from oracles import (
     random_labels,
     soft_solve_reference,
 )
+
+
+def heavy_path(n):
+    """A path whose first two edges weigh 1e18 and swamp the unit ones,
+    labeled 1 at node 0 and 0 at node n - 1."""
+    edges = [(0, 1, 1e18), (1, 2, 1e18)] + [(i, i + 1, 1.0) for i in range(2, n - 1)]
+    return Graph.from_edges(n, edges), LabelSet([0, n - 1], [1, 0])
 
 
 def random_instance(seed, n_max=8):
@@ -146,16 +155,10 @@ class TestSolveWithPrior:
         assert pred.node_flags[2] == FLAG_UNREACHABLE
         assert pred.node_flags[1] == FLAG_OK
 
-    def test_isolated_node_raises_when_fill_unset(self):
-        g = Graph.from_edges(3, [(0, 1, 1.0)])
-        cfg = SolverConfig(unreachable_fill=None)
-        with pytest.raises(SingularSystemError, match="2"):
-            solve_standard(g, LabelSet([0], [1]), cfg)
-
     def test_isolated_node_with_mu_is_determined(self):
         g = Graph.from_edges(3, [(0, 1, 1.0)])
         prior = PriorField([0.5, 0.5, 0.9], [0.0, 0.0, 2.0])
-        pred = solve_with_prior(g, LabelSet([0], [1]), prior, SolverConfig(unreachable_fill=None))
+        pred = solve_with_prior(g, LabelSet([0], [1]), prior)
         assert pred.f[2] == pytest.approx(0.9)
         assert pred.node_flags[2] == FLAG_OK
 
@@ -188,6 +191,27 @@ class TestSolveWithPrior:
         pred = solve_with_prior(g, labels, prior, SolverConfig(method="direct"))
         assert cg_calls == [n - len(labels)]
         np.testing.assert_allclose(pred.f, dense.f, rtol=0.0, atol=1e-10)
+
+    def test_inaccurate_cg_answer_is_replaced_by_the_factor(self):
+        # CG reports success here with f = 0 from node 3 on, a residual of 0.5
+        g, labels = heavy_path(606)
+        pred = solve_standard(g, labels)
+        solved = np.arange(1, g.node_count - 1)
+        a = sp.diags(g.degrees[solved]) - g.matrix[solved][:, solved]
+        b = g.matrix[solved][:, labels.indices] @ labels.values.astype(float)
+        want = factor_spd(a).solve(b)
+        np.testing.assert_allclose(pred.f[solved], want, rtol=0.0, atol=1e-12)
+        assert pred.f[3] == pytest.approx(0.99834, abs=1e-5)
+        assert pred.residual < 1e-12
+
+    @pytest.mark.parametrize("values", [[1, 0], [0, 1]])
+    def test_singular_sparse_system_raises(self, values):
+        # node 0's prior weight is lost beside 1e18, so the soft system is
+        # singular in floats: CG breaks down on it with labels 1, 0 and solves
+        # it to -0.00125 with labels 0, 1; its factor has a negative pivot
+        g, labels = heavy_path(606)
+        with pytest.raises(SingularSystemError, match="system of 606 unknowns is numerically"):
+            solve_soft(g, LabelSet(labels.indices, values), 0.01)
 
     def test_size_mismatch_rejected(self):
         g = Graph.from_edges(2, [(0, 1, 1.0)])
