@@ -38,18 +38,31 @@ PIPELINE_METHODS = ("lpa", "wl", "lpa+wl", *(f"lpad:{s}" for s in ALPHA_SCHEMES)
 
 @dataclass(frozen=True, eq=False)
 class Metrics:
-    """Half-credit accuracy, coverage and non-abstain accuracy."""
+    """Half-credit accuracy, coverage and non-abstain accuracy, derived from
+    the node, abstention and correct counts."""
 
-    accuracy: float
-    coverage: float
-    non_abstain_accuracy: float
     abstain_epsilon: float
     node_count: int
     abstain_count: int
     correct_count: int
 
+    @property
+    def coverage(self) -> float:
+        return (self.node_count - self.abstain_count) / self.node_count
+
+    @property
+    def non_abstain_accuracy(self) -> float:
+        """0.5 when every node abstains."""
+        voted = self.node_count - self.abstain_count
+        return self.correct_count / voted if voted else 0.5
+
+    @property
+    def accuracy(self) -> float:
+        return self.coverage * self.non_abstain_accuracy + (1.0 - self.coverage) * 0.5
+
     def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
+        rates = ("accuracy", "coverage", "non_abstain_accuracy")
+        return {name: getattr(self, name) for name in rates} | asdict(self)
 
 
 def evaluate(prediction, true_labels_full, epsilon: float = DEFAULT_EPSILON) -> Metrics:
@@ -63,23 +76,13 @@ def evaluate(prediction, true_labels_full, epsilon: float = DEFAULT_EPSILON) -> 
     y = _as_truth(true_labels_full, f.size)
     if f.shape != y.shape:
         raise ValueError("prediction and truth sizes differ")
-    total = int(f.size)
     abstain = np.abs(f - 0.5) <= epsilon
-    voted = ~abstain
-    correct = voted & ((f > 0.5) == (y == 1))
-    n_voted = int(voted.sum())
-    n_correct = int(correct.sum())
-    coverage = n_voted / total
-    na_acc = n_correct / n_voted if n_voted else 0.5
-    accuracy = coverage * na_acc + (1.0 - coverage) * 0.5
+    correct = ~abstain & ((f > 0.5) == (y == 1))
     return Metrics(
-        accuracy=accuracy,
-        coverage=coverage,
-        non_abstain_accuracy=na_acc,
         abstain_epsilon=epsilon,
-        node_count=total,
-        abstain_count=total - n_voted,
-        correct_count=n_correct,
+        node_count=int(f.size),
+        abstain_count=int(abstain.sum()),
+        correct_count=int(correct.sum()),
     )
 
 

@@ -2,19 +2,20 @@
 
 The graph is stored as a CSR adjacency structure with sorted neighbor lists,
 so every traversal is deterministic. Instances are immutable after
-construction; reads are safe to share across threads.
+construction, apart from caches of values derived from them; reads are safe
+to share across threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee, shortest_path
 from scipy.spatial import cKDTree
 
 
@@ -77,6 +78,10 @@ class Graph:
     indptr: np.ndarray
     indices: np.ndarray
     weights: np.ndarray
+    # the minimum-degree elimination order that the first sparse factor over
+    # every node records (see solver.spd_solver); it depends on the sparsity
+    # pattern alone, so every later factor over every node can reuse it
+    elimination_order: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def from_edges(
@@ -187,6 +192,28 @@ class Graph:
         """Connected-component id per node."""
         n_comp, comp = connected_components(self.matrix, directed=False)
         return comp
+
+    @cached_property
+    def rcm_profile(self) -> tuple[int, float]:
+        """Reverse Cuthill-McKee bandwidth and an upper bound ``R >= lambda_2``.
+
+        ``R`` is the Laplacian's Rayleigh quotient of the breadth-first hop
+        counts from the ordering's first node, centred so that they are
+        orthogonal to the constant vector. The graph must be connected, so no
+        row is empty and every hop count is finite.
+        """
+        order = reverse_cuthill_mckee(self.matrix, symmetric_mode=True)
+        pos = np.empty(self.node_count, dtype=np.int64)
+        pos[order] = np.arange(self.node_count)
+        # each edge gives pos[i] - pos[j] > 0 in one of its rows, so the largest
+        # row value of pos - (first neighbour position) is the bandwidth
+        first = np.minimum.reduceat(pos[self.indices], self.indptr[:-1])
+        band = int(np.max(pos - first))
+        hops = shortest_path(self.matrix, unweighted=True, indices=int(order[0]))
+        x = hops - hops.mean()
+        rows, cols, w = self._upper_triangle()
+        diff = x[rows] - x[cols]
+        return band, float(w @ (diff * diff)) / float(x @ x)
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,14 +14,33 @@ instead of fixing them, is the same problem with no hard labels, ``h = y`` and
 ``mu = eta / 2`` on the labeled nodes (see :func:`solve_soft`); its reported
 residual is therefore the fixed-point residual too.
 
-The direct method solves the symmetric positive-definite system over the
-unlabeled nodes: dense Cholesky below ``DENSE_LIMIT`` unknowns, Jacobi
-preconditioned conjugate gradient above. CG's answer is kept only when every
-row's residual, scaled by the row's diagonal, is at most ``CG_LIMIT`` and
-every unknown lies within ``CG_LIMIT`` of [0, 1], where the exact solution
-lies; otherwise the system is solved by the sparse LU of :func:`factor_spd`.
-A system that Cholesky cannot factor, or whose LU has a pivot that is not
+The direct method solves the symmetric positive-definite system
+``A = diag(deg_U + mu_U) - W_UU`` over the unlabeled nodes ``U``: dense
+Cholesky below ``DENSE_LIMIT`` unknowns; above it, one gate chooses between
+a sparse LU factor and Jacobi-preconditioned conjugate gradient. On a
+connected graph the factor is used when both of the gate's tests pass:
+
+* the system is nearly singular on the graph's own scale: its constant-vector
+  Rayleigh quotient ``rho_1 = 1^T A 1 / sum_U (deg + mu)``, an O(nnz) sum,
+  is at most ``R / d_max``; there Jacobi-PCG crawls as Lanczos on the
+  Laplacian does;
+* the graph's factor is cheap (:func:`factor_is_cheap`, the test that also
+  routes ``lambda_2``): ``band**3 <= FACTOR_GATE * n_edges * sqrt(d_max / R)``.
+
+``band`` and the bound ``R >= lambda_2`` come from :attr:`Graph.rcm_profile`,
+an O(nnz) reverse Cuthill-McKee pass made once per graph and shared with
+``lambda_2``. On a disconnected graph every sparse system goes to CG.
+
+Otherwise CG runs, and its answer is kept only when every row's residual,
+scaled by the row's diagonal, is at most ``CG_LIMIT`` and every unknown lies
+within ``CG_LIMIT`` of [0, 1], where the exact solution lies; failing that,
+the system is factored after all. Every factor goes through
+:func:`spd_solver`: the first factor over all of a graph's nodes records its
+minimum-degree elimination order on the graph, and later ones over all nodes
+(``lambda_2``'s shift-invert factor) reuse it instead of ordering again. A
+system that Cholesky cannot factor, or whose LU has a pivot that is not
 positive, is numerically singular and raises :class:`SingularSystemError`.
+:attr:`Prediction.route` names the path taken.
 
 The iterative method applies Gauss-Seidel sweeps of the update in fixed node
 order, with the sweep's triangular split built once per solve (see
@@ -36,8 +55,9 @@ weight are indeterminate: they receive ``unreachable_fill`` and are flagged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -51,6 +71,11 @@ DENSE_LIMIT = 500
 # on the benchmark instances CG's scaled residuals reach 1.5e-10, and its
 # unknowns leave [0, 1] by at most 4e-11
 CG_LIMIT = 1e-8
+# band**3 / (n_edges * sqrt(d_max / R)) was at most 110 on the graphs measured
+# where the factor won over Lanczos for lambda_2 (2-D geometric graphs of
+# degree 8 and 13, 2k-12k nodes) and at least 345 where it lost (degree 30
+# and up, 3-D, expanders)
+FACTOR_GATE = 150.0
 
 FLAG_OK = 0
 FLAG_UNREACHABLE = 1
@@ -116,6 +141,8 @@ class Prediction:
     ``node_flags`` holds one of ``ok``/``unreachable``/``nonconverged`` per
     node (see FLAG_* constants); ``residual`` is the final max-norm
     fixed-point residual, for soft solves that of their prior problem.
+    ``route`` is the path that solved it: ``dense``, ``pcg``, ``factor``,
+    ``pcg+factor`` (CG's answer rejected, then factored) or ``gauss-seidel``.
     """
 
     f: np.ndarray
@@ -123,6 +150,7 @@ class Prediction:
     method: str
     iterations: int
     residual: float
+    route: str
 
     @property
     def converged(self) -> bool:
@@ -206,9 +234,10 @@ def solve_with_prior(
 
     iterations = 0
     converged = True
+    route = "dense" if config.method == "direct" else "gauss-seidel"
     if solved.size:
         if config.method == "direct":
-            f[solved] = _direct_solve(graph, labels, prior, solved)
+            f[solved], route = _direct_solve(graph, labels, prior, solved)
         else:
             iterations, converged = _iterative_solve(graph, labels, prior, config, f, solved)
 
@@ -219,21 +248,8 @@ def solve_with_prior(
     if not converged:
         flags[solved] = FLAG_NONCONVERGED
     return Prediction(
-        f=f, node_flags=flags, method=config.method, iterations=iterations, residual=residual
-    )
-
-
-def factor_spd(a: sp.spmatrix) -> spla.SuperLU:
-    """SuperLU factor of a symmetric positive-definite sparse matrix.
-
-    Minimum-degree ordering on the symmetric pattern, diagonal pivots only:
-    an SPD matrix needs no pivoting, so the fill is that of the ordering.
-    """
-    return spla.splu(
-        a.tocsc(),
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
+        f=f, node_flags=flags, method=config.method, iterations=iterations,
+        residual=residual, route=route,
     )
 
 
@@ -244,32 +260,115 @@ def _singular(diag: np.ndarray) -> SingularSystemError:
     )
 
 
+def factor_spd(a: sp.spmatrix, permc_spec: str = "MMD_AT_PLUS_A") -> spla.SuperLU:
+    """SuperLU factor of a symmetric positive-definite sparse matrix.
+
+    Minimum-degree ordering on the symmetric pattern, or ``"NATURAL"`` for a
+    matrix already permuted into an elimination order; diagonal pivots only:
+    an SPD matrix needs no pivoting, so the fill is that of the ordering.
+    """
+    return spla.splu(
+        # a is symmetric, so the transpose of a CSR matrix is its CSC form
+        # without a copy
+        a.T.tocsc(),
+        permc_spec=permc_spec,
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+
+
+def spd_solver(
+    graph: Graph, a: sp.spmatrix
+) -> tuple[Callable[[np.ndarray], np.ndarray], spla.SuperLU]:
+    """``b -> a^-1 b`` by a sparse factor of the SPD matrix ``a``, and that factor.
+
+    ``a`` has the pattern of ``graph``'s adjacency over some of its nodes,
+    plus the diagonal. When it spans every node, the first such factor
+    records its minimum-degree order on the graph, and later ones factor
+    ``a`` permuted into that order instead of ordering it again; the
+    diagonal of the factor's ``U`` holds the pivots either way. No factor
+    outlives the returned function.
+    """
+    full = a.shape[0] == graph.node_count
+    order = graph.elimination_order if full else None
+    if order is None:
+        lu = factor_spd(a)
+        if full:
+            # Graph is frozen; the order is a value derived from its pattern
+            object.__setattr__(graph, "elimination_order", np.argsort(lu.perm_c))
+        return lu.solve, lu
+    lu = factor_spd(a.tocsr()[order][:, order], "NATURAL")
+
+    def solve(b):
+        x = np.empty_like(b)
+        x[order] = lu.solve(b[order])
+        return x
+
+    return solve, lu
+
+
+def factor_is_cheap(graph: Graph) -> bool:
+    """The gate's graph test: a factor over the connected ``graph`` costs
+    less than a Krylov method on its Laplacian.
+
+    ``band**3`` stands for the factor's dense-front work and
+    ``n_edges * sqrt(d_max / R)`` for Lanczos's: it needs about
+    ``sqrt(lambda_max / lambda_2)`` iterations, with ``lambda_max <= 2 d_max``
+    and ``R >= lambda_2``. The test costs O(nnz), once per graph.
+    """
+    band, rayleigh = graph.rcm_profile
+    krylov_work = graph.edge_count * math.sqrt(float(graph.degrees.max()) / rayleigh)
+    return band**3 <= FACTOR_GATE * krylov_work
+
+
+def _factor_pays(
+    graph: Graph, mu: np.ndarray, solved: np.ndarray, diag: np.ndarray
+) -> bool:
+    """Both tests of the factor-or-PCG gate for ``diag(diag) - W_UU``. Both
+    read the graph's RCM profile, which a disconnected graph does not have."""
+    if int(graph.component_of.max()) > 0:
+        return False
+    outside = np.ones(graph.node_count)
+    outside[solved] = 0.0
+    # 1^T A 1 summed without cancellation: the prior weight plus the weight
+    # of the edges that leave U
+    rho1 = (mu.sum() + (graph.matrix @ outside)[solved].sum()) / diag.sum()
+    return rho1 * float(graph.degrees.max()) <= graph.rcm_profile[1] and factor_is_cheap(graph)
+
+
 def _direct_solve(
     graph: Graph, labels: LabelSet, prior: PriorField, solved: np.ndarray
-) -> np.ndarray:
+) -> tuple[np.ndarray, str]:
+    """The unknowns on ``solved`` and the route that found them."""
     w = graph.matrix
     diag = graph.degrees[solved] + prior.mu[solved]
     y_ext = np.zeros(graph.node_count)
     y_ext[labels.indices] = labels.values
     b = prior.mu[solved] * prior.h[solved] + (w @ y_ext)[solved]
-    wuu = w[solved][:, solved]
+    wuu = w if solved.size == graph.node_count else w[solved][:, solved]
     if solved.size < DENSE_LIMIT:
         try:
-            return scipy.linalg.solve(np.diag(diag) - wuu.toarray(), b, assume_a="pos")
+            return scipy.linalg.solve(np.diag(diag) - wuu.toarray(), b, assume_a="pos"), "dense"
         except np.linalg.LinAlgError as exc:
             raise _singular(diag) from exc
     a = (sp.diags(diag) - wuu).tocsr()
+    if _factor_pays(graph, prior.mu[solved], solved, diag):
+        return _factor_solve(graph, a, b), "factor"
     # on a system that is singular in floats, CG can stall, break down into
     # nans or solve it to a point outside [0, 1]; the factor then finds out
     with np.errstate(divide="ignore", invalid="ignore"):
         x, info = spla.cg(a, b, rtol=1e-13, atol=0.0, maxiter=20 * b.size, M=sp.diags(1.0 / diag))
         resid = np.max(np.abs(a @ x - b) / diag)
     if info == 0 and resid <= CG_LIMIT and -CG_LIMIT <= x.min() and x.max() <= 1 + CG_LIMIT:
-        return x
-    lu = factor_spd(a)
+        return x, "pcg"
+    return _factor_solve(graph, a, b), "pcg+factor"
+
+
+def _factor_solve(graph: Graph, a: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
+    solve, lu = spd_solver(graph, a)
     if not np.all(lu.U.diagonal() > 0):
-        raise _singular(diag)
-    return lu.solve(b)
+        raise _singular(a.diagonal())
+    return solve(b)
 
 
 def _iterative_solve(

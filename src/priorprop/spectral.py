@@ -10,19 +10,23 @@ The eigenvalue ``lambda_2`` of a connected graph takes one of three routes:
 
 * below ``DENSE_EIG_LIMIT`` nodes, a dense symmetric eigensolve;
 * above it, exact shift-invert Lanczos on a sparse LU of ``L - sigma I``
-  when that factor is cheap, and plain Lanczos on ``L`` when it is not.
+  when :func:`priorprop.solver.factor_is_cheap` finds the factor cheap, and
+  plain Lanczos on ``L`` when it does not.
 
-The choice between the sparse routes costs O(nnz). A reverse Cuthill-McKee
-ordering gives the bandwidth ``band``, so ``band**3`` stands for the
-factor's dense-front work. The Rayleigh quotient ``R`` of the centred
-breadth-first hop vector from the ordering's first node is an upper bound on
-``lambda_2``; Lanczos needs about ``sqrt(lambda_max / lambda_2)`` iterations
-with ``lambda_max <= 2 d_max``, so ``n_edges * sqrt(d_max / R)`` is a lower
-estimate of its work. Shift-invert runs when
-``band**3 <= SHIFT_INVERT_GATE * n_edges * sqrt(d_max / R)``: on long, thin
-and planar-like graphs (paths, rings, grids, 2-D geometric graphs) Lanczos
-crawls and the factor stays small, while on expanders and geometric graphs
-of higher dimension the factor fills in and Lanczos converges fast.
+That is the graph test of the solver's one factor-or-Krylov gate, and it
+costs O(nnz) once per graph. A reverse Cuthill-McKee ordering gives the
+bandwidth ``band``, so ``band**3`` stands for the factor's dense-front work.
+The Rayleigh quotient ``R`` of the centred breadth-first hop vector from the
+ordering's first node is an upper bound on ``lambda_2``; Lanczos needs about
+``sqrt(lambda_max / lambda_2)`` iterations with ``lambda_max <= 2 d_max``, so
+``n_edges * sqrt(d_max / R)`` is a lower estimate of its work. Shift-invert
+runs when ``band**3 <= FACTOR_GATE * n_edges * sqrt(d_max / R)``: on long,
+thin and planar-like graphs (paths, rings, grids, 2-D geometric graphs)
+Lanczos crawls and the factor stays small, while on expanders and geometric
+graphs of higher dimension the factor fills in and Lanczos converges fast.
+The factor goes through :func:`priorprop.solver.spd_solver`, so when a soft
+solve over every node of the same graph was factored first, ``L - sigma I``
+reuses its minimum-degree order and no second ordering runs.
 """
 
 from __future__ import annotations
@@ -35,17 +39,12 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import reverse_cuthill_mckee, shortest_path
 
 from priorprop.graph import Graph, LabelSet, _as_truth
-from priorprop.solver import factor_spd, scores
+from priorprop.solver import factor_is_cheap, scores, spd_solver
 
 DENSE_EIG_LIMIT = 300
 EIG_TOL = 1e-9
-# band**3 / (n_edges * sqrt(d_max / R)) was at most 110 on the graphs measured
-# where shift-invert won (2-D geometric graphs of degree 8 and 13, 2k-12k
-# nodes) and at least 345 where it lost (degree 30 and up, 3-D, expanders)
-SHIFT_INVERT_GATE = 150.0
 
 
 def laplacian(graph: Graph) -> sp.csr_matrix:
@@ -58,10 +57,10 @@ def second_smallest_eigenvalue(graph: Graph) -> float:
 
     Exactly 0.0 for a disconnected graph (the zero eigenvalue has higher
     multiplicity). Dense symmetric solve below ``DENSE_EIG_LIMIT`` nodes;
-    above that, shift-invert Lanczos when the O(nnz) gate of
-    :func:`_rcm_profile` finds the sparse factor cheap, and otherwise Lanczos
-    on the Laplacian with the constant vector deflated by a rank-one shift.
-    Both sparse routes converge to ``EIG_TOL``.
+    above that, shift-invert Lanczos when the O(nnz) graph test
+    :func:`~priorprop.solver.factor_is_cheap` finds the sparse factor cheap,
+    and otherwise Lanczos on the Laplacian with the constant vector deflated
+    by a rank-one shift. Both sparse routes converge to ``EIG_TOL``.
     """
     n = graph.node_count
     if n < 2:
@@ -72,33 +71,12 @@ def second_smallest_eigenvalue(graph: Graph) -> float:
     if n < DENSE_EIG_LIMIT:
         vals = scipy.linalg.eigvalsh(lap.toarray())
         return float(vals[1])
-    band, rayleigh = _rcm_profile(graph, lap)
-    lanczos_work = graph.edge_count * math.sqrt(float(graph.degrees.max()) / rayleigh)
-    if band**3 <= SHIFT_INVERT_GATE * lanczos_work:
-        return _shift_invert(lap, rayleigh)
+    if factor_is_cheap(graph):
+        return _shift_invert(graph, lap)
     return _lanczos(graph, lap)
 
 
-def _rcm_profile(graph: Graph, lap: sp.csr_matrix) -> tuple[int, float]:
-    """Reverse Cuthill-McKee bandwidth and an upper bound ``R >= lambda_2``.
-
-    ``R`` is the Rayleigh quotient of the breadth-first hop counts from the
-    ordering's first node, centred so that they are orthogonal to the
-    constant vector. The graph must be connected, so no row is empty.
-    """
-    order = reverse_cuthill_mckee(graph.matrix, symmetric_mode=True)
-    pos = np.empty(graph.node_count, dtype=np.int64)
-    pos[order] = np.arange(graph.node_count)
-    # each edge gives pos[i] - pos[j] > 0 in one of its rows, so the largest
-    # row value of pos - (first neighbour position) is the bandwidth
-    first = np.minimum.reduceat(pos[graph.indices], graph.indptr[:-1])
-    band = int(np.max(pos - first))
-    hops = shortest_path(graph.matrix, unweighted=True, indices=int(order[0]))
-    x = hops - hops.mean()
-    return band, float(x @ (lap @ x)) / float(x @ x)
-
-
-def _shift_invert(lap: sp.csr_matrix, rayleigh: float) -> float:
+def _shift_invert(graph: Graph, lap: sp.csr_matrix) -> float:
     """``lambda_2`` as ``sigma + 1 / mu`` for the top eigenvalue ``mu`` of
     ``(L - sigma I)^-1`` with the constant vector projected out.
 
@@ -106,11 +84,11 @@ def _shift_invert(lap: sp.csr_matrix, rayleigh: float) -> float:
     and it scales with the weights, so the route is scale-free.
     """
     n = lap.shape[0]
-    sigma = -1e-3 * rayleigh
-    lu = factor_spd(lap + sp.diags(np.full(n, -sigma)))
+    sigma = -1e-3 * graph.rcm_profile[1]
+    solve, _ = spd_solver(graph, lap + sp.diags(np.full(n, -sigma)))
 
     def matvec(x):
-        y = lu.solve(x)
+        y = solve(x)
         return y - y.mean()
 
     op = spla.LinearOperator((n, n), matvec=matvec, dtype=np.float64)

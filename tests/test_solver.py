@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 import priorprop.solver as solver_mod
 from priorprop.graph import Graph, LabelSet
+from priorprop.multisource import WeakVoteMatrix, vote_prior
 from priorprop.solver import (
     DENSE_LIMIT,
     FLAG_NONCONVERGED,
@@ -22,6 +24,7 @@ from priorprop.solver import (
 )
 
 from oracles import (
+    geometric_graph,
     minimize_quadratic,
     naive_prior_objective,
     naive_soft_objective,
@@ -190,6 +193,7 @@ class TestSolveWithPrior:
         monkeypatch.setattr(solver_mod.spla, "cg", failing_cg)
         pred = solve_with_prior(g, labels, prior, SolverConfig(method="direct"))
         assert cg_calls == [n - len(labels)]
+        assert (dense.route, pred.route) == ("dense", "pcg+factor")
         np.testing.assert_allclose(pred.f, dense.f, rtol=0.0, atol=1e-10)
 
     def test_inaccurate_cg_answer_is_replaced_by_the_factor(self):
@@ -203,13 +207,15 @@ class TestSolveWithPrior:
         np.testing.assert_allclose(pred.f[solved], want, rtol=0.0, atol=1e-12)
         assert pred.f[3] == pytest.approx(0.99834, abs=1e-5)
         assert pred.residual < 1e-12
+        assert pred.route == "pcg+factor"
 
     @pytest.mark.parametrize("values", [[1, 0], [0, 1]])
-    def test_singular_sparse_system_raises(self, values):
+    def test_singular_sparse_system_raises(self, values, monkeypatch):
         # node 0's prior weight is lost beside 1e18, so the soft system is
-        # singular in floats: CG breaks down on it with labels 1, 0 and solves
-        # it to -0.00125 with labels 0, 1; its factor has a negative pivot
+        # singular in floats; the gate factors it (a path, nearly singular),
+        # and its factor has a negative pivot
         g, labels = heavy_path(606)
+        monkeypatch.setattr(solver_mod.spla, "cg", None)
         with pytest.raises(SingularSystemError, match="system of 606 unknowns is numerically"):
             solve_soft(g, LabelSet(labels.indices, values), 0.01)
 
@@ -219,6 +225,75 @@ class TestSolveWithPrior:
             solve_with_prior(g, LabelSet([0], [1]), PriorField.constant(3))
         with pytest.raises(ValueError):
             solve_standard(g, LabelSet([], []))
+
+
+def votes_prior(graph, labels, seed=0):
+    """The accuracy-scheme prior of three labelers that vote on 60% of the nodes."""
+    rng = np.random.default_rng(seed)
+    shape = (graph.node_count, 3)
+    votes = np.where(rng.random(shape) < 0.6, rng.integers(0, 2, shape), -1)
+    return vote_prior(WeakVoteMatrix(votes), "accuracy", labels)
+
+
+def scaled_problem(graph, prior, factor):
+    edges = np.column_stack([graph.rows, graph.indices, graph.weights * factor])
+    return Graph.from_edges(graph.node_count, edges), PriorField(prior.h, prior.mu * factor)
+
+
+class TestFactorOrPcgGate:
+    """Above DENSE_LIMIT unknowns the system is factored when it is nearly
+    singular on the graph's scale and the graph's factor is cheap."""
+
+    @pytest.fixture(scope="class")
+    def rgg_2d(self):
+        g = Graph.from_edges(2000, geometric_graph(2000, 2, 13.0, 1))
+        labels = LabelSet(np.arange(0, 2000, 50), np.arange(40) % 2)
+        return g, labels
+
+    def soft_prior(self, graph, labels, eta=0.01):
+        h = np.full(graph.node_count, 0.5)
+        mu = np.zeros(graph.node_count)
+        h[labels.indices] = labels.values
+        mu[labels.indices] = eta / 2
+        return PriorField(h, mu)
+
+    def test_soft_solve_on_a_2d_graph_is_factored(self, rgg_2d):
+        g, labels = rgg_2d
+        pred = solve_soft(g, labels, 0.01)
+        assert pred.route == "factor"
+        prior = self.soft_prior(g, labels)
+        a = (sp.diags(g.degrees + prior.mu) - g.matrix).tocsc()
+        want = spla.spsolve(a, prior.mu * prior.h)
+        np.testing.assert_allclose(pred.f, want, rtol=0.0, atol=1e-10)
+
+    def test_soft_solve_on_a_3d_graph_stays_on_pcg(self):
+        g = Graph.from_edges(2000, geometric_graph(2000, 3, 13.0, 1))
+        labels = LabelSet(np.arange(0, 2000, 50), np.arange(40) % 2)
+        assert solve_soft(g, labels, 0.01).route == "pcg"
+
+    @pytest.mark.parametrize("case, route", [
+        ("soft", "factor"), ("mu=0", "pcg"), ("mu=1", "pcg"), ("votes", "pcg"),
+    ])
+    def test_hard_solves_stay_on_pcg_and_scaling_keeps_every_route(self, rgg_2d, case, route):
+        # hard labels or a votes prior keep rho_1 far above R / d_max
+        g, labels = rgg_2d
+        prior, hard = {
+            "soft": (self.soft_prior(g, labels), LabelSet([], [])),
+            "mu=0": (PriorField.constant(g.node_count, 0.0), labels),
+            "mu=1": (PriorField.constant(g.node_count, 1.0), labels),
+            "votes": (votes_prior(g, labels), labels),
+        }[case]
+        big_graph, big_prior = scaled_problem(g, prior, 1e6)
+        pred = solve_with_prior(g, hard, prior)
+        big = solve_with_prior(big_graph, hard, big_prior)
+        assert (pred.route, big.route) == (route, route)
+        np.testing.assert_allclose(big.f, pred.f, rtol=0.0, atol=1e-10)
+
+    def test_routes_of_the_small_and_iterative_solves(self):
+        g = Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        labels = LabelSet([0, 2], [0, 1])
+        assert solve_standard(g, labels).route == "dense"
+        assert solve_standard(g, labels, SolverConfig(method="iterative")).route == "gauss-seidel"
 
 
 class TestSolveStandard:

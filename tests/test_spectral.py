@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
+import priorprop.solver as solver_mod
 import priorprop.spectral as spectral_mod
 from priorprop.graph import Graph, LabelSet
 from priorprop.solver import factor_spd, solve_soft
@@ -56,15 +57,16 @@ def permuted_bandwidth(graph):
 
 @pytest.fixture
 def factors(monkeypatch):
-    """Record ``(n, L.nnz + U.nnz)`` of every factor the shift-invert route makes."""
+    """Record ``(n, L.nnz + U.nnz)`` of every sparse factor, which the
+    shift-invert route makes through ``solver.spd_solver``."""
     made = []
 
-    def recording(a):
-        lu = factor_spd(a)
+    def recording(a, *args):
+        lu = factor_spd(a, *args)
         made.append((a.shape[0], lu.L.nnz + lu.U.nnz))
         return lu
 
-    monkeypatch.setattr(spectral_mod, "factor_spd", recording)
+    monkeypatch.setattr(solver_mod, "factor_spd", recording)
     return made
 
 
@@ -155,12 +157,28 @@ class TestSecondSmallestEigenvalue:
         # an RCM factor without pivoting fits in n * (band + 1) entries per
         # triangle; the minimum-degree factor must not be larger
         g = make()
-        band = spectral_mod._rcm_profile(g, laplacian(g))[0]
+        band = g.rcm_profile[0]
         assert band == permuted_bandwidth(g)
         second_smallest_eigenvalue(g)
         assert factors, "the gate sent this graph to Lanczos"
         (n, nnz), = factors
         assert nnz <= 2 * n * (band + 1)
+
+    def test_soft_solve_and_lambda_share_one_minimum_degree_order(self, monkeypatch):
+        g = rgg(2000, 2)
+        labels = LabelSet(np.arange(0, 2000, 50), np.arange(40) % 2)
+        alone = second_smallest_eigenvalue(rgg(2000, 2))
+        orderings = []
+
+        def recording(a, permc_spec="MMD_AT_PLUS_A"):
+            orderings.append(permc_spec)
+            return factor_spd(a, permc_spec)
+
+        monkeypatch.setattr(solver_mod, "factor_spd", recording)
+        assert solve_soft(g, labels, 0.01).route == "factor"
+        lam = second_smallest_eigenvalue(g)
+        assert orderings == ["MMD_AT_PLUS_A", "NATURAL"]
+        assert lam == pytest.approx(alone, rel=1e-12)
 
     def test_laplacian_rows_sum_to_zero(self):
         g = path_graph(5)
