@@ -51,14 +51,35 @@ BETWEEN_FLOW_CONVENTION = "ordered-pairs (each within-hop edge counted twice)"
 def _directional_weights(
     graph: Graph, partition: NeighborhoodPartition
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-node edge weight going one hop in, within the hop, one hop out."""
+    """Per-node edge weight going one hop in, within the hop, one hop out.
+
+    ``partition`` must layer ``graph``: every edge joins hops at most one
+    apart, or two unreachable nodes, and every node past hop 0 has a neighbor
+    one hop closer, so that ``hop_of`` is each node's shortest-path distance
+    to hop 0. The ``ValueError`` names the first edge or node that breaks this.
+    The unreachable nodes count as one more hop, two past the last.
+    """
     hop_of = partition.hop_of
+    n = graph.node_count
+    if hop_of.size != n:
+        raise ValueError("partition does not match graph size")
     rows = graph.rows
-    row_hops = hop_of[rows]
-    # a hop-k node's neighbors all lie in hops k-1, k and k+1: bins 0, 1, 2
-    keep = row_hops >= 0
-    bins = 3 * rows[keep] + (hop_of[graph.indices] - row_hops + 1)[keep]
-    sums = np.bincount(bins, weights=graph.weights[keep], minlength=3 * graph.node_count)
+    hops = np.where(hop_of < 0, hop_of.max() + 2, hop_of)
+    # 0, 1 and 2 for a neighbor one hop in, within the hop and one hop out
+    offset = hops[graph.indices] - hops[rows] + 1
+    bad = np.flatnonzero((offset < 0) | (offset > 2))
+    if bad.size:
+        i, j = rows[bad[0]], graph.indices[bad[0]]
+        ends = [f"hop {h}" if h >= 0 else "an unreachable node" for h in hop_of[[i, j]]]
+        raise ValueError(f"partition does not layer the graph: edge {i}-{j} "
+                         f"joins {ends[0]} and {ends[1]}")
+    bins = 3 * rows + offset
+    stranded = np.flatnonzero((hop_of > 0) & (np.bincount(bins, minlength=3 * n)[::3] == 0))
+    if stranded.size:
+        i = stranded[0]
+        raise ValueError(f"partition does not layer the graph: node {i} at hop "
+                         f"{hop_of[i]} has no neighbor at hop {hop_of[i] - 1}")
+    sums = np.bincount(bins, weights=graph.weights, minlength=3 * n)
     return tuple(sums.reshape(-1, 3).T)
 
 
@@ -83,8 +104,8 @@ class HopStats:
 
     Every per-hop column is an array indexed by hop, hop 0 being the labeled
     set, and is named after the bound report's JSON key where it has one:
-    the flows (``out_flow[k]`` is stored as ``in_flow[k+1]``, the same
-    edge-boundary sum, and ``out_flow[l]`` is 0), the prior terms
+    the flows (``out_flow``, derived when read, is ``in_flow[k+1]``, the
+    same edge-boundary sum, and 0 at the last hop), the prior terms
     ``mu_total``, ``pull_error`` (sum of ``mu |h - y|``) and ``mu_error``
     (sum of ``mu |f - y|``), ``smoothness``, ``prior_error`` and the bound
     terms ``local_term`` and ``gamma``, all 0 at hop 0, and the measured
@@ -105,7 +126,6 @@ class HopStats:
     size: np.ndarray
     in_flow: np.ndarray
     between_flow: np.ndarray
-    out_flow: np.ndarray
     mu_total: np.ndarray
     pull_error: np.ndarray
     mu_error: np.ndarray
@@ -123,6 +143,10 @@ class HopStats:
     @property
     def hop(self) -> np.ndarray:
         return np.arange(self.size.size)
+
+    @property
+    def out_flow(self) -> np.ndarray:
+        return np.append(self.in_flow[1:], 0.0)
 
     @property
     def conductance(self) -> np.ndarray:
@@ -151,8 +175,9 @@ def hop_stats(
     Its scores must be finite, and it must equal the truth on every labeled
     node, since the bound and the audit take the labeled set's error to be
     exactly 0; the first node that breaks either rule is named in the
-    ``ValueError``. ``partition`` must be a hop layering of ``graph`` (see
-    :meth:`NeighborhoodPartition.validate_against`).
+    ``ValueError``. ``partition`` must be the hop layering of ``graph``; the
+    pass that bins the flows checks that and names the first edge or node
+    that breaks it.
     """
     y = _as_truth(true_labels_full, graph.node_count)
     f = scores(prediction)
@@ -160,7 +185,7 @@ def hop_stats(
         raise ValueError("prediction does not cover every node")
     if prior.node_count != graph.node_count:
         raise ValueError("prior size does not match graph")
-    partition.validate_against(graph)
+    inw, betw, outw = _directional_weights(graph, partition)
     labeled = partition.hops[0]
     wrong = np.flatnonzero(f[labeled] != y[labeled])
     if wrong.size:
@@ -170,7 +195,6 @@ def hop_stats(
     err = np.abs(f - y)
     pull = np.abs(prior.h - y)
     node_s = _disagreement(graph, y)
-    inw, betw, outw = _directional_weights(graph, partition)
     l = partition.max_hop
     hop_order = np.concatenate(partition.hops)
     hop_index = partition.hop_of[hop_order]
@@ -182,8 +206,6 @@ def hop_stats(
         return _row_sums(hop_ptr, values[hop_order])
 
     in_flow, between, out_weight = (hop_sums(w) for w in (inw, betw, outw))
-    out_flow = np.zeros(l + 1)
-    out_flow[:l] = in_flow[1:]
 
     avg = hop_sums(err) / sizes
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -208,7 +230,7 @@ def hop_stats(
         raise ValueError(f"hop {k} has zero in-flow and zero prior weight")
     c, gam = np.zeros((2, l + 1))
     c[1:] = (s[1:] + pull_error[1:]) / denom
-    gam[1:] = out_flow[1:] / denom
+    gam[1:l] = in_flow[2:] / denom[:-1]  # no flow leaves the last hop
     return HopStats(
         graph=graph,
         truth=y,
@@ -220,7 +242,6 @@ def hop_stats(
         size=sizes,
         in_flow=in_flow,
         between_flow=between,
-        out_flow=out_flow,
         mu_total=mu_total,
         pull_error=pull_error,
         mu_error=mu_error,

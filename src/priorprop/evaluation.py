@@ -76,6 +76,8 @@ def evaluate(prediction, true_labels_full, epsilon: float = DEFAULT_EPSILON) -> 
     y = _as_truth(true_labels_full, f.size)
     if f.shape != y.shape:
         raise ValueError("prediction and truth sizes differ")
+    if f.size == 0:
+        raise ValueError("prediction covers no node")
     abstain = np.abs(f - 0.5) <= epsilon
     correct = ~abstain & ((f > 0.5) == (y == 1))
     return Metrics(

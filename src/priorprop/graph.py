@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee, shortest_path
+from scipy.sparse.csgraph import connected_components, dijkstra, reverse_cuthill_mckee
 from scipy.spatial import cKDTree
 
 
@@ -147,11 +147,6 @@ class Graph:
         """Number of undirected edges."""
         return self.indices.size // 2
 
-    def neighbors(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted neighbor ids and matching weights of node ``i``."""
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return self.indices[lo:hi], self.weights[lo:hi]
-
     def _upper_triangle(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows, columns and weights of the CSR entries with column > row.
 
@@ -209,7 +204,7 @@ class Graph:
         # row value of pos - (first neighbour position) is the bandwidth
         first = np.minimum.reduceat(pos[self.indices], self.indptr[:-1])
         band = int(np.max(pos - first))
-        hops = shortest_path(self.matrix, unweighted=True, indices=int(order[0]))
+        hops = dijkstra(self.matrix, unweighted=True, indices=int(order[0]))
         x = hops - hops.mean()
         rows, cols, w = self._upper_triangle()
         diff = x[rows] - x[cols]
@@ -288,54 +283,24 @@ class NeighborhoodPartition:
     def max_hop(self) -> int:
         return len(self.hops) - 1
 
-    def validate_against(self, graph: Graph) -> None:
-        """Every edge must join hops at most one apart, or two unreachable nodes,
-        and every node past hop 0 must have a neighbor one hop closer, so that
-        ``hop_of`` is each node's shortest-path distance to hop 0."""
-        if self.hop_of.size != graph.node_count:
-            raise ValueError("partition does not match graph size")
-        rows = graph.rows
-        hi, hj = self.hop_of[rows], self.hop_of[graph.indices]
-        bad = np.flatnonzero(((hi < 0) != (hj < 0)) | (np.abs(hi - hj) > 1))
-        if bad.size:
-            e = bad[0]
-            ends = [f"hop {h}" if h >= 0 else "an unreachable node" for h in (hi[e], hj[e])]
-            raise ValueError(f"partition does not layer the graph: edge "
-                             f"{rows[e]}-{graph.indices[e]} joins {ends[0]} and {ends[1]}")
-        closer = np.zeros(graph.node_count, dtype=bool)
-        closer[rows[hj == hi - 1]] = True
-        stranded = np.flatnonzero((self.hop_of > 0) & ~closer)
-        if stranded.size:
-            i = stranded[0]
-            raise ValueError(f"partition does not layer the graph: node {i} at hop "
-                             f"{self.hop_of[i]} has no neighbor at hop {self.hop_of[i] - 1}")
-
 
 def compute_neighborhoods(graph: Graph, labels: LabelSet) -> NeighborhoodPartition:
     """Breadth-first hop layering from the labeled set.
 
-    Deterministic regardless of edge insertion order (frontiers are kept
-    sorted). Raises if ``labels`` is empty.
+    One breadth-first search from every labeled node at once gives each node
+    its unweighted shortest-path distance to the labeled set. Every stored
+    CSR entry is an edge, zero weights included, and the distances depend on
+    the graph alone, not on the order its edges were listed in. Raises if
+    ``labels`` is empty.
     """
     labels.validate_against(graph.node_count)
     if len(labels) == 0:
         raise ValueError("at least one labeled node is required")
-    hop_of = np.full(graph.node_count, -1, dtype=np.int64)
-    frontier = labels.indices
-    hop_of[frontier] = 0
-    for k in range(1, graph.node_count):  # no path has more than n - 1 edges
-        # gather the CSR rows of the whole frontier at once
-        starts = graph.indptr[frontier]
-        counts = graph.indptr[frontier + 1] - starts
-        offsets = np.cumsum(counts) - counts
-        positions = np.arange(int(counts.sum())) + np.repeat(starts - offsets, counts)
-        cand = np.unique(graph.indices[positions])
-        nxt = cand[hop_of[cand] < 0]
-        if nxt.size == 0:
-            break
-        hop_of[nxt] = k
-        frontier = nxt
-    return NeighborhoodPartition(hop_of=hop_of)
+    # min_only keeps one distance per node instead of a labels x nodes matrix;
+    # each edge is stored in both its rows, so the search follows rows as they are
+    dist = dijkstra(graph.matrix, unweighted=True, indices=labels.indices, min_only=True)
+    dist[np.isinf(dist)] = -1
+    return NeighborhoodPartition(hop_of=dist.astype(np.int64))
 
 
 def _quantile_positions(m: int, q: float) -> tuple[int, int, float]:

@@ -143,14 +143,19 @@ class Prediction:
     fixed-point residual, for soft solves that of their prior problem.
     ``route`` is the path that solved it: ``dense``, ``pcg``, ``factor``,
     ``pcg+factor`` (CG's answer rejected, then factored) or ``gauss-seidel``.
+    ``method``, derived when read, is ``iterative`` for ``gauss-seidel`` and
+    ``direct`` for every other route.
     """
 
     f: np.ndarray
     node_flags: np.ndarray
-    method: str
     iterations: int
     residual: float
     route: str
+
+    @property
+    def method(self) -> str:
+        return "iterative" if self.route == "gauss-seidel" else "direct"
 
     @property
     def converged(self) -> bool:
@@ -248,8 +253,7 @@ def solve_with_prior(
     if not converged:
         flags[solved] = FLAG_NONCONVERGED
     return Prediction(
-        f=f, node_flags=flags, method=config.method, iterations=iterations,
-        residual=residual, route=route,
+        f=f, node_flags=flags, iterations=iterations, residual=residual, route=route
     )
 
 

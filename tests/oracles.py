@@ -316,12 +316,18 @@ def block_knn_mean(x, points, values, kk, block_elements=1 << 16):
     return g
 
 
+def neighbors(graph, i):
+    """Sorted neighbor ids and matching weights of node ``i``."""
+    lo, hi = graph.indptr[i], graph.indptr[i + 1]
+    return graph.indices[lo:hi], graph.weights[lo:hi]
+
+
 def loop_smoothness(graph, y, partition, k):
     """Node by node total of ``w |y_j - y_i|`` over the edges of hop ``k``."""
     y = np.asarray(y, dtype=np.float64)
     total = 0.0
     for i in partition.hops[k]:
-        nbrs, w = graph.neighbors(int(i))
+        nbrs, w = neighbors(graph, int(i))
         total += float(np.sum(w * np.abs(y[nbrs] - y[i])))
     return total
 
@@ -336,7 +342,7 @@ def loop_node_error(graph, y, prior, f, partition):
     for k in range(1, len(partition.hops)):
         for i in partition.hops[k]:
             i = int(i)
-            nbrs, w = graph.neighbors(i)
+            nbrs, w = neighbors(graph, i)
             denom = float(np.sum(w)) + prior.mu[i]
             rhs = (
                 float(np.sum(w * err[nbrs]))
@@ -355,7 +361,7 @@ def loop_directional_weights(graph, partition):
     for i in range(graph.node_count):
         if hop[i] < 0:
             continue
-        nbrs, w = graph.neighbors(i)
+        nbrs, w = neighbors(graph, i)
         for j, wv in zip(nbrs.tolist(), w.tolist()):
             if hop[j] == hop[i] - 1:
                 inw[i] += wv
@@ -373,7 +379,7 @@ def loop_hops(graph, labels):
     queue = deque(hop)
     while queue:
         i = queue.popleft()
-        for j in graph.neighbors(i)[0].tolist():
+        for j in neighbors(graph, i)[0].tolist():
             if j not in hop:
                 hop[j] = hop[i] + 1
                 queue.append(j)

@@ -22,6 +22,7 @@ from oracles import (
     naive_multi_objective,
     naive_prior_objective,
     naive_soft_objective,
+    neighbors,
     random_connected_graph,
     random_labels,
 )
@@ -117,7 +118,7 @@ def test_criterion_2_fixed_point_certificate():
         for i in range(g.node_count):
             if i in labeled:
                 continue
-            nbrs, w = g.neighbors(i)
+            nbrs, w = neighbors(g, i)
             denom = float(np.sum(w)) + prior.mu[i]
             if denom == 0.0:
                 continue

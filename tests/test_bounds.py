@@ -26,6 +26,7 @@ from oracles import (
     loop_prior_terms,
     loop_smoothness,
     mixed_row_length_edges,
+    neighbors,
     random_connected_graph,
     random_labels,
 )
@@ -54,7 +55,7 @@ def brute_force_flows(graph, part, k):
     cin = cbet = cout = 0.0
     hop = part.hop_of
     for i in part.hops[k]:
-        nbrs, w = graph.neighbors(int(i))
+        nbrs, w = neighbors(graph, int(i))
         for j, wv in zip(nbrs, w):
             if hop[j] == k - 1:
                 cin += wv
@@ -261,7 +262,7 @@ class TestNeighborhoodErrors:
             num_in = num_bet = num_out = 0.0
             cin = cbet = cout = 0.0
             for i in part.hops[k]:
-                nbrs, w = g.neighbors(int(i))
+                nbrs, w = neighbors(g, int(i))
                 e_i = abs(f[i] - y[i])
                 for j, wv in zip(nbrs, w):
                     if hop[j] == k - 1:

@@ -76,6 +76,11 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=f"node 0 has non-finite prediction {bad!r}"):
             evaluate(np.array([bad, 0.9]), np.array([1, 1]))
 
+    def test_rejects_an_empty_prediction(self):
+        # unchecked, every rate of the empty Metrics divides by zero when read
+        with pytest.raises(ValueError, match="prediction covers no node"):
+            evaluate(np.array([]), np.array([]))
+
     def test_rejects_negative_epsilon(self):
         with pytest.raises(ValueError):
             evaluate(np.array([0.5]), np.array([1]), epsilon=-1.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from priorprop.bounds import hop_stats
 from priorprop.evaluation import SyntheticSpec, generate_clusters
 from priorprop.graph import (
     Graph,
@@ -15,6 +16,7 @@ from priorprop.graph import (
     compute_neighborhoods,
 )
 from priorprop.graph import _lerp, _quantile_positions, _row_sums
+from priorprop.solver import PriorField
 
 from oracles import (
     cdist_threshold_graph,
@@ -23,6 +25,7 @@ from oracles import (
     loop_hops,
     loop_row_sums,
     mixed_row_length_edges,
+    neighbors,
     random_connected_graph,
     random_labels,
 )
@@ -50,9 +53,9 @@ class TestGraphConstruction:
     def test_symmetry_and_degree_cache(self):
         g = Graph.from_edges(4, [(0, 1, 2.0), (2, 1, 0.5), (3, 0, 1.25)])
         for i in range(4):
-            nbrs, w = g.neighbors(i)
+            nbrs, w = neighbors(g, i)
             for j, wv in zip(nbrs, w):
-                back_n, back_w = g.neighbors(int(j))
+                back_n, back_w = neighbors(g, int(j))
                 pos = list(back_n).index(i)
                 assert back_w[pos] == wv
             assert g.degrees[i] == np.sum(w)
@@ -90,7 +93,7 @@ class TestGraphConstruction:
 
     def test_neighbor_lists_sorted(self):
         g = Graph.from_edges(5, [(0, 4, 1.0), (0, 2, 1.0), (0, 1, 1.0), (0, 3, 1.0)])
-        nbrs, _ = g.neighbors(0)
+        nbrs, _ = neighbors(g, 0)
         assert list(nbrs) == [1, 2, 3, 4]
 
     @pytest.mark.parametrize(
@@ -405,8 +408,32 @@ class TestNeighborhoods:
         labels = LabelSet([0], [1])
         part = compute_neighborhoods(Graph.from_edges(4, other_edges), labels)
         with pytest.raises(ValueError, match=f"does not layer the graph: {message}"):
-            part.validate_against(path)
-        compute_neighborhoods(path, labels).validate_against(path)
+            _hop_stats_on(path, part)
+        _hop_stats_on(path, compute_neighborhoods(path, labels))
+
+    def test_layering_of_another_size_rejected(self):
+        path = Graph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+        with pytest.raises(ValueError, match="partition does not match graph size"):
+            _hop_stats_on(path, NeighborhoodPartition(np.array([0, 1, 2])))
+        with pytest.raises(ValueError, match="partition does not match graph size"):
+            _hop_stats_on(path, NeighborhoodPartition(np.array([0, 1, 2, 3, -1])))
+
+    def test_stored_zero_weight_is_an_edge(self):
+        # the path 0-1-2-3 built from its CSR arrays, edge 1-2 stored with weight 0
+        indptr = np.array([0, 1, 3, 5, 6])
+        indices = np.array([1, 0, 2, 1, 3, 2])
+        weights = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 1.0])
+        g = Graph(indptr, indices, weights)
+        labels = LabelSet([0], [1])
+        part = compute_neighborhoods(g, labels)
+        assert part.hop_of.dtype == np.int64
+        assert part.hop_of.tolist() == [0, 1, 2, 3]
+        assert [h.tolist() for h in part.hops] == loop_hops(g, labels)[0]
+        stats = _hop_stats_on(g, part)
+        assert stats.in_flow.tolist() == [0.0, 1.0, 0.0, 1.0]
+        skipping_the_zero_edge = NeighborhoodPartition(np.array([0, 1, -1, -1]))
+        with pytest.raises(ValueError, match="edge 1-2 joins hop 1 and an unreachable node"):
+            _hop_stats_on(g, skipping_the_zero_edge)
 
     def test_hop_sets_partition_nodes(self):
         rng = np.random.default_rng(11)
@@ -418,7 +445,7 @@ class TestNeighborhoods:
         # every node at hop k >= 1 has an edge into hop k-1 and none closer than k-1
         for k in range(1, part.max_hop + 1):
             for i in part.hops[k]:
-                nbrs, _ = g.neighbors(int(i))
+                nbrs, _ = neighbors(g, int(i))
                 nbr_hops = part.hop_of[nbrs]
                 assert (nbr_hops == k - 1).any()
                 assert not (nbr_hops < k - 1).any()
@@ -438,6 +465,14 @@ class TestNeighborhoods:
         )
         for i in range(n):
             assert part.hop_of[i] == part2.hop_of[perm[i]]
+
+
+def _hop_stats_on(graph, partition):
+    """``hop_stats`` of a prediction equal to a truth of all ones, under a
+    uniform prior of weight 1, so that only the partition can be at fault."""
+    truth = np.ones(graph.node_count, dtype=np.int8)
+    prior = PriorField.constant(graph.node_count, mu=1.0)
+    return hop_stats(graph, truth, prior, partition, truth.astype(np.float64))
 
 
 def bound_instance_graphs():

@@ -12,6 +12,7 @@ from priorprop.solver import (
     FLAG_NONCONVERGED,
     FLAG_OK,
     FLAG_UNREACHABLE,
+    Prediction,
     PriorField,
     SingularSystemError,
     SolverConfig,
@@ -294,6 +295,17 @@ class TestFactorOrPcgGate:
         labels = LabelSet([0, 2], [0, 1])
         assert solve_standard(g, labels).route == "dense"
         assert solve_standard(g, labels, SolverConfig(method="iterative")).route == "gauss-seidel"
+
+    @pytest.mark.parametrize("route, method", [
+        ("dense", "direct"), ("pcg", "direct"), ("factor", "direct"),
+        ("pcg+factor", "direct"), ("gauss-seidel", "iterative"),
+    ])
+    def test_method_is_derived_from_the_route(self, route, method):
+        fields = dict(f=np.zeros(2), node_flags=np.zeros(2, dtype=np.int8), iterations=0,
+                      residual=0.0, route=route)
+        assert Prediction(**fields).method == method
+        with pytest.raises(TypeError):
+            Prediction(**fields, method=method)
 
 
 class TestSolveStandard:
