@@ -46,6 +46,20 @@ class Metrics:
     abstain_count: int
     correct_count: int
 
+    def __post_init__(self):
+        if self.node_count < 1:
+            raise ValueError(f"node_count must be at least 1, got {self.node_count}")
+        if not 0 <= self.abstain_count <= self.node_count:
+            raise ValueError(
+                f"abstain_count must lie in [0, {self.node_count}], got {self.abstain_count}"
+            )
+        voted = self.node_count - self.abstain_count
+        if not 0 <= self.correct_count <= voted:
+            raise ValueError(
+                f"correct_count must lie in [0, {voted}] (the nodes that did not abstain), "
+                f"got {self.correct_count}"
+            )
+
     @property
     def coverage(self) -> float:
         return (self.node_count - self.abstain_count) / self.node_count

@@ -16,7 +16,6 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra, reverse_cuthill_mckee
-from scipy.spatial import cKDTree
 
 
 class GraphFormatError(ValueError):
@@ -349,6 +348,8 @@ def build_threshold_graph(features: np.ndarray, t: float) -> Graph:
     bound the largest distance needed, and one radius query returns every pair
     within that bound. Distances are summed as ``cdist`` sums them, so the
     edges are exactly those of the full ``N**2`` computation; memory is O(N·t).
+    The kd-tree module, ``scipy.spatial``, loads on the first call that builds
+    a tree, so importing the package does not pay for it.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim == 1:
@@ -372,6 +373,8 @@ def build_threshold_graph(features: np.ndarray, t: float) -> Graph:
     need = (hi - n) // 2 + 1
     if need <= 0:  # the threshold is a self-zero, and no distance is below it
         return Graph.from_edges(n, np.empty((0, 3)))
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(x)
     _, near = tree.query(x, min(n, math.ceil(t) + 1))
     i = np.repeat(np.arange(n), near.shape[1])

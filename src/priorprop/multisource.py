@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from priorprop.graph import LabelSet, _as_truth
 from priorprop.solver import PriorField
@@ -154,7 +153,11 @@ def _knn_mean(x: np.ndarray, points: np.ndarray, values: np.ndarray, kk: int) ->
     ``kk``-th exact distance is clearly below the farthest candidate's, so
     that no other point can rank among its ``kk`` nearest; the other rows are
     asked again for twice as many candidates. Memory is O(N·kk), not O(N·S).
+    The kd-tree module, ``scipy.spatial``, loads on the first call, so
+    importing the package does not pay for it.
     """
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(points)
     g = np.empty(x.shape[0])
     rows = np.arange(x.shape[0])

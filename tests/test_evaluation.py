@@ -1,8 +1,12 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from priorprop.evaluation import (
+    Metrics,
     SyntheticSpec,
     evaluate,
     generate_clusters,
@@ -89,6 +93,40 @@ class TestEvaluate:
     def test_rejects_non_finite_epsilon(self, epsilon):
         with pytest.raises(ValueError, match="epsilon"):
             evaluate(np.array([0.5]), np.array([1]), epsilon=epsilon)
+
+
+class TestMetricsValidation:
+    @pytest.mark.parametrize("nodes, abstain, correct, field", [
+        (0, 0, 0, "node_count"),
+        (-1, 0, 0, "node_count"),
+        (3, -1, 0, "abstain_count"),
+        (3, 5, 0, "abstain_count"),
+        (3, 1, -1, "correct_count"),
+        (3, 1, 3, "correct_count"),
+        # unchecked, coverage reads -0.667 and accuracy 3.17
+        (3, 5, 7, "abstain_count"),
+    ])
+    def test_rejects_counts_that_contradict_each_other(self, nodes, abstain, correct, field):
+        with pytest.raises(ValueError, match=field):
+            Metrics(abstain_epsilon=1e-3, node_count=nodes, abstain_count=abstain,
+                    correct_count=correct)
+
+    @pytest.mark.parametrize("abstain, correct", [(0, 0), (0, 3), (3, 0), (1, 2)])
+    def test_accepts_counts_at_the_limits(self, abstain, correct):
+        m = Metrics(abstain_epsilon=1e-3, node_count=3, abstain_count=abstain,
+                    correct_count=correct)
+        assert 0.0 <= m.accuracy <= 1.0 and 0.0 <= m.coverage <= 1.0
+
+    def test_evaluate_reproduces_the_golden_demo_metrics(self):
+        golden = json.loads(
+            (Path(__file__).parent / "data" / "demo_golden.json").read_text()
+        )
+        spec = SyntheticSpec(**{key: tuple(v) if isinstance(v, list) else v
+                                for key, v in golden["spec"].items()})
+        report = pipeline_report(spec, with_bounds=False)
+        assert [r.metrics.to_dict() for r in report.results] == [
+            row["metrics"] for row in golden["results"]
+        ]
 
 
 class TestGenerators:

@@ -459,7 +459,8 @@ class TestKnnMeanMatchesRowBlocks:
                 asked.append((len(x), k))
                 return super().query(x, k)
 
-        monkeypatch.setattr(multisource, "cKDTree", CountingTree)
+        # _knn_mean imports the kd-tree when called, so patch its source
+        monkeypatch.setattr("scipy.spatial.cKDTree", CountingTree)
         spread = np.column_stack((100.0 + np.arange(20), np.zeros(20)))
         points = np.vstack((np.zeros((20, 2)), spread))
         rng = np.random.default_rng(3)
