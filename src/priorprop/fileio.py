@@ -222,10 +222,8 @@ def load_accuracies(path) -> LabelerAccuracy:
 
 def save_prediction(prediction: Prediction, path) -> None:
     """Lines ``i f_i flag`` with flag in ok/unreachable/nonconverged."""
-    names = prediction.flag_names()
-    out = [
-        f"{i} {fmt_float(v)} {names[i]}" for i, v in enumerate(prediction.f)
-    ]
+    f = prediction.f.tolist()
+    out = map("{} {:.17g} {}".format, range(len(f)), f, prediction.flag_names())
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 

@@ -9,6 +9,7 @@ to share across threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -16,6 +17,10 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra, reverse_cuthill_mckee
+
+
+# the largest node count whose edge keys ``lo * node_count + hi`` fit in int64
+MAX_NODES = math.isqrt(2**63 - 1)
 
 
 class GraphFormatError(ValueError):
@@ -96,9 +101,18 @@ class Graph:
         endpoints and conflicts are rejected, naming the first offending
         record in input order. Zero-weight records are dropped: they
         contribute nothing to any propagation or flow formula.
+
+        The cost is one stable sort of the records by their edge, which is
+        close to a linear pass when they already come in canonical order (as
+        ``save_graph`` writes them), and one linear placement of the CSR
+        entries. ``node_count`` may be at most ``MAX_NODES``
+        (``isqrt(2**63 - 1)``), so that an edge's key fits in int64.
         """
+        node_count = operator.index(node_count)
         if node_count < 1:
             raise GraphFormatError("node_count must be positive")
+        if node_count > MAX_NODES:
+            raise GraphFormatError(f"node_count {node_count} exceeds the limit of {MAX_NODES}")
         rec = _edge_records(edges)
         i_f, j_f, w = rec[:, 0], rec[:, 1], rec[:, 2]
         integral = (i_f == np.trunc(i_f)) & (j_f == np.trunc(j_f))
@@ -111,31 +125,36 @@ class Graph:
         first_bad = int(np.argmax(invalid)) if invalid.any() else rec.shape[0]
         lo = np.minimum(i[:first_bad], j[:first_bad])
         hi = np.maximum(i[:first_bad], j[:first_bad])
-        order = np.lexsort((hi, lo))  # stable: input order within each edge
-        lo, hi, w_s = lo[order], hi[order], w[:first_bad][order]
+        key = lo * node_count + hi
+        order = np.argsort(key, kind="stable")  # input order within each edge
+        key, w_s = key[order], w[order]
         group_first = np.ones(order.size, dtype=bool)
-        group_first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        group_first[1:] = key[1:] != key[:-1]
         first_w = w_s[group_first][np.cumsum(group_first) - 1]
         conflicts = np.flatnonzero(w_s != first_w)
         if conflicts.size:
             pos = conflicts[np.argmin(order[conflicts])]
             raise GraphFormatError(
                 f"conflicting weights {float(first_w[pos])} and {float(w_s[pos])} "
-                f"for edge {(int(lo[pos]), int(hi[pos]))}"
+                f"for edge {divmod(int(key[pos]), node_count)}"
             )
         if first_bad < rec.shape[0]:
             _raise_invalid(rec[first_bad], node_count)
 
-        keep = group_first & (w_s != 0.0)
-        lo, hi, w_s = lo[keep], hi[keep], w_s[keep]
-        rows = np.concatenate((lo, hi))
-        cols = np.concatenate((hi, lo))
-        vals = np.concatenate((w_s, w_s))
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        indptr = np.zeros(node_count + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=node_count), out=indptr[1:])
-        return cls(indptr=indptr, indices=cols, weights=vals)
+        keep = order[group_first & (w_s != 0.0)]
+        lo, hi, w_k = lo[keep], hi[keep], w[keep]
+        # each row lists its lower neighbours (from the (hi, lo) copies) before
+        # its higher ones, each ascending, so placing the entries by row in
+        # this order (a stable counting placement) leaves every row sorted
+        adj = sp.coo_array(
+            (np.concatenate((w_k, w_k)), (np.concatenate((hi, lo)), np.concatenate((lo, hi)))),
+            shape=(node_count, node_count),
+        ).tocsr()
+        return cls(
+            indptr=adj.indptr.astype(np.int64),
+            indices=adj.indices.astype(np.int64),
+            weights=adj.data,
+        )
 
     @property
     def node_count(self) -> int:
@@ -387,7 +406,9 @@ def build_threshold_graph(features: np.ndarray, t: float) -> Graph:
     # the margin covers the kd-tree summing distances in its own order
     pairs = tree.query_pairs(bound * (1 + 1e-9), output_type="ndarray")
     dist = _distances(x, pairs[:, 0], pairs[:, 1])
-    smallest = np.sort(dist)
+    # only the two pool positions are read, so place just those in sorted order
+    ranks = sorted({(p - n) // 2 for p in (lo, hi) if p >= n})
+    smallest = np.partition(dist, ranks)
     pool = [0.0 if p < n else float(smallest[(p - n) // 2]) for p in (lo, hi)]
     edges = pairs[dist < _lerp(*pool, gamma)]
     return Graph.from_edges(n, np.column_stack((edges, np.ones(len(edges)))))

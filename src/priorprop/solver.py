@@ -81,6 +81,7 @@ FLAG_OK = 0
 FLAG_UNREACHABLE = 1
 FLAG_NONCONVERGED = 2
 FLAG_NAMES = {FLAG_OK: "ok", FLAG_UNREACHABLE: "unreachable", FLAG_NONCONVERGED: "nonconverged"}
+_FLAG_NAME_ARRAY = np.array([FLAG_NAMES[code] for code in range(len(FLAG_NAMES))])
 
 
 class SingularSystemError(ValueError):
@@ -162,7 +163,7 @@ class Prediction:
         return not (self.node_flags == FLAG_NONCONVERGED).any()
 
     def flag_names(self) -> list[str]:
-        return [FLAG_NAMES[int(c)] for c in self.node_flags]
+        return _FLAG_NAME_ARRAY[self.node_flags].tolist()
 
 
 def scores(prediction) -> np.ndarray:

@@ -252,7 +252,7 @@ def loop_row_sums(indptr, vals):
     """Row by row ``np.sum`` of CSR values: the weighted degree when ``vals``
     are the edge weights."""
     sums = np.zeros(indptr.size - 1, dtype=np.float64)
-    for i in range(indptr.size - 1):
+    for i in np.flatnonzero(np.diff(indptr)).tolist():  # empty rows sum to 0
         sums[i] = float(np.sum(vals[indptr[i] : indptr[i + 1]]))
     return sums
 

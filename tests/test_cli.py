@@ -129,6 +129,13 @@ class TestPropagate:
                     "--output", workspace / "x.txt"]) == 2
         assert f"{bad}:3:" in capsys.readouterr().err
 
+    def test_node_count_above_the_key_limit_exits_2(self, workspace, capsys):
+        bad = workspace / "huge_graph.txt"
+        bad.write_text("# nodes 3037000500\n0 1 1.0\n")
+        assert run(["propagate", "--graph", bad, "--labels", workspace / "labels.txt",
+                    "--output", workspace / "x.txt"]) == 2
+        assert "node_count 3037000500 exceeds the limit" in capsys.readouterr().err
+
     @pytest.mark.parametrize("method", ["direct", "iterative"])
     def test_votes_match_anchor_graph_solve(self, workspace, method):
         out = workspace / f"votes-{method}.txt"

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from priorprop import fileio
 from priorprop.graph import Graph, GraphFormatError, LabelSet
 from priorprop.multisource import ABSTAIN, LabelerAccuracy, WeakVoteMatrix
-from priorprop.solver import solve_standard
+from priorprop.solver import FLAG_NAMES, Prediction, solve_standard
 
 from oracles import (
     loop_load_accuracies,
@@ -145,6 +145,21 @@ class TestOtherFormats:
         assert np.array_equal(f, pred.f)
         assert flags == pred.flag_names()
         assert flags[2] == "unreachable"
+
+    def test_prediction_bytes_match_per_node_formatting(self, tmp_path):
+        rng = np.random.default_rng(4)
+        special = [0.0, 1.0, 1 / 3, 5e-324, 2.2250738585072014e-308 / 3, 1e-300, 0.1]
+        f = np.concatenate((special, rng.random(300), rng.random(20) * 1e-310))
+        flags = rng.integers(0, 3, f.size).astype(np.int8)
+        pred = Prediction(f=f, node_flags=flags, iterations=0, residual=0.0, route="dense")
+        path = tmp_path / "p.txt"
+        fileio.save_prediction(pred, path)
+        want = "".join(
+            f"{i} {format(float(v), '.17g')} {FLAG_NAMES[int(c)]}\n"
+            for i, (v, c) in enumerate(zip(f, flags))
+        )
+        assert path.read_bytes() == want.encode()
+        assert pred.flag_names() == [FLAG_NAMES[int(c)] for c in flags]
 
     def test_prediction_rejects_duplicate_node(self, tmp_path):
         path = tmp_path / "p.txt"

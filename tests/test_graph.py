@@ -2,11 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from priorprop.bounds import hop_stats
 from priorprop.evaluation import SyntheticSpec, generate_clusters
 from priorprop.graph import (
+    MAX_NODES,
     Graph,
     GraphFormatError,
     LabelSet,
@@ -21,6 +22,7 @@ from priorprop.solver import PriorField
 from oracles import (
     cdist_threshold_graph,
     feature_points,
+    geometric_graph,
     loop_from_edges,
     loop_hops,
     loop_row_sums,
@@ -149,13 +151,32 @@ class TestGraphConstruction:
         for empty in ([], np.empty((0, 3))):
             assert Graph.from_edges(3, empty).edge_count == 0
 
+    def test_node_count_above_the_key_limit_is_rejected_before_allocating(self):
+        assert MAX_NODES + 1 == 3_037_000_500
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphFormatError, match="exceeds the limit of 3037000499"):
+                Graph.from_edges(3_037_000_500, [(0, 1, 1.0)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 @st.composite
 def edge_record_lists(draw):
-    n = draw(st.integers(2, 7))
+    # small graphs make duplicates and conflicts likely; large ones make edge
+    # keys exceed 2**32 and scipy's int32 index arrays come back as int64
+    n = draw(st.one_of(st.integers(2, 7), st.integers(8, 100_000)))
+    # endpoints come from a few nodes, so edges repeat at every size; some
+    # count down from the last node, so that large graphs have large keys
+    from_top = st.integers(0, min(n - 1, 50)).map(lambda d: n - 1 - d)
+    node = st.one_of(st.integers(0, n - 1), from_top)
+    nodes = draw(st.lists(node, min_size=2, max_size=min(n, 8), unique=True))
+    k = len(nodes)
     pairs = draw(st.lists(
-        st.tuples(st.integers(0, n - 1), st.integers(1, n - 1)).map(
-            lambda p: (p[0], (p[0] + p[1]) % n)
+        st.tuples(st.integers(0, k - 1), st.integers(1, k - 1)).map(
+            lambda p: (nodes[p[0]], nodes[(p[0] + p[1]) % k])
         ),
         max_size=25,
     ))
@@ -175,9 +196,16 @@ def edge_record_lists(draw):
     return n, records
 
 
+# a graph whose edge keys exceed 2**32, with and without a conflict
+LARGE_KEYS = [(99_999, 99_998, 1.5), (50_000, 99_999, 2.0), (99_998, 99_999, 1.5),
+              (0, 99_999, 0.25), (99_999, 50_000, 2.0)]
+
+
 class TestFromEdgesMatchesLoopReference:
     @settings(max_examples=300)
     @given(edge_record_lists())
+    @example((100_000, LARGE_KEYS))
+    @example((100_000, LARGE_KEYS + [(99_998, 99_999, 3.0)]))
     def test_bitwise_equal_or_same_error(self, case):
         n, records = case
         try:
@@ -193,6 +221,29 @@ class TestFromEdgesMatchesLoopReference:
             for got, want in zip((g.indptr, g.indices, g.weights, g.degrees), expected):
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
+
+
+class TestFromEdgesIgnoresRecordOrder:
+    def test_shuffled_flipped_and_duplicated_copies_give_the_same_bytes(self):
+        n = 2_000
+        rng = np.random.default_rng(20)
+        rec = geometric_graph(n, 2, 13.0, seed=20)
+        canonical = rec[np.lexsort((rec[:, 1], rec[:, 0]))]
+        want = loop_from_edges(n, canonical)
+        flipped = canonical.copy()
+        swap = rng.random(len(rec)) < 0.5
+        flipped[swap, 0], flipped[swap, 1] = canonical[swap, 1], canonical[swap, 0]
+        copies = {
+            "canonical": canonical,
+            "shuffled": canonical[rng.permutation(len(rec))],
+            "flipped": flipped[rng.permutation(len(rec))],
+            "duplicated": np.vstack((flipped, canonical))[rng.permutation(2 * len(rec))],
+        }
+        for name, edges in copies.items():
+            g = Graph.from_edges(n, edges)
+            for got, expected in zip((g.indptr, g.indices, g.weights, g.degrees), want):
+                assert got.dtype == expected.dtype, name
+                assert got.tobytes() == expected.tobytes(), name
 
 
 class TestRowSumsMatchLoopReference:
