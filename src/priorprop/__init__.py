@@ -8,7 +8,6 @@ from priorprop.bounds import (
     audit_inequalities,
     compute_bound,
     hop_stats,
-    smoothness,
 )
 from priorprop.evaluation import (
     Metrics,

@@ -24,10 +24,12 @@ on the hop's average error.
 Everything per hop lives in one table. ``hop_stats`` validates one analysis
 (graph, truth, prior, partition and the prediction being analyzed) and
 computes every quantity above once, as a :class:`HopStats` column indexed by
-hop and named after the report's JSON key (``c_k`` is ``local_term``).
-``compute_bound`` adds the columns ``d_k``, informal bound, certified bound
-and bound source; its report's JSON has one row per hop, read across the
-columns. ``audit_inequalities`` re-checks the chain of per-node and per-hop
+hop and named after the report's JSON key (``c_k`` is ``local_term``): a
+per-hop sum is ``np.sum`` over the hop's nodes, and ``s_k`` adds up its
+nodes' disagreements one by one. ``compute_bound`` adds the columns ``d_k``,
+certified bound and bound source, and its report derives the informal bound
+from ``d_k`` when read; the report's JSON has one row per hop, read across
+the columns. ``audit_inequalities`` re-checks the chain of per-node and per-hop
 inequalities the bound rests on as array expressions over the same columns,
 one :class:`AuditFamily` of ``lhs``/``rhs``/``passed`` arrays per family.
 Both read one ratio chain: a hop's bound is "measured" where the chain's
@@ -81,21 +83,6 @@ def _directional_weights(
                          f"{hop_of[i]} has no neighbor at hop {hop_of[i] - 1}")
     sums = np.bincount(bins, weights=graph.weights, minlength=3 * n)
     return tuple(sums.reshape(-1, 3).T)
-
-
-def _disagreement(graph: Graph, y: np.ndarray) -> np.ndarray:
-    """Per node, the weighted true-label disagreement on its edges."""
-    return _row_sums(graph.indptr, graph.weights * np.abs(y[graph.indices] - y[graph.rows]))
-
-
-def smoothness(
-    graph: Graph, true_labels_full, partition: NeighborhoodPartition, k: int
-) -> float:
-    """Total weighted true-label disagreement on edges incident to hop k,
-    summed from left to right as a running ``total += v`` adds."""
-    y = _as_truth(true_labels_full, graph.node_count)
-    values = _disagreement(graph, y)[partition.hops[k]]
-    return float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,16 +181,13 @@ def hop_stats(
 
     err = np.abs(f - y)
     pull = np.abs(prior.h - y)
-    node_s = _disagreement(graph, y)
+    # per node, the weighted true-label disagreement on its edges
+    node_s = _row_sums(graph.indptr, graph.weights * np.abs(y[graph.indices] - y[graph.rows]))
     l = partition.max_hop
-    hop_order = np.concatenate(partition.hops)
-    hop_index = partition.hop_of[hop_order]
-    sizes = np.bincount(hop_index, minlength=l + 1)
-    hop_ptr = np.concatenate(([0], np.cumsum(sizes)))
+    sizes = np.array([h.size for h in partition.hops])
 
     def hop_sums(values: np.ndarray) -> np.ndarray:
-        """``np.sum(values[hops[k]])`` for every hop k, bit for bit."""
-        return _row_sums(hop_ptr, values[hop_order])
+        return np.array([values[h].sum() for h in partition.hops])
 
     in_flow, between, out_weight = (hop_sums(w) for w in (inw, betw, outw))
 
@@ -219,8 +203,9 @@ def hop_stats(
     mu = prior.mu
     mu_total, pull_error, mu_error = (hop_sums(v) for v in (mu, mu * pull, mu * err))
     a_err = hop_sums(pull) / sizes
-    # bincount adds in input order, as a running ``total += v`` does
-    s = np.bincount(hop_index, weights=node_s[hop_order], minlength=l + 1)
+    # bincount adds in node order, as a running ``total += v`` over each hop does
+    reached = partition.hop_of >= 0
+    s = np.bincount(partition.hop_of[reached], weights=node_s[reached], minlength=l + 1)
     for per_hop in (mu_total, pull_error, mu_error, a_err, s):
         per_hop[0] = 0.0
 
@@ -270,17 +255,20 @@ HOP_KEYS = (
 class BoundReport:
     """The bound's columns beside the per-hop table they were built from.
 
-    ``accumulated_term`` (``d_k``), ``informal_bound``, ``certified_bound`` and
-    ``bound_source`` are indexed by hop like ``stats``; hop 0, whose error is
-    exactly 0, holds a measured bound of 0. The report's globals are read off
-    ``stats``.
+    ``accumulated_term`` (``d_k``), ``certified_bound`` and ``bound_source``
+    are indexed by hop like ``stats``, and so is ``informal_bound``, derived
+    from ``d_k`` when read; hop 0, whose error is exactly 0, holds a measured
+    bound of 0. The report's globals are read off ``stats``.
     """
 
     stats: HopStats
     accumulated_term: np.ndarray
-    informal_bound: np.ndarray
     certified_bound: np.ndarray
     bound_source: tuple[str, ...]
+
+    @property
+    def informal_bound(self) -> np.ndarray:
+        return np.cumsum(self.accumulated_term)
 
     def to_dict(self) -> dict[str, Any]:
         """The globals, and one dict per hop from 1 on, keyed by ``HOP_KEYS``
@@ -341,18 +329,17 @@ def compute_bound(stats: HopStats) -> BoundReport:
     d = np.zeros(l + 1)
     for k in range(l, 0, -1):
         d[k] = c[k] + (gam[k] * d[k + 1] if k < l else 0.0)
-    informal = np.cumsum(d)
 
     a, delta = stats.in_error_ratio, stats.error_ratio
     measured = int(np.logical_and.accumulate(_ratio_chain(stats)[2]).sum())
-    certified = informal.copy()
+    certified = np.cumsum(d)  # the informal bound where the chain breaks
     for k in range(1, measured + 1):
         # d_k + d_{k-1} delta_{k-1} + ..., multiplied and summed left to right
         prods = np.cumprod(np.concatenate(([1.0], delta[k - 1:0:-1])))
         certified[k] = np.cumsum(d[k:0:-1] * prods)[-1] / a[k]
     source = ("measured",) * (measured + 1) + ("informal_fallback",) * (l - measured)
-    return BoundReport(stats=stats, accumulated_term=d, informal_bound=informal,
-                       certified_bound=certified, bound_source=source)
+    return BoundReport(stats=stats, accumulated_term=d, certified_bound=certified,
+                       bound_source=source)
 
 
 AUDIT_SLACK = 1e-6

@@ -72,6 +72,17 @@ def _check_required_by(args, needed: str, present, names) -> None:
         raise ValueError(f"{needed} is required by {', '.join(given)}")
 
 
+def _check_prior_flags(args) -> None:
+    """Reject a prior or input flag that the mode given would silently ignore."""
+    _check_required_by(args, "--votes", args.votes, _VOTE_FLAGS)
+    scheme = args.alpha_scheme or "accuracy"
+    for name, readers in (("alpha_constant", ["constant"]), ("k_neighbors", ["probabilistic"]),
+                          ("accuracies", ["accuracy", "boosting"])):
+        needed = "--alpha-scheme " + " or ".join(readers)
+        _check_required_by(args, needed, scheme in readers, (name,))
+    _check_required_by(args, "--features", args.features, ("t",))
+
+
 # flags that only the iterative method reads; unset, they are None
 _ITERATIVE_FLAGS = ("tolerance", "max_iterations")
 
@@ -171,7 +182,7 @@ def cmd_propagate(args) -> int:
     epsilon = evaluation.check_epsilon(
         evaluation.DEFAULT_EPSILON if args.epsilon is None else args.epsilon
     )
-    _check_required_by(args, "--votes", args.votes, _VOTE_FLAGS)
+    _check_prior_flags(args)
     config = _solver_config(args)
     graph, features = _load_graph_input(args)
     labels = _load_labels(args, graph.node_count)
@@ -199,7 +210,7 @@ def cmd_propagate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    _check_required_by(args, "--votes", args.votes, _VOTE_FLAGS)
+    _check_prior_flags(args)
     config = _solver_config(args)
     graph, features = _load_graph_input(args)
     labels = _load_labels(args, graph.node_count)
@@ -219,8 +230,7 @@ def cmd_analyze(args) -> int:
     # the default direct config, not the solver flags: Gauss-Seidel on the soft
     # problem at a small eta can run 10,000 sweeps without converging
     soft = solve_soft(graph, labels, args.eta)
-    given = (args.full_t, args.full_m, args.full_k)
-    full = None if given == (None,) * 3 else tuple(1 if v is None else v for v in given)
+    full = tuple(1 if v is None else v for v in (args.full_t, args.full_m, args.full_k))
     spectral = spectral_bound(graph, soft, labels, y, args.eta, args.delta, full)
 
     report = {

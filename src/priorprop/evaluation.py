@@ -20,7 +20,7 @@ import numpy as np
 from priorprop.bounds import BoundReport, compute_bound, hop_stats
 from priorprop.graph import LabelSet, _as_truth, build_threshold_graph, compute_neighborhoods
 from priorprop.multisource import ABSTAIN, ALPHA_SCHEMES, WeakVoteMatrix, vote_prior
-from priorprop.solver import PriorField, SolverConfig, scores, solve_with_prior
+from priorprop.solver import PriorField, SolverConfig, _check_count, scores, solve_with_prior
 
 DEFAULT_EPSILON = 1e-3
 
@@ -120,8 +120,8 @@ class SyntheticSpec:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
-        if self.cluster_count < 1 or self.points_per_cluster < 1 or self.dimension < 1:
-            raise ValueError("cluster_count, points_per_cluster and dimension must be positive")
+        for name in ("cluster_count", "points_per_cluster", "dimension", "labeled_count"):
+            _check_count(name, getattr(self, name))
         if self.separation <= 0 or self.noise_scale < 0:
             raise ValueError("separation must be positive, noise_scale non-negative")
         if len(self.labeler_accuracies) != len(self.labeler_coverages):
@@ -130,8 +130,7 @@ class SyntheticSpec:
             raise ValueError("labeler accuracies must lie in (0, 1)")
         if not all(0 <= c <= 1 for c in self.labeler_coverages):
             raise ValueError("labeler coverages must lie in [0, 1]")
-        n = self.cluster_count * self.points_per_cluster
-        if not (1 <= self.labeled_count <= n):
+        if self.labeled_count > self.node_count:
             raise ValueError("labeled_count must be between 1 and the point count")
         if not self.graph_degree_target > 0 or self.mu < 0:
             raise ValueError("degree target t must be positive and mu non-negative")

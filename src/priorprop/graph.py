@@ -243,7 +243,7 @@ class LabelSet:
             raise ValueError("indices and values must be 1-D and equally long")
         # validate the raw values: a cast truncates or wraps what it cannot hold
         with np.errstate(invalid="ignore"):
-            cast = idx.astype(np.int64) if idx.dtype.kind in "biuf" else None
+            cast = idx.astype(np.int64) if idx.dtype.kind in "iuf" else None
         if cast is None or not np.array_equal(cast, idx):
             raise ValueError("labeled indices must be finite integers")
         if not np.all(np.isin(val, (0, 1))):

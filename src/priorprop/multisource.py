@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from priorprop.graph import LabelSet, _as_truth
-from priorprop.solver import PriorField
+from priorprop.solver import PriorField, _check_count
 
 ABSTAIN = -1
 
@@ -192,8 +192,7 @@ def alpha_probabilistic(
     accuracy. Every feature must be finite; the ``ValueError`` names the
     first node with one that is not.
     """
-    if k_neighbors < 1:
-        raise ValueError("k_neighbors must be positive")
+    _check_count("k_neighbors", k_neighbors)
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != votes.node_count:
         raise ValueError("features must be (node_count, d)")

@@ -56,6 +56,7 @@ weight are indeterminate: they receive ``unreachable_fill`` and are flagged.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -117,6 +118,12 @@ class PriorField:
         return int(self.h.size)
 
 
+def _check_count(name: str, value) -> None:
+    """Reject ``value`` unless ``operator.index`` takes it and it is at least 1."""
+    if not (hasattr(type(value), "__index__") and operator.index(value) >= 1):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class SolverConfig:
     method: str = "direct"
@@ -127,8 +134,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.method not in ("direct", "iterative"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
+        _check_count("max_iterations", self.max_iterations)
         if not (0 < self.tolerance < np.inf):
             raise ValueError("tolerance must be positive and finite")
         if not (0.0 <= self.unreachable_fill <= 1.0):

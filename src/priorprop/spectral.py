@@ -4,7 +4,8 @@ The bound compares the empirical squared error on the labeled sample with the
 squared error over all nodes for the soft-constrained solution, in terms of
 the Laplacian's second smallest eigenvalue. The full variant carries the
 (multiplicity, label magnitude, score magnitude) parameters ``(t, M, K)``; the
-simplified variant is ``t = M = K = 1``.
+simplified variant, the default, is ``t = M = K = 1``. A :class:`SpectralReport`
+stores the bound's inputs and derives ``beta`` and the bound from them.
 
 The eigenvalue ``lambda_2`` of a connected graph takes one of three routes:
 
@@ -32,7 +33,7 @@ reuses its minimum-degree order and no second ordering runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -116,7 +117,7 @@ def _lanczos(graph: Graph, lap: sp.csr_matrix) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SpectralReport:
-    """Spectral bound ingredients; ``finite`` is False when the gap closes."""
+    """Spectral bound inputs; ``beta``, ``bound`` and ``finite`` are derived from them."""
 
     lambda1: float
     eta: float
@@ -125,8 +126,6 @@ class SpectralReport:
     t: int
     m_bound: float
     k_bound: float
-    beta: float
-    bound: float
     empirical_error: float
     generalization_error: float
 
@@ -134,14 +133,26 @@ class SpectralReport:
     def finite(self) -> bool:
         return self.lambda1 - self.eta * self.t > 0
 
+    @property
+    def beta(self) -> float:
+        gap = self.lambda1 - self.eta * self.t
+        if not gap > 0:
+            return math.inf
+        eta, n = self.eta, self.n_labeled
+        return 3.0 * eta**2 * math.sqrt(self.t * n) / gap**2 + 4.0 * eta * self.m_bound / gap
+
+    @property
+    def bound(self) -> float:
+        n, beta = self.n_labeled, self.beta
+        deviation = math.sqrt(2.0 * math.log(2.0 / self.delta_conf) / n)
+        return beta + deviation * (n * beta + (self.k_bound + self.m_bound) ** 2)
+
     def to_dict(self) -> dict[str, Any]:
-        """Every field in declaration order, then ``finite``; a non-finite
-        ``beta`` or ``bound`` is None."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)} | {"finite": self.finite}
-        for name in ("beta", "bound"):
-            if not math.isfinite(out[name]):
-                out[name] = None
-        return out
+        """Inputs, ``beta``, ``bound``, errors and ``finite``; an infinite bound is None."""
+        keys = ("lambda1", "eta", "n_labeled", "delta_conf", "t", "m_bound", "k_bound",
+                "beta", "bound", "empirical_error", "generalization_error", "finite")
+        values = {key: getattr(self, key) for key in keys}
+        return {key: None if value == math.inf else value for key, value in values.items()}
 
 
 def spectral_bound(
@@ -151,14 +162,14 @@ def spectral_bound(
     true_labels_full,
     eta: float,
     delta_conf: float = 0.1,
-    full_params: tuple[int, float, float] | None = None,
+    full_params: tuple[int, float, float] = (1, 1.0, 1.0),
 ) -> SpectralReport:
     """Evaluate the spectral generalization bound for a soft solution.
 
-    ``full_params = (t, M, K)`` selects the full variant; omitted, the
-    simplified ``t = M = K = 1`` form is used (its deviation term is then
-    ``(K + M)^2 = 4``). When ``lambda1 <= eta * t`` the bound is reported as
-    infinite with ``finite=False``.
+    ``full_params = (t, M, K)`` are the full variant's parameters; the
+    default is the simplified ``t = M = K = 1`` form (its deviation term is
+    then ``(K + M)^2 = 4``). When ``lambda1 <= eta * t`` the bound is reported
+    as infinite with ``finite=False``.
     """
     eta = float(eta)
     delta = float(delta_conf)
@@ -170,12 +181,11 @@ def spectral_bound(
     n = len(labels)
     if n < 4:
         raise ValueError("the bound requires at least 4 labeled points")
-    t, m_bound, k_bound = (1, 1.0, 1.0) if full_params is None else full_params
+    t, m_bound, k_bound = full_params
     # an integral t is checked before int(), which truncates 1.5 and overflows on inf
     t_ok = math.isfinite(t) and t == math.trunc(t) and t >= 1
     if not t_ok or not (0 < m_bound < math.inf) or not (0 < k_bound < math.inf):
         raise ValueError("full parameters (t, M, K) must be positive and finite, t an integer")
-    t = int(t)
 
     f = scores(prediction)
     y = _as_truth(true_labels_full, graph.node_count)
@@ -183,25 +193,14 @@ def spectral_bound(
         raise ValueError("prediction must cover every node")
     r_emp = float(np.mean((f[labels.indices] - labels.values.astype(np.float64)) ** 2))
     r_gen = float(np.mean((f - y) ** 2))
-
-    lam1 = second_smallest_eigenvalue(graph)
-    gap = lam1 - eta * t
-    beta = bound = math.inf
-    if gap > 0:
-        beta = 3.0 * eta**2 * math.sqrt(t * n) / gap**2 + 4.0 * eta * m_bound / gap
-        bound = beta + math.sqrt(2.0 * math.log(2.0 / delta) / n) * (
-            n * beta + (k_bound + m_bound) ** 2
-        )
     return SpectralReport(
-        lambda1=lam1,
+        lambda1=second_smallest_eigenvalue(graph),
         eta=eta,
         n_labeled=n,
         delta_conf=delta,
-        t=t,
+        t=int(t),
         m_bound=float(m_bound),
         k_bound=float(k_bound),
-        beta=beta,
-        bound=bound,
         empirical_error=r_emp,
         generalization_error=r_gen,
     )

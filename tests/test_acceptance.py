@@ -240,11 +240,10 @@ def test_criterion_5_tightness_fixture():
     labels = pp.LabelSet([0, 1, 15, 16], y[[0, 1, 15, 16]])
     partition = pp.compute_neighborhoods(g, labels)
     prior = pp.PriorField(y.astype(float), np.ones(30))
-    for k in range(1, partition.max_hop + 1):
-        assert pp.smoothness(g, y, partition, k) == 0.0
     pred = pp.solve_with_prior(g, labels, prior)
     report = pp.compute_bound(pp.hop_stats(g, y, prior, partition, pred))
     for k in range(1, partition.max_hop + 1):
+        assert report.stats.smoothness[k] == 0.0
         assert report.stats.local_term[k] == 0.0
         assert report.informal_bound[k] == 0.0
         assert report.stats.avg_error[k] < 1e-10

@@ -10,7 +10,6 @@ from priorprop.bounds import (
     audit_inequalities,
     compute_bound,
     hop_stats,
-    smoothness,
 )
 from priorprop.graph import Graph, LabelSet, compute_neighborhoods
 from priorprop.solver import PriorField, SolverConfig, solve_with_prior
@@ -181,15 +180,13 @@ class TestSmoothnessAndPriorError:
         g = path_graph(4)
         part = compute_neighborhoods(g, LabelSet([0], [1]))
         y = np.ones(4, dtype=np.int8)
-        for k in range(1, part.max_hop + 1):
-            assert smoothness(g, y, part, k) == 0.0
+        assert truth_stats(g, part, y).smoothness[1:].tolist() == [0.0] * part.max_hop
 
     def test_single_boundary_edge(self):
         g = path_graph(3)
         part = compute_neighborhoods(g, LabelSet([0], [0]))
         y = np.array([0, 0, 1], dtype=np.int8)
-        assert smoothness(g, y, part, 1) == 1.0
-        assert smoothness(g, y, part, 2) == 1.0
+        assert truth_stats(g, part, y).smoothness[1:].tolist() == [1.0, 1.0]
 
     def test_eight_boundary_edges(self):
         # hop 2 nodes each carry two unit-weight edges across the class line
@@ -207,7 +204,7 @@ class TestSmoothnessAndPriorError:
         g = Graph.from_edges(15, edges)
         part = compute_neighborhoods(g, LabelSet([0], [0]))
         y = np.array([0] * 7 + [1] * 8, dtype=np.int8)
-        assert smoothness(g, y, part, 2) == 8.0
+        assert truth_stats(g, part, y).smoothness[2] == 8.0
 
     def test_prior_error_cases(self):
         g = path_graph(4)
@@ -472,7 +469,6 @@ class TestHopStats:
         for k in range(1, part.max_hop + 1):
             want = loop_smoothness(g, y, part, k)
             assert stats.smoothness[k].tobytes() == np.float64(want).tobytes()
-            assert np.float64(smoothness(g, y, part, k)).tobytes() == np.float64(want).tobytes()
         fam = audit_inequalities(stats).families["node_error"]
         got = [
             (f"node {i}", lhs, rhs)

@@ -182,9 +182,11 @@ class TestPropagate:
             inputs = ["--graph", workspace / "graph.txt"]
         if scheme == "oracle":
             inputs += ["--truth", workspace / "truth.txt"]
+        # each scheme is given the one option it reads; any other exits 2
+        inputs += {"constant": ["--alpha-constant", "0.7"],
+                   "probabilistic": ["--k-neighbors", "4"]}.get(scheme, [])
         assert run(["propagate", *inputs, "--labels", workspace / "labels.txt",
                     "--votes", workspace / "votes.txt", "--alpha-scheme", scheme,
-                    "--alpha-constant", "0.7", "--k-neighbors", "4",
                     "--output", out]) == 0
         feats = fileio.load_features(workspace / "features.txt")
         graph = pp.build_threshold_graph(feats, 6)
@@ -416,6 +418,25 @@ def test_vote_flags_without_votes_exit_2(workspace, capsys, command, flags):
     assert code == 2
     given = ", ".join(a for a in flags if a.startswith("--"))
     assert f"--votes is required by {given}" in capsys.readouterr().err
+    assert not (workspace / "out.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["propagate", "analyze"])
+@pytest.mark.parametrize("flags, needed", [
+    (["--alpha-constant", "5"], "--alpha-scheme constant"),
+    (["--k-neighbors", "3", "--alpha-scheme", "boosting"], "--alpha-scheme probabilistic"),
+    (["--accuracies", "acc.txt", "--alpha-scheme", "constant"],
+     "--alpha-scheme accuracy or boosting"),
+    (["--t", "5"], "--features"),
+], ids=["alpha-constant", "k-neighbors", "accuracies", "t"])
+def test_flags_no_mode_reads_exit_2(workspace, capsys, command, flags, needed):
+    (workspace / "acc.txt").write_text("0.8\n0.8\n0.8\n")
+    code = run([command, "--graph", workspace / "graph.txt", "--labels", workspace / "labels.txt",
+                "--truth", workspace / "truth.txt", "--votes", workspace / "votes.txt",
+                *[workspace / a if a.endswith(".txt") else a for a in flags],
+                "--output", workspace / "out.txt"])
+    assert code == 2
+    assert f"{needed} is required by {flags[0]}" in capsys.readouterr().err
     assert not (workspace / "out.txt").exists()
 
 

@@ -13,9 +13,37 @@ from priorprop.evaluation import (
     generate_weak_labelers,
     pipeline_report,
 )
-from priorprop.bounds import smoothness
+from priorprop.bounds import hop_stats
 from priorprop.graph import LabelSet, build_threshold_graph, compute_neighborhoods
-from priorprop.multisource import ABSTAIN
+from priorprop.multisource import ABSTAIN, WeakVoteMatrix, vote_prior
+from priorprop.solver import PriorField, SolverConfig
+
+
+def _probabilistic_prior(k_neighbors):
+    votes = WeakVoteMatrix(np.array([[1], [0], [1]], dtype=np.int8))
+    vote_prior(votes, "probabilistic", LabelSet([0, 1], [1, 0]),
+               features=np.arange(3.0)[:, None], k_neighbors=k_neighbors)
+
+
+COUNTS = {
+    "max_iterations": lambda v: SolverConfig(max_iterations=v),
+    "cluster_count": lambda v: SyntheticSpec(cluster_count=v),
+    "points_per_cluster": lambda v: SyntheticSpec(points_per_cluster=v, labeled_count=2),
+    "dimension": lambda v: SyntheticSpec(dimension=v),
+    "labeled_count": lambda v: SyntheticSpec(labeled_count=v),
+    "k_neighbors": _probabilistic_prior,
+}
+
+
+@pytest.mark.parametrize("name", COUNTS)
+def test_non_integer_counts_are_rejected_by_name(name):
+    # 2.5 used to pass until a range or slice raised TypeError, or tripped
+    # the labeled_count check; an integral count still passes
+    make = COUNTS[name]
+    make(2)
+    for bad in (2.5, 0):
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer, got {bad}"):
+            make(bad)
 
 
 class TestEvaluate:
@@ -143,8 +171,9 @@ class TestGenerators:
         g = build_threshold_graph(feats, t=6.0)
         labels = LabelSet([0, 40], y[[0, 40]])
         part = compute_neighborhoods(g, labels)
-        for k in range(1, part.max_hop + 1):
-            assert smoothness(g, y, part, k) == 0.0
+        prior = PriorField.constant(g.node_count, mu=1.0)
+        stats = hop_stats(g, y, prior, part, y.astype(np.float64))
+        assert stats.smoothness[1:].tolist() == [0.0] * part.max_hop
 
     def test_determinism(self):
         spec = SyntheticSpec(seed=7)

@@ -414,6 +414,11 @@ class TestLabelSet:
         with pytest.raises(ValueError, match=message):
             LabelSet(indices, values)
 
+    def test_boolean_mask_is_not_read_as_indices(self):
+        # it used to be taken as nodes [0, 1]
+        with pytest.raises(ValueError, match="labeled indices must be finite integers"):
+            LabelSet(np.array([True, False]), [1, 0])
+
     def test_integral_floats_accepted(self):
         ls = LabelSet([2.0, 0.0], [1.0, 0.0])
         assert ls.indices.tolist() == [0, 2]

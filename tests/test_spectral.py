@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -247,6 +248,15 @@ class TestSpectralBound:
             full_params=(1, 1.0, 1.0),
         )
         assert rep_a.bound == rep_b.bound
+
+    def test_beta_and_bound_follow_the_inputs(self):
+        # derived when read, so a report cannot carry a bound its inputs contradict
+        f = self.y.astype(float)
+        rep = spectral_bound(self.g, f, self.labels, self.y, eta=0.3)
+        full = spectral_bound(self.g, f, self.labels, self.y, eta=0.3, full_params=(2, 1.5, 2.0))
+        moved = dataclasses.replace(rep, t=2, m_bound=1.5, k_bound=2.0)
+        assert (moved.beta, moved.bound) == (full.beta, full.bound)
+        assert moved.to_dict() == full.to_dict()
 
     def test_requires_four_labeled(self):
         labels = LabelSet([0, 1], [1, 0])
