@@ -22,14 +22,15 @@ ratios, the certified bound ``(1/a_k) sum_{i<=k} d_i prod_{j=i}^{k-1} delta_j``
 on the hop's average error.
 
 Everything per hop lives in one table. ``hop_stats`` validates one analysis
-(graph, truth, prior, partition and the prediction being analyzed) and
-computes every quantity above once, as a :class:`HopStats` column indexed by
-hop and named after the report's JSON key (``c_k`` is ``local_term``): a
-per-hop sum is ``np.sum`` over the hop's nodes, and ``s_k`` adds up its
-nodes' disagreements one by one. ``compute_bound`` adds the columns ``d_k``,
-certified bound and bound source, and its report derives the informal bound
-from ``d_k`` when read; the report's JSON has one row per hop, read across
-the columns. ``audit_inequalities`` re-checks the chain of per-node and per-hop
+(truth, prior, the hop layering, which holds its graph, and the prediction
+being analyzed) and computes every quantity above once, as a
+:class:`HopStats` column indexed by hop and named after the report's JSON
+key (``c_k`` is ``local_term``): a per-hop sum is ``np.sum`` over the hop's
+nodes, and ``s_k`` adds up its nodes' disagreements one by one.
+``compute_bound`` adds the columns ``d_k``, certified bound and bound source,
+and its report derives the informal bound from ``d_k`` when read; the
+report's JSON has one row per hop, read across the columns.
+``audit_inequalities`` re-checks the chain of per-node and per-hop
 inequalities the bound rests on as array expressions over the same columns,
 one :class:`AuditFamily` of ``lhs``/``rhs``/``passed`` arrays per family.
 Both read one ratio chain: a hop's bound is "measured" where the chain's
@@ -51,37 +52,19 @@ BETWEEN_FLOW_CONVENTION = "ordered-pairs (each within-hop edge counted twice)"
 
 
 def _directional_weights(
-    graph: Graph, partition: NeighborhoodPartition
+    partition: NeighborhoodPartition,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-node edge weight going one hop in, within the hop, one hop out.
 
-    ``partition`` must layer ``graph``: every edge joins hops at most one
-    apart, or two unreachable nodes, and every node past hop 0 has a neighbor
-    one hop closer, so that ``hop_of`` is each node's shortest-path distance
-    to hop 0. The ``ValueError`` names the first edge or node that breaks this.
-    The unreachable nodes count as one more hop, two past the last.
+    The unreachable nodes count as one more hop, two past the last, so every
+    edge of the layering joins hops at most one apart.
     """
-    hop_of = partition.hop_of
-    n = graph.node_count
-    if hop_of.size != n:
-        raise ValueError("partition does not match graph size")
+    graph, hop_of = partition.graph, partition.hop_of
     rows = graph.rows
     hops = np.where(hop_of < 0, hop_of.max() + 2, hop_of)
     # 0, 1 and 2 for a neighbor one hop in, within the hop and one hop out
-    offset = hops[graph.indices] - hops[rows] + 1
-    bad = np.flatnonzero((offset < 0) | (offset > 2))
-    if bad.size:
-        i, j = rows[bad[0]], graph.indices[bad[0]]
-        ends = [f"hop {h}" if h >= 0 else "an unreachable node" for h in hop_of[[i, j]]]
-        raise ValueError(f"partition does not layer the graph: edge {i}-{j} "
-                         f"joins {ends[0]} and {ends[1]}")
-    bins = 3 * rows + offset
-    stranded = np.flatnonzero((hop_of > 0) & (np.bincount(bins, minlength=3 * n)[::3] == 0))
-    if stranded.size:
-        i = stranded[0]
-        raise ValueError(f"partition does not layer the graph: node {i} at hop "
-                         f"{hop_of[i]} has no neighbor at hop {hop_of[i] - 1}")
-    sums = np.bincount(bins, weights=graph.weights, minlength=3 * n)
+    bins = 3 * rows + hops[graph.indices] - hops[rows] + 1
+    sums = np.bincount(bins, weights=graph.weights, minlength=3 * graph.node_count)
     return tuple(sums.reshape(-1, 3).T)
 
 
@@ -100,10 +83,10 @@ class HopStats:
     between- and out-errors weight each node's |f - y| by its edge weight in
     that direction, and are nan where that flow is zero. The ratios
     ``a_k = in/avg`` and ``b_k = out/avg`` are nan wherever the average
-    error or the flow is zero. ``error`` and ``node_smoothness`` are per node.
+    error or the flow is zero. ``error`` and ``node_smoothness`` are per node,
+    over the nodes of ``graph``, the partition's graph.
     """
 
-    graph: Graph
     truth: np.ndarray
     prior: PriorField
     partition: NeighborhoodPartition
@@ -128,6 +111,10 @@ class HopStats:
     out_error_ratio: np.ndarray
 
     @property
+    def graph(self) -> Graph:
+        return self.partition.graph
+
+    @property
     def hop(self) -> np.ndarray:
         return np.arange(self.size.size)
 
@@ -150,7 +137,6 @@ class HopStats:
 
 
 def hop_stats(
-    graph: Graph,
     true_labels_full,
     prior: PriorField,
     partition: NeighborhoodPartition,
@@ -158,21 +144,21 @@ def hop_stats(
 ) -> HopStats:
     """Validate one analysis and compute its per-hop statistics once.
 
-    ``prediction`` is the :class:`Prediction` (or bare scores) being analyzed.
-    Its scores must be finite, and it must equal the truth on every labeled
-    node, since the bound and the audit take the labeled set's error to be
-    exactly 0; the first node that breaks either rule is named in the
-    ``ValueError``. ``partition`` must be the hop layering of ``graph``; the
-    pass that bins the flows checks that and names the first edge or node
-    that breaks it.
+    The graph is ``partition.graph``, and the truth and the prior must cover
+    its nodes. ``prediction`` is the :class:`Prediction` (or bare scores)
+    being analyzed. Its scores must be finite, and it must equal the truth on
+    every labeled node, since the bound and the audit take the labeled set's
+    error to be exactly 0; the first node that breaks either rule is named in
+    the ``ValueError``.
     """
+    graph = partition.graph
     y = _as_truth(true_labels_full, graph.node_count)
     f = scores(prediction)
     if f.shape != y.shape:
         raise ValueError("prediction does not cover every node")
     if prior.node_count != graph.node_count:
         raise ValueError("prior size does not match graph")
-    inw, betw, outw = _directional_weights(graph, partition)
+    inw, betw, outw = _directional_weights(partition)
     labeled = partition.hops[0]
     wrong = np.flatnonzero(f[labeled] != y[labeled])
     if wrong.size:
@@ -217,7 +203,6 @@ def hop_stats(
     c[1:] = (s[1:] + pull_error[1:]) / denom
     gam[1:l] = in_flow[2:] / denom[:-1]  # no flow leaves the last hop
     return HopStats(
-        graph=graph,
         truth=y,
         prior=prior,
         partition=partition,

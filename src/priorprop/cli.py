@@ -224,7 +224,7 @@ def cmd_analyze(args) -> int:
     prior = _prior(args, graph.node_count, labels, y, features)
     partition = compute_neighborhoods(graph, labels)
     prediction = solve_with_prior(graph, labels, prior, config)
-    stats = hop_stats(graph, y, prior, partition, prediction)
+    stats = hop_stats(y, prior, partition, prediction)
     bound = compute_bound(stats)
     audit = audit_inequalities(stats)
     # the default direct config, not the solver flags: Gauss-Seidel on the soft

@@ -12,6 +12,7 @@ desk-scale experiments; everything is deterministic under the spec seed.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass
 from typing import Any, Sequence
 
@@ -122,6 +123,8 @@ class SyntheticSpec:
     def __post_init__(self):
         for name in ("cluster_count", "points_per_cluster", "dimension", "labeled_count"):
             _check_count(name, getattr(self, name))
+        if not (hasattr(type(self.seed), "__index__") and operator.index(self.seed) >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.separation <= 0 or self.noise_scale < 0:
             raise ValueError("separation must be positive, noise_scale non-negative")
         if len(self.labeler_accuracies) != len(self.labeler_coverages):
@@ -277,6 +280,6 @@ def pipeline_report(
         pred = solve_with_prior(graph, labels, prior, config)
         bound = None
         if with_bounds:
-            bound = compute_bound(hop_stats(graph, truth, prior, partition, pred))
+            bound = compute_bound(hop_stats(truth, prior, partition, pred))
         results.append(MethodResult(method, evaluate(pred.f, truth, spec.epsilon), bound))
     return PipelineReport(spec=spec, results=tuple(results))

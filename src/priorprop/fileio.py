@@ -172,10 +172,7 @@ def save_labels(labels: LabelSet, path) -> None:
 
 def load_labels(path) -> LabelSet:
     rows, _ = _read_table(path, [("i", np.int64), ("y", np.int64)], "'i y' with y 0 or 1",
-                          lambda r: np.isin(r["y"], (0, 1)).all())
-    ids, counts = np.unique(rows["i"], return_counts=True)
-    if np.any(counts > 1):
-        raise ValueError(f"{path}: node {ids[counts > 1][0]} is labeled more than once")
+                          lambda r: np.isin(r["y"], (0, 1)).all(), unique=("i", "node"))
     return LabelSet(rows["i"], rows["y"])
 
 

@@ -1,9 +1,11 @@
 """Sparse symmetric similarity graphs and their hop decomposition.
 
 The graph is stored as a CSR adjacency structure with sorted neighbor lists,
-so every traversal is deterministic. Instances are immutable after
-construction, apart from caches of values derived from them; reads are safe
-to share across threads.
+so every traversal is deterministic. Its hop decomposition, a
+:class:`NeighborhoodPartition`, holds the graph and the labeled set and
+derives each node's hop from them, so a layering cannot belong to another
+graph. Instances are immutable after construction, apart from caches of
+values derived from them; reads are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -108,7 +110,10 @@ class Graph:
         entries. ``node_count`` may be at most ``MAX_NODES``
         (``isqrt(2**63 - 1)``), so that an edge's key fits in int64.
         """
-        node_count = operator.index(node_count)
+        try:
+            node_count = operator.index(node_count)
+        except TypeError:
+            raise GraphFormatError(f"node_count must be an integer, got {node_count!r}") from None
         if node_count < 1:
             raise GraphFormatError("node_count must be positive")
         if node_count > MAX_NODES:
@@ -277,15 +282,35 @@ def _as_truth(true_labels_full, node_count: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class NeighborhoodPartition:
-    """Hop layering around the labeled set.
+    """Hop layering of ``graph`` around the labeled set ``labels``.
 
-    ``hop_of`` maps each node to its hop index, the length of its shortest
-    path to a labeled node (-1 for unreachable). ``hops[k]`` lists the nodes
-    of hop k in ascending order, ``hops[0]`` being the labeled set itself, and
-    ``unreachable`` the nodes with no path to a labeled node.
+    Construction validates the labels and runs one breadth-first search from
+    every labeled node at once. ``hop_of`` (read-only) maps each node to its
+    hop index, its unweighted shortest-path distance to the labeled set (-1
+    for unreachable). Every stored CSR entry is an edge, zero weights
+    included, and the distances depend on the graph alone, not on the order
+    its edges were listed in, so every edge joins hops at most one apart, or
+    two unreachable nodes. ``hops[k]`` lists the nodes of hop k in ascending
+    order, ``hops[0]`` being the labeled set itself, and ``unreachable`` the
+    nodes with no path to a labeled node. Raises if ``labels`` is empty.
     """
 
-    hop_of: np.ndarray
+    graph: Graph
+    labels: LabelSet
+    hop_of: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.labels.validate_against(self.graph.node_count)
+        if len(self.labels) == 0:
+            raise ValueError("at least one labeled node is required")
+        # min_only keeps one distance per node instead of a labels x nodes matrix;
+        # each edge is stored in both its rows, so the search follows rows as they are
+        dist = dijkstra(self.graph.matrix, unweighted=True, indices=self.labels.indices,
+                        min_only=True)
+        dist[np.isinf(dist)] = -1
+        hop_of = dist.astype(np.int64)
+        hop_of.flags.writeable = False
+        object.__setattr__(self, "hop_of", hop_of)
 
     @cached_property
     def hops(self) -> tuple[np.ndarray, ...]:
@@ -303,22 +328,8 @@ class NeighborhoodPartition:
 
 
 def compute_neighborhoods(graph: Graph, labels: LabelSet) -> NeighborhoodPartition:
-    """Breadth-first hop layering from the labeled set.
-
-    One breadth-first search from every labeled node at once gives each node
-    its unweighted shortest-path distance to the labeled set. Every stored
-    CSR entry is an edge, zero weights included, and the distances depend on
-    the graph alone, not on the order its edges were listed in. Raises if
-    ``labels`` is empty.
-    """
-    labels.validate_against(graph.node_count)
-    if len(labels) == 0:
-        raise ValueError("at least one labeled node is required")
-    # min_only keeps one distance per node instead of a labels x nodes matrix;
-    # each edge is stored in both its rows, so the search follows rows as they are
-    dist = dijkstra(graph.matrix, unweighted=True, indices=labels.indices, min_only=True)
-    dist[np.isinf(dist)] = -1
-    return NeighborhoodPartition(hop_of=dist.astype(np.int64))
+    """Breadth-first hop layering of ``graph`` from the labeled set ``labels``."""
+    return NeighborhoodPartition(graph, labels)
 
 
 def _quantile_positions(m: int, q: float) -> tuple[int, int, float]:

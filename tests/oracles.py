@@ -505,10 +505,12 @@ def loop_load_labels(path):
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"{path}:{lineno}: expected 'i y', got {line!r}")
-        idx.append(int(parts[0]))
-        y = int(parts[1])
+        i, y = int(parts[0]), int(parts[1])
         if y not in (0, 1):
             raise ValueError(f"{path}:{lineno}: label must be 0 or 1")
+        if i in idx:
+            raise ValueError(f"{path}:{lineno}: duplicate node {i}")
+        idx.append(i)
         val.append(y)
     return LabelSet(idx, val)
 

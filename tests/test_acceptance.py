@@ -185,7 +185,7 @@ def test_criterion_4_bound_validity_conditional():
     for _ in range(100):
         g, labels, y, prior, partition = _bound_instance(rng)
         pred = pp.solve_with_prior(g, labels, prior)
-        stats = pp.hop_stats(g, y, prior, partition, pred)
+        stats = pp.hop_stats(y, prior, partition, pred)
         report = pp.compute_bound(stats)
         audit = pp.audit_inequalities(stats)
         if not _ratio_chain_holds(audit):
@@ -213,7 +213,7 @@ def test_criterion_4_bound_validity_as_stated():
     for trial in range(100):
         g, labels, y, prior, partition = _bound_instance(rng)
         pred = pp.solve_with_prior(g, labels, prior)
-        report = pp.compute_bound(pp.hop_stats(g, y, prior, partition, pred))
+        report = pp.compute_bound(pp.hop_stats(y, prior, partition, pred))
         error, bound = report.stats.avg_error, report.certified_bound
         for k in range(1, partition.max_hop + 1):
             if report.bound_source[k] != "measured":
@@ -241,7 +241,7 @@ def test_criterion_5_tightness_fixture():
     partition = pp.compute_neighborhoods(g, labels)
     prior = pp.PriorField(y.astype(float), np.ones(30))
     pred = pp.solve_with_prior(g, labels, prior)
-    report = pp.compute_bound(pp.hop_stats(g, y, prior, partition, pred))
+    report = pp.compute_bound(pp.hop_stats(y, prior, partition, pred))
     for k in range(1, partition.max_hop + 1):
         assert report.stats.smoothness[k] == 0.0
         assert report.stats.local_term[k] == 0.0
@@ -261,7 +261,7 @@ def test_criterion_6_flow_identity():
         idx, vals = random_labels(rng, n)
         partition = pp.compute_neighborhoods(g, pp.LabelSet(idx, vals))
         zero = np.zeros(n)  # truth and prediction; the flows depend on neither
-        flows = pp.hop_stats(g, zero, pp.PriorField.constant(n, mu=1.0), partition, zero)
+        flows = pp.hop_stats(zero, pp.PriorField.constant(n, mu=1.0), partition, zero)
         for k in range(partition.max_hop):
             assert flows.out_flow[k] == flows.in_flow[k + 1]
             pairs += 1
@@ -281,7 +281,7 @@ def test_criterion_7_unconditional_audits_and_negative_control():
     for _ in range(60):
         g, labels, y, prior, partition = _bound_instance(rng, n_max=20)
         pred = pp.solve_with_prior(g, labels, prior)
-        audit = pp.audit_inequalities(pp.hop_stats(g, y, prior, partition, pred))
+        audit = pp.audit_inequalities(pp.hop_stats(y, prior, partition, pred))
         for name, fam in audit.families.items():
             if name in UNCONDITIONAL_FAMILIES:
                 transfer_checks += fam.ids.size
@@ -296,7 +296,7 @@ def test_criterion_7_unconditional_audits_and_negative_control():
     pred = pp.solve_with_prior(g, labels, prior)
     bad = pred.f.copy()
     bad[1] += 0.2
-    broken = pp.audit_inequalities(pp.hop_stats(g, y, prior, partition, bad))
+    broken = pp.audit_inequalities(pp.hop_stats(y, prior, partition, bad))
     assert not broken.passed and (~broken.checks).sum() >= 1
     certify(7, f"(unconditional families) all {transfer_checks} node/hop transfer checks pass on 60 "
                "solved instances; perturbed prediction fails as required")
@@ -313,7 +313,7 @@ def test_criterion_7_inequality_audit_as_stated():
     for trial in range(60):
         g, labels, y, prior, partition = _bound_instance(rng, n_max=20)
         pred = pp.solve_with_prior(g, labels, prior)
-        audit = pp.audit_inequalities(pp.hop_stats(g, y, prior, partition, pred))
+        audit = pp.audit_inequalities(pp.hop_stats(y, prior, partition, pred))
         if not audit.passed:
             failing.append((trial, audit.to_dict()["failures"]))
     if failing:

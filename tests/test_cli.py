@@ -254,7 +254,7 @@ def test_repeated_label_names_the_file(workspace, capsys, flag):
     for name, value in inputs.items():
         argv += [name, value]
     assert run(argv) == 2
-    assert f"{bad}: node 0 is labeled more than once" in capsys.readouterr().err
+    assert f"{bad}:2: duplicate node 0" in capsys.readouterr().err
     assert not (workspace / "out.txt").exists()
 
 
@@ -665,4 +665,9 @@ class TestDemo:
     def test_nan_parameter_exits_2(self, tmp_path, capsys, flag, message):
         assert run(["demo", flag, "nan", "--output", tmp_path / "d.json"]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "d.json").exists()
+
+    def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys):
+        assert run(["demo", "--seed", "-1", "--output", tmp_path / "d.json"]) == 2
+        assert "error: seed must be a non-negative integer, got -1" in capsys.readouterr().err
         assert not (tmp_path / "d.json").exists()

@@ -172,7 +172,7 @@ class TestGenerators:
         labels = LabelSet([0, 40], y[[0, 40]])
         part = compute_neighborhoods(g, labels)
         prior = PriorField.constant(g.node_count, mu=1.0)
-        stats = hop_stats(g, y, prior, part, y.astype(np.float64))
+        stats = hop_stats(y, prior, part, y.astype(np.float64))
         assert stats.smoothness[1:].tolist() == [0.0] * part.max_hop
 
     def test_determinism(self):
@@ -274,3 +274,11 @@ class TestSyntheticSpecValidation:
             SyntheticSpec(graph_degree_target=np.nan)
         with pytest.raises(ValueError, match="epsilon"):
             SyntheticSpec(epsilon=np.nan)
+
+    def test_seed_must_be_a_non_negative_integer(self):
+        # 1.5 used to pass until numpy's generator raised TypeError, and -1
+        # failed there with a message that did not name the seed
+        for bad in (1.5, -1):
+            with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {bad}"):
+                SyntheticSpec(seed=bad)
+        assert SyntheticSpec(seed=0).seed == 0

@@ -92,7 +92,7 @@ class TestOtherFormats:
     def test_labels_repeated_index_names_the_file_and_the_index(self, tmp_path):
         path = tmp_path / "l.txt"
         path.write_text("3 1\n0 1\n7 0\n0 1\n7 0\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: node 0 is labeled more"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: duplicate node 0$"):
             fileio.load_labels(path)
 
     def test_features_round_trip_and_delimiters(self, tmp_path):

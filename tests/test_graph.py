@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -150,6 +151,14 @@ class TestGraphConstruction:
             assert g.edge_list() == from_list.edge_list() == [(0, 1, 1.0), (0, 2, 1.5)]
         for empty in ([], np.empty((0, 3))):
             assert Graph.from_edges(3, empty).edge_count == 0
+
+    @pytest.mark.parametrize("node_count", [2.5, 2.0, "3", None])
+    def test_non_integral_node_count_is_a_format_error(self, node_count):
+        with pytest.raises(GraphFormatError, match=re.escape(
+                f"node_count must be an integer, got {node_count!r}")):
+            Graph.from_edges(node_count, [])
+        with pytest.raises(GraphFormatError, match="node_count must be positive"):
+            Graph.from_edges(0, [])
 
     def test_node_count_above_the_key_limit_is_rejected_before_allocating(self):
         assert MAX_NODES + 1 == 3_037_000_500
@@ -450,30 +459,6 @@ class TestNeighborhoods:
         with pytest.raises(ValueError):
             compute_neighborhoods(g, LabelSet([], []))
 
-    @pytest.mark.parametrize("other_edges, message", [
-        # hop_of [0, 2, 1, 3]: the path's edge 0-1 spans hops 0 and 2
-        ([(0, 2, 1.0), (2, 1, 1.0), (1, 3, 1.0)], "edge 0-1 joins hop 0 and hop 2"),
-        # node 3 unreachable there, but joined to hop 2 in the path
-        ([(0, 1, 1.0), (1, 2, 1.0)], "edge 2-3 joins hop 2 and an unreachable node"),
-        # hop_of [0, 1, 1, 2]: every path edge joins hops at most one apart,
-        # but node 2 is two edges from node 0
-        ([(0, 1, 1.0), (0, 2, 1.0), (2, 3, 1.0)], "node 2 at hop 1 has no neighbor at hop 0"),
-    ])
-    def test_layering_of_another_graph_rejected(self, other_edges, message):
-        path = Graph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-        labels = LabelSet([0], [1])
-        part = compute_neighborhoods(Graph.from_edges(4, other_edges), labels)
-        with pytest.raises(ValueError, match=f"does not layer the graph: {message}"):
-            _hop_stats_on(path, part)
-        _hop_stats_on(path, compute_neighborhoods(path, labels))
-
-    def test_layering_of_another_size_rejected(self):
-        path = Graph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-        with pytest.raises(ValueError, match="partition does not match graph size"):
-            _hop_stats_on(path, NeighborhoodPartition(np.array([0, 1, 2])))
-        with pytest.raises(ValueError, match="partition does not match graph size"):
-            _hop_stats_on(path, NeighborhoodPartition(np.array([0, 1, 2, 3, -1])))
-
     def test_stored_zero_weight_is_an_edge(self):
         # the path 0-1-2-3 built from its CSR arrays, edge 1-2 stored with weight 0
         indptr = np.array([0, 1, 3, 5, 6])
@@ -485,11 +470,9 @@ class TestNeighborhoods:
         assert part.hop_of.dtype == np.int64
         assert part.hop_of.tolist() == [0, 1, 2, 3]
         assert [h.tolist() for h in part.hops] == loop_hops(g, labels)[0]
-        stats = _hop_stats_on(g, part)
+        truth = np.ones(4, dtype=np.int8)
+        stats = hop_stats(truth, PriorField.constant(4, mu=1.0), part, truth.astype(np.float64))
         assert stats.in_flow.tolist() == [0.0, 1.0, 0.0, 1.0]
-        skipping_the_zero_edge = NeighborhoodPartition(np.array([0, 1, -1, -1]))
-        with pytest.raises(ValueError, match="edge 1-2 joins hop 1 and an unreachable node"):
-            _hop_stats_on(g, skipping_the_zero_edge)
 
     def test_hop_sets_partition_nodes(self):
         rng = np.random.default_rng(11)
@@ -521,14 +504,6 @@ class TestNeighborhoods:
         )
         for i in range(n):
             assert part.hop_of[i] == part2.hop_of[perm[i]]
-
-
-def _hop_stats_on(graph, partition):
-    """``hop_stats`` of a prediction equal to a truth of all ones, under a
-    uniform prior of weight 1, so that only the partition can be at fault."""
-    truth = np.ones(graph.node_count, dtype=np.int8)
-    prior = PriorField.constant(graph.node_count, mu=1.0)
-    return hop_stats(graph, truth, prior, partition, truth.astype(np.float64))
 
 
 def bound_instance_graphs():
@@ -572,8 +547,12 @@ class TestDerivedFields:
         assert copy.node_count == 4 and copy.degrees.tolist() == [1.0, 2.0, 2.0, 1.0]
         with pytest.raises(TypeError):
             Graph(g.indptr, g.indices, g.weights, degrees=2 * g.degrees)
-        part = NeighborhoodPartition(np.array([0, 2, 1, -1]))
+        part = NeighborhoodPartition(Graph.from_edges(4, [(0, 2, 1.0), (2, 1, 1.0)]),
+                                     LabelSet([0], [1]))
+        assert part.hop_of.tolist() == [0, 2, 1, -1]
         assert [h.tolist() for h in part.hops] == [[0], [2], [1]]
         assert part.unreachable.tolist() == [3]
         with pytest.raises(TypeError):
-            NeighborhoodPartition(hops=([0], [2], [1], [3]), hop_of=np.arange(4))
+            NeighborhoodPartition(g, LabelSet([0], [1]), hop_of=np.array([0, 1, 2, 3]))
+        with pytest.raises(ValueError, match="read-only"):
+            part.hop_of[0] = 1
