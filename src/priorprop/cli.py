@@ -7,6 +7,11 @@ Subcommands::
     priorprop analyze      --graph G|--features F --t T  --labels L --truth Y --output R
     priorprop demo         [synthetic-spec flags] --output R
 
+An optional flag of ``propagate``, ``analyze`` or ``demo`` is absent from the
+parsed arguments unless given, so the library's defaults are the only copy.
+``_FLAG_READERS`` is the one table of which mode reads each flag that some
+modes ignore: a flag the mode given does not read exits 2.
+
 Exit codes: 0 success, 2 usage or input validation failure, 1 internal error.
 Every command is a pure function of its inputs and flags; repeated runs
 produce byte-identical outputs.
@@ -15,6 +20,7 @@ produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -43,15 +49,15 @@ def _add_graph_inputs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t", type=float, help="average-degree target for graph construction")
 
 
-# flags that only shape the --votes prior; unset, they are None
-_VOTE_FLAGS = ("accuracies", "alpha_scheme", "alpha_constant", "k_neighbors")
+# the constant prior's weight without --votes, per command
+_DEFAULT_MU = {"propagate": 0.0, "analyze": 1.0}
 
 
-def _add_prior_flags(p: argparse.ArgumentParser, default_mu: float) -> None:
+def _add_prior_flags(p: argparse.ArgumentParser, command: str) -> None:
     p.add_argument(
         "--mu",
         type=float,
-        help=f"constant prior pull toward 0.5 without --votes (default {default_mu:g})",
+        help=f"constant prior pull toward 0.5 without --votes (default {_DEFAULT_MU[command]:g})",
     )
     p.add_argument("--votes", help="weak-vote matrix file (the prior fuses its votes)")
     p.add_argument("--accuracies", help="estimated labeler accuracies file")
@@ -62,62 +68,67 @@ def _add_prior_flags(p: argparse.ArgumentParser, default_mu: float) -> None:
     )
     p.add_argument("--alpha-constant", type=float, help="cast-vote weight of the constant scheme")
     p.add_argument("--k-neighbors", type=int, help="k-NN size of the probabilistic scheme")
-    p.set_defaults(default_mu=default_mu)
-
-
-def _check_required_by(args, needed: str, present, names) -> None:
-    """Without ``needed`` a flag that only it uses would be silently ignored."""
-    given = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is not None]
-    if given and not present:
-        raise ValueError(f"{needed} is required by {', '.join(given)}")
-
-
-def _check_prior_flags(args) -> None:
-    """Reject a prior or input flag that the mode given would silently ignore."""
-    _check_required_by(args, "--votes", args.votes, _VOTE_FLAGS)
-    scheme = args.alpha_scheme or "accuracy"
-    for name, readers in (("alpha_constant", ["constant"]), ("k_neighbors", ["probabilistic"]),
-                          ("accuracies", ["accuracy", "boosting"])):
-        needed = "--alpha-scheme " + " or ".join(readers)
-        _check_required_by(args, needed, scheme in readers, (name,))
-    _check_required_by(args, "--features", args.features, ("t",))
-
-
-# flags that only the iterative method reads; unset, they are None
-_ITERATIVE_FLAGS = ("tolerance", "max_iterations")
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     default = SolverConfig()
-    p.add_argument("--method", choices=("direct", "iterative"), default=default.method)
+    p.add_argument("--method", choices=("direct", "iterative"), help=f"(default {default.method})")
     p.add_argument("--tolerance", type=float,
                    help=f"iterative method only (default {default.tolerance:g})")
     p.add_argument("--max-iterations", type=int,
                    help=f"iterative method only (default {default.max_iterations})")
-    p.add_argument("--unreachable-fill", type=float, default=default.unreachable_fill)
+
+
+def _scheme(args) -> str:
+    return getattr(args, "alpha_scheme", "accuracy")
+
+
+# Per row: flags (by argparse name) that some modes ignore, whether the
+# arguments select a mode that reads them, and the error when they do not.
+_FLAG_READERS = (
+    (("accuracies", "alpha_scheme", "alpha_constant", "k_neighbors"),
+     lambda a: "votes" in a, "--votes is required by {}"),
+    (("alpha_constant",), lambda a: _scheme(a) == "constant",
+     "--alpha-scheme constant is required by {}"),
+    (("k_neighbors",), lambda a: _scheme(a) == "probabilistic",
+     "--alpha-scheme probabilistic is required by {}"),
+    (("accuracies",), lambda a: _scheme(a) in ("accuracy", "boosting"),
+     "--alpha-scheme accuracy or boosting is required by {}"),
+    (("t",), lambda a: "features" in a, "--features is required by {}"),
+    (("tolerance", "max_iterations"), lambda a: getattr(a, "method", None) == "iterative",
+     "--method iterative is required by {}"),
+    (("metrics_output", "epsilon"), lambda a: "truth" in a, "--truth is required by {}"),
+    (("mu",), lambda a: "votes" not in a,
+     "--mu cannot be combined with --votes (the votes set the prior weight)"),
+    # analyze's --eta weighs only its spectral part's soft solve
+    (("votes", "mu"), lambda a: a.command != "propagate" or "eta" not in a,
+     "--eta (soft solve) cannot be combined with --votes or --mu"),
+)
+
+
+def _check_flags(args) -> None:
+    """Reject a given flag that the mode given would silently ignore."""
+    for names, is_read, message in _FLAG_READERS:
+        given = [f"--{name.replace('_', '-')}" for name in names if name in args]
+        if given and not is_read(args):
+            raise ValueError(message.format(", ".join(given)))
+
+
+def _given(args, *names: str) -> dict:
+    """The flags among ``names`` that were given, as keyword arguments."""
+    return {name: getattr(args, name) for name in names if name in args}
 
 
 def _load_graph_input(args) -> tuple[Graph, np.ndarray | None]:
     """The graph, and the features it was built from (None for ``--graph``)."""
-    if (args.graph is None) == (args.features is None):
+    if ("graph" in args) == ("features" in args):
         raise ValueError("exactly one of --graph or --features is required")
-    if args.graph is not None:
+    if "graph" in args:
         return fileio.load_graph(args.graph), None
-    if args.t is None:
+    if "t" not in args:
         raise ValueError("--features requires --t")
     features = fileio.load_features(args.features)
     return build_threshold_graph(features, args.t), features
-
-
-def _solver_config(args) -> SolverConfig:
-    _check_required_by(args, "--method iterative", args.method == "iterative", _ITERATIVE_FLAGS)
-    # only the flags given, so that SolverConfig's defaults are the only copy
-    given = {name: getattr(args, name) for name in _ITERATIVE_FLAGS}
-    return SolverConfig(
-        method=args.method,
-        unreachable_fill=args.unreachable_fill,
-        **{name: value for name, value in given.items() if value is not None},
-    )
 
 
 def _load_labels(args, node_count: int):
@@ -130,7 +141,7 @@ def _load_labels(args, node_count: int):
 
 def _load_truth(args, node_count: int) -> np.ndarray | None:
     """The full ``--truth`` labels as one vector, or None without ``--truth``."""
-    if not args.truth:
+    if "truth" not in args:
         return None
     truth_labels = fileio.load_labels(args.truth)
     truth_labels.validate_against(node_count)
@@ -145,24 +156,22 @@ def _load_truth(args, node_count: int) -> np.ndarray | None:
 
 def _prior(args, node_count: int, labels, y, features) -> PriorField:
     """The ``--votes`` prior under ``--alpha-scheme``, else ``h = 0.5`` at ``--mu``."""
-    if not args.votes:
-        mu = args.default_mu if args.mu is None else args.mu
-        return PriorField.constant(node_count, mu=mu)
-    if args.mu is not None:
-        raise ValueError("--mu cannot be combined with --votes (the votes set the prior weight)")
+    if "votes" not in args:
+        return PriorField.constant(node_count, getattr(args, "mu", _DEFAULT_MU[args.command]))
     votes = fileio.load_votes(args.votes)
     if votes.node_count != node_count:
         raise ValueError("vote matrix does not match graph size")
-    # only the flags given, so that vote_prior's defaults are the only copy
-    options = {"constant": args.alpha_constant, "k_neighbors": args.k_neighbors}
+    options = _given(args, "k_neighbors")
+    if "alpha_constant" in args:
+        options["constant"] = args.alpha_constant
     return multisource.vote_prior(
         votes,
-        args.alpha_scheme or "accuracy",
+        _scheme(args),
         labels,
-        accuracy=fileio.load_accuracies(args.accuracies) if args.accuracies else None,
+        accuracy=fileio.load_accuracies(args.accuracies) if "accuracies" in args else None,
         features=features,
         truth=y,
-        **{key: value for key, value in options.items() if value is not None},
+        **options,
     )
 
 
@@ -178,19 +187,14 @@ def cmd_build_graph(args) -> int:
 
 
 def cmd_propagate(args) -> int:
-    _check_required_by(args, "--truth", args.truth, ("metrics_output", "epsilon"))
-    epsilon = evaluation.check_epsilon(
-        evaluation.DEFAULT_EPSILON if args.epsilon is None else args.epsilon
-    )
-    _check_prior_flags(args)
-    config = _solver_config(args)
+    _check_flags(args)
+    epsilon = evaluation.check_epsilon(getattr(args, "epsilon", evaluation.DEFAULT_EPSILON))
+    config = SolverConfig(**_given(args, "method", "tolerance", "max_iterations"))
     graph, features = _load_graph_input(args)
     labels = _load_labels(args, graph.node_count)
     y = _load_truth(args, graph.node_count)
 
-    if args.eta is not None:
-        if args.votes or (args.mu is not None and args.mu > 0):
-            raise ValueError("--eta (soft solve) cannot be combined with --votes or --mu")
+    if "eta" in args:
         prediction = solve_soft(graph, labels, args.eta, config)
     else:
         prior = _prior(args, graph.node_count, labels, y, features)
@@ -203,15 +207,15 @@ def cmd_propagate(args) -> int:
     )
     if y is not None:
         metrics = evaluation.evaluate(prediction, y, epsilon)
-        metrics_path = args.metrics_output or args.output + ".metrics.json"
+        metrics_path = getattr(args, "metrics_output", args.output + ".metrics.json")
         fileio.write_json(metrics.to_dict(), metrics_path)
         print(f"wrote {metrics_path}")
     return 0
 
 
 def cmd_analyze(args) -> int:
-    _check_prior_flags(args)
-    config = _solver_config(args)
+    _check_flags(args)
+    config = SolverConfig(**_given(args, "method", "tolerance", "max_iterations"))
     graph, features = _load_graph_input(args)
     labels = _load_labels(args, graph.node_count)
     y = _load_truth(args, graph.node_count)
@@ -230,7 +234,7 @@ def cmd_analyze(args) -> int:
     # the default direct config, not the solver flags: Gauss-Seidel on the soft
     # problem at a small eta can run 10,000 sweeps without converging
     soft = solve_soft(graph, labels, args.eta)
-    full = tuple(1 if v is None else v for v in (args.full_t, args.full_m, args.full_k))
+    full = tuple(getattr(args, name, 1) for name in ("full_t", "full_m", "full_k"))
     spectral = spectral_bound(graph, soft, labels, y, args.eta, args.delta, full)
 
     report = {
@@ -247,26 +251,20 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    spec = evaluation.SyntheticSpec(
-        cluster_count=args.clusters,
-        points_per_cluster=args.points_per_cluster,
-        separation=args.separation,
-        dimension=args.dimension,
-        noise_scale=args.noise,
-        labeler_accuracies=tuple(float(v) for v in args.accuracies.split(",")),
-        labeler_coverages=tuple(float(v) for v in args.coverages.split(",")),
-        seed=args.seed,
-        labeled_count=args.labeled,
-        graph_degree_target=args.t,
-        mu=args.mu,
-        epsilon=args.epsilon,
+    fields = (field.name for field in dataclasses.fields(evaluation.SyntheticSpec))
+    spec = evaluation.SyntheticSpec(**_given(args, *fields))
+    report = evaluation.pipeline_report(
+        spec, **_given(args, "methods"), with_bounds="no_bounds" not in args
     )
-    methods = tuple(m.strip() for m in args.methods.split(","))
-    report = evaluation.pipeline_report(spec, methods, with_bounds=not args.no_bounds)
     fileio.write_json(report.to_dict(), args.output)
     print(report.to_text())
     print(f"wrote {args.output}")
     return 0
+
+
+def float_list(text: str) -> tuple[float, ...]:
+    """A comma-separated list of floats; argparse's error for a bad one names this type."""
+    return tuple(float(v) for v in text.split(","))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -282,10 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="edge-list output path")
     p.set_defaults(func=cmd_build_graph)
 
-    p = sub.add_parser("propagate", help="solve a propagation problem and write scores")
+    p = sub.add_parser("propagate", help="solve a propagation problem and write scores",
+                       argument_default=argparse.SUPPRESS)
     _add_graph_inputs(p)
     p.add_argument("--labels", required=True, help="labeled-node file")
-    _add_prior_flags(p, default_mu=0.0)
+    _add_prior_flags(p, "propagate")
     p.add_argument("--eta", type=float, help="soft-constraint weight (selects the soft solve)")
     p.add_argument("--truth", help="full ground-truth labels (enables metrics output)")
     p.add_argument("--epsilon", type=float,
@@ -295,11 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics-output", help="metrics JSON path (default: <output>.metrics.json)")
     p.set_defaults(func=cmd_propagate)
 
-    p = sub.add_parser("analyze", help="bound, audit and spectral reports (needs full truth)")
+    p = sub.add_parser("analyze", help="bound, audit and spectral reports (needs full truth)",
+                       argument_default=argparse.SUPPRESS)
     _add_graph_inputs(p)
     p.add_argument("--labels", required=True)
     p.add_argument("--truth", required=True, help="full ground-truth labels")
-    _add_prior_flags(p, default_mu=1.0)
+    _add_prior_flags(p, "analyze")
     p.add_argument("--eta", type=float, default=0.01, help="soft weight for the spectral part")
     p.add_argument("--delta", type=float, default=0.1, help="confidence parameter")
     p.add_argument("--full-t", type=int, help="full spectral variant: multiplicity bound t")
@@ -309,21 +309,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("demo", help="synthetic end-to-end comparison table")
-    spec = evaluation.SyntheticSpec()
-    p.add_argument("--seed", type=int, default=spec.seed)
-    p.add_argument("--clusters", type=int, default=spec.cluster_count)
-    p.add_argument("--points-per-cluster", type=int, default=spec.points_per_cluster)
-    p.add_argument("--separation", type=float, default=spec.separation)
-    p.add_argument("--dimension", type=int, default=spec.dimension)
-    p.add_argument("--noise", type=float, default=spec.noise_scale)
-    p.add_argument("--accuracies", default=",".join(map(str, spec.labeler_accuracies)))
-    p.add_argument("--coverages", default=",".join(map(str, spec.labeler_coverages)))
-    p.add_argument("--labeled", type=int, default=spec.labeled_count)
-    p.add_argument("--t", type=float, default=spec.graph_degree_target)
-    p.add_argument("--mu", type=float, default=spec.mu)
-    p.add_argument("--epsilon", type=float, default=spec.epsilon)
-    p.add_argument("--methods", default=",".join(evaluation.PIPELINE_METHODS))
+    p = sub.add_parser("demo", help="synthetic end-to-end comparison table",
+                       argument_default=argparse.SUPPRESS)
+    # each dest is the SyntheticSpec field the flag sets
+    p.add_argument("--seed", type=int)
+    p.add_argument("--clusters", dest="cluster_count", type=int)
+    p.add_argument("--points-per-cluster", type=int)
+    p.add_argument("--separation", type=float)
+    p.add_argument("--dimension", type=int)
+    p.add_argument("--noise", dest="noise_scale", type=float)
+    p.add_argument("--accuracies", dest="labeler_accuracies", type=float_list)
+    p.add_argument("--coverages", dest="labeler_coverages", type=float_list)
+    p.add_argument("--labeled", dest="labeled_count", type=int)
+    p.add_argument("--t", dest="graph_degree_target", type=float)
+    p.add_argument("--mu", type=float)
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--methods", type=lambda text: tuple(m.strip() for m in text.split(",")))
     p.add_argument("--no-bounds", action="store_true", help="skip per-method bound reports")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_demo)

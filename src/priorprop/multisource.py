@@ -188,9 +188,9 @@ def alpha_probabilistic(
     on labeled cast votes is carried to every node by k-nearest-neighbor
     averaging in feature space, and the trust is the inverse of the
     exponentiated estimate (capped at ``1 / RESIDUAL_FLOOR``). A labeler with
-    no cast vote on any labeled node falls back to its Laplace-estimated
-    accuracy. Every feature must be finite; the ``ValueError`` names the
-    first node with one that is not.
+    no cast vote on any labeled node gets the trust 0.5, its Laplace-estimated
+    accuracy (0 + 1) / (0 + 2). Every feature must be finite; the
+    ``ValueError`` names the first node with one that is not.
     """
     _check_count("k_neighbors", k_neighbors)
     x = np.asarray(features, dtype=np.float64)
@@ -200,14 +200,13 @@ def alpha_probabilistic(
     if non_finite.size:
         raise ValueError(f"node {int(non_finite[0])} has a non-finite feature")
     labels.validate_against(votes.node_count)
-    acc = estimate_accuracy_from_labeled(votes, labels)
     n, k = votes.votes.shape
     a = np.zeros((n, k))
     for j in range(k):
         cast_lab = votes.votes[labels.indices, j] != ABSTAIN
         support = labels.indices[cast_lab]
         if support.size == 0:
-            a[:, j] = votes.cast_mask[:, j] * acc.p[j]
+            a[:, j] = votes.cast_mask[:, j] * 0.5
             continue
         resid = (votes.votes[support, j] - labels.values[cast_lab]) ** 2
         log_resid = np.log(resid.astype(np.float64) + RESIDUAL_FLOOR)

@@ -50,7 +50,7 @@ that each sweep returns satisfies both ``resid < tolerance`` and
 rate. That certifies an error of about ``5 * tolerance``, not ``tolerance``.
 
 Nodes whose entire connected component carries neither a label nor any prior
-weight are indeterminate: they receive ``unreachable_fill`` and are flagged.
+weight are indeterminate: they receive 0.5 and are flagged.
 """
 
 from __future__ import annotations
@@ -129,7 +129,6 @@ class SolverConfig:
     method: str = "direct"
     max_iterations: int = 10_000
     tolerance: float = 1e-8
-    unreachable_fill: float = 0.5
 
     def __post_init__(self):
         if self.method not in ("direct", "iterative"):
@@ -137,8 +136,6 @@ class SolverConfig:
         _check_count("max_iterations", self.max_iterations)
         if not (0 < self.tolerance < np.inf):
             raise ValueError("tolerance must be positive and finite")
-        if not (0.0 <= self.unreachable_fill <= 1.0):
-            raise ValueError("unreachable_fill must be in [0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,9 +221,9 @@ def solve_with_prior(
 
     Returns the unique minimizer on every node that is determined (reachable
     from a label or carrying prior weight somewhere in its component); other
-    nodes get ``config.unreachable_fill`` and an ``unreachable`` flag. Scores
-    are clipped to [0, 1] to absorb last-ulp solver noise (the true optimum is
-    a convex combination of labels and prior values).
+    nodes receive 0.5 and an ``unreachable`` flag. Scores are clipped to
+    [0, 1] to absorb last-ulp solver noise (the true optimum is a convex
+    combination of labels and prior values).
     """
     config = config or SolverConfig()
     _validate_inputs(graph, labels, prior)
@@ -239,10 +236,8 @@ def solve_with_prior(
     indet_mask[indeterminate] = True
     solved = np.flatnonzero(~labeled_mask & ~indet_mask).astype(np.int64)
 
-    f = np.empty(n, dtype=np.float64)
-    f[labels.indices] = labels.values.astype(np.float64)
-    f[indeterminate] = config.unreachable_fill
-    f[solved] = 0.5
+    f = np.full(n, 0.5)
+    f[labels.indices] = labels.values
 
     iterations = 0
     converged = True

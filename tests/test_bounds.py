@@ -540,6 +540,26 @@ class TestHopStats:
         with pytest.raises(ValueError, match="labeled node 2 has prediction 0.75, truth 1"):
             hop_stats(y, prior, part, bad)
 
+    @pytest.mark.parametrize("prediction_size, prior_size, message", [
+        (4, 5, "prediction does not cover every node"),
+        (5, 4, "prior size does not match graph"),
+    ], ids=["prediction", "prior"])
+    def test_input_of_another_size_rejected(self, prediction_size, prior_size, message):
+        g = path_graph(5)
+        y = np.array([1, 1, 0, 0, 1], dtype=np.int8)
+        labels = LabelSet([0], [1])
+        with pytest.raises(ValueError, match=message):
+            hop_stats(y, PriorField.constant(prior_size, mu=1.0),
+                      compute_neighborhoods(g, labels), y[:prediction_size].astype(float))
+
+    def test_hop_without_in_flow_or_prior_weight_rejected(self):
+        # node 1 reaches label 0 only by a zero-weight edge, and mu = 0
+        g = Graph(np.array([0, 1, 3, 4]), np.array([1, 0, 2, 1]), np.array([0.0, 0.0, 1.0, 1.0]))
+        labels = LabelSet([0], [1])
+        y = np.array([1, 1, 1], dtype=np.int8)
+        with pytest.raises(ValueError, match="hop 1 has zero in-flow and zero prior weight"):
+            hop_stats(y, PriorField.constant(3), compute_neighborhoods(g, labels), y.astype(float))
+
     def test_compute_bound_needs_a_solver_prediction(self):
         g, labels, y, prior, part = random_bound_instance(1)
         pred = solve_with_prior(g, labels, prior)

@@ -1,4 +1,6 @@
+import argparse
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 
 import priorprop as pp
 from priorprop import fileio
-from priorprop.cli import main
+from priorprop.cli import build_parser, main
 from priorprop.evaluation import (
     DEFAULT_EPSILON,
     SyntheticSpec,
@@ -171,6 +173,24 @@ class TestPropagate:
                 "--output", workspace / "x.txt"]
         assert run(args + ["--votes", workspace / "votes.txt"]) == 2
         assert run(args + ["--mu", "5"]) == 2
+        # the soft solve reads no --mu, so not even the default value
+        assert run(args + ["--mu", "0"]) == 2
+        assert "--eta (soft solve) cannot be combined" in capsys.readouterr().err
+        assert not (workspace / "x.txt").exists()
+
+    def test_features_without_t_exits_2(self, workspace, capsys):
+        assert run(["propagate", "--features", workspace / "features.txt",
+                    "--labels", workspace / "labels.txt", "--output", workspace / "x.txt"]) == 2
+        assert "--features requires --t" in capsys.readouterr().err
+        assert not (workspace / "x.txt").exists()
+
+    def test_vote_matrix_of_another_size_exits_2(self, workspace, capsys):
+        fileio.save_votes(pp.WeakVoteMatrix(np.ones((59, 2), dtype=np.int8)),
+                          workspace / "short_votes.txt")
+        assert run(["propagate", "--graph", workspace / "graph.txt",
+                    "--labels", workspace / "labels.txt", "--votes", workspace / "short_votes.txt",
+                    "--output", workspace / "x.txt"]) == 2
+        assert "vote matrix does not match graph size" in capsys.readouterr().err
         assert not (workspace / "x.txt").exists()
 
     @pytest.mark.parametrize("scheme", ALPHA_SCHEMES)
@@ -479,6 +499,89 @@ def test_numerically_singular_dense_solve_exits_2(tmp_path, capsys, command, n):
     assert not (tmp_path / "out").exists()
 
 
+def optional_flags(command):
+    """The first option string of each optional flag of ``command``'s parser."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [a.option_strings[0] for a in sub.choices[command]._actions
+            if a.option_strings and not a.required and not isinstance(a, argparse._HelpAction)]
+
+
+# a value other than the default for every optional flag of propagate and
+# analyze; a new flag must declare one here
+FLAG_VALUES = {
+    "--graph": "graph2.txt", "--features": "features2.txt", "--t": "4", "--mu": "0.5",
+    "--votes": "votes2.txt", "--accuracies": "acc.txt", "--alpha-scheme": "boosting",
+    "--alpha-constant": "0.3", "--k-neighbors": "3", "--eta": "0.5", "--truth": "truth.txt",
+    "--epsilon": "0.2", "--method": "iterative", "--tolerance": "1e-3",
+    "--max-iterations": "3", "--metrics-output": "m.json", "--delta": "0.2",
+    "--full-t": "2", "--full-m": "2", "--full-k": "2",
+}
+GRAPH = ["--graph", "graph.txt"]
+VOTES = ["--votes", "votes.txt"]
+PROBABILISTIC = ["--features", "features.txt", "--t", "6", *VOTES,
+                 "--alpha-scheme", "probabilistic"]
+# every mode that reads a different set of flags; a flag a mode sets is not tried in it
+FLAG_MODES = {
+    "propagate": [GRAPH, GRAPH + VOTES, GRAPH + VOTES + ["--alpha-scheme", "constant"],
+                  PROBABILISTIC, ["--features", "features.txt", "--t", "6"],
+                  GRAPH + ["--eta", "1"], GRAPH + ["--method", "iterative"],
+                  GRAPH + ["--truth", "truth.txt"]],
+    "analyze": [GRAPH, GRAPH + VOTES, PROBABILISTIC, GRAPH + ["--method", "iterative"]],
+}
+
+
+@pytest.mark.parametrize("command, mode", [(c, m) for c, modes in FLAG_MODES.items()
+                                           for m in modes],
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_every_flag_changes_the_output_or_exits_2(workspace, monkeypatch, capsys, command,
+                                                  mode):
+    """No flag of propagate or analyze is silently ignored in any mode."""
+    spec = SyntheticSpec(points_per_cluster=30, labeled_count=10, seed=12)
+    feats, y = generate_clusters(spec)
+    fileio.save_features(feats, workspace / "features2.txt")
+    fileio.save_graph(pp.build_threshold_graph(fileio.load_features(
+        workspace / "features.txt"), 4), workspace / "graph2.txt")
+    fileio.save_votes(generate_weak_labelers(y, (0.7, 0.9), (0.8, 0.8), 5),
+                      workspace / "votes2.txt")
+    (workspace / "acc.txt").write_text("0 0.95\n1 0.55\n2 0.7\n")
+    base = [command, "--labels", "labels.txt", "--output", "out"]
+    if command == "analyze":
+        base += ["--truth", "truth.txt"]
+
+    def outputs(extra):
+        """The files one run writes, by name, or None when it exits 2."""
+        run_dir = Path(tempfile.mkdtemp(dir=workspace))
+        monkeypatch.chdir(run_dir)
+        argv = [workspace / a if a.endswith(".txt") else a for a in base + mode + extra]
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        if code == 2:
+            return None
+        assert code == 0
+        return {path.name: path.read_bytes() for path in run_dir.iterdir()}
+
+    expected = outputs([])
+    assert expected is not None
+    for flag in optional_flags(command):
+        assert flag in FLAG_VALUES, f"{command} {flag} declares no value to try"
+        if flag in mode:
+            continue
+        got = outputs([flag, FLAG_VALUES[flag]])
+        assert got != expected, f"{command} {' '.join(mode)} ignores {flag}"
+
+
+@pytest.mark.parametrize("command", ["propagate", "analyze"])
+def test_unreachable_fill_is_not_a_flag(workspace, command):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--graph", workspace / "graph.txt", "--labels", workspace / "labels.txt",
+             "--truth", workspace / "truth.txt", "--unreachable-fill", "0.5",
+             "--output", workspace / "out.txt"])
+    assert exc.value.code == 2
+
+
 class TestAnalyze:
     def test_smooth_fixture_zero_bound_column(self, tmp_path):
         feats = np.vstack([
@@ -665,6 +768,13 @@ class TestDemo:
     def test_nan_parameter_exits_2(self, tmp_path, capsys, flag, message):
         assert run(["demo", flag, "nan", "--output", tmp_path / "d.json"]) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "d.json").exists()
+
+    def test_malformed_list_is_a_usage_error_naming_its_type(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["demo", "--accuracies", "0.8,high", "--output", tmp_path / "d.json"])
+        assert exc.value.code == 2
+        assert "invalid float_list value: '0.8,high'" in capsys.readouterr().err
         assert not (tmp_path / "d.json").exists()
 
     def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys):

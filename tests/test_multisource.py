@@ -352,6 +352,12 @@ class TestAlphaProbabilistic:
         with pytest.raises(ValueError, match="node 2 has a non-finite feature"):
             vote_prior(votes, "probabilistic", labels, features=feats, k_neighbors=2)
 
+    @pytest.mark.parametrize("shape", [(5,), (4, 2), (5, 2, 1)])
+    def test_features_of_the_wrong_shape_rejected(self, shape):
+        votes = WeakVoteMatrix(np.array([0, 1, 0, 1, 1], dtype=np.int8)[:, None])
+        with pytest.raises(ValueError, match=r"features must be \(node_count, d\)"):
+            alpha_probabilistic(votes, np.zeros(shape), LabelSet([0, 1], [0, 1]), k_neighbors=2)
+
     def test_exact_labeler_hits_trust_cap(self):
         y = np.array([0, 1, 0, 1])
         votes = WeakVoteMatrix(y.astype(np.int8)[:, None])

@@ -453,8 +453,6 @@ class TestSolverConfig:
             SolverConfig(tolerance=0.0)
         with pytest.raises(ValueError):
             SolverConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            SolverConfig(unreachable_fill=1.5)
 
     @pytest.mark.parametrize("tolerance", [float("inf"), float("nan"), -1e-8])
     def test_tolerance_must_be_positive_and_finite(self, tolerance):

@@ -275,6 +275,10 @@ class TestSpectralBound:
         with pytest.raises(ValueError, match=f"node 2 has non-finite prediction {bad!r}"):
             spectral_bound(self.g, f, self.labels, self.y, eta=1.0)
 
+    def test_rejects_a_prediction_of_another_size(self):
+        with pytest.raises(ValueError, match="prediction must cover every node"):
+            spectral_bound(self.g, self.y[:3].astype(float), self.labels, self.y, eta=1.0)
+
     @pytest.mark.parametrize("t", [1.5, np.inf, np.nan])
     def test_rejects_a_t_that_is_not_an_integer(self, t):
         # int() used to truncate 1.5 to 1 and raise OverflowError on inf
