@@ -149,7 +149,8 @@ def hop_stats(
     being analyzed. Its scores must be finite, and it must equal the truth on
     every labeled node, since the bound and the audit take the labeled set's
     error to be exactly 0; the first node that breaks either rule is named in
-    the ``ValueError``.
+    the ``ValueError``. So is the first hop past 0 whose prior-weight total
+    overflows.
     """
     graph = partition.graph
     y = _as_truth(true_labels_full, graph.node_count)
@@ -187,13 +188,17 @@ def hop_stats(
         b = np.where(avg > 0, e_out / avg, np.nan)
 
     mu = prior.mu
-    mu_total, pull_error, mu_error = (hop_sums(v) for v in (mu, mu * pull, mu * err))
+    with np.errstate(over="ignore"):  # an overflowing total is reported below
+        mu_total, pull_error, mu_error = (hop_sums(v) for v in (mu, mu * pull, mu * err))
     a_err = hop_sums(pull) / sizes
     # bincount adds in node order, as a running ``total += v`` over each hop does
     reached = partition.hop_of >= 0
     s = np.bincount(partition.hop_of[reached], weights=node_s[reached], minlength=l + 1)
     for per_hop in (mu_total, pull_error, mu_error, a_err, s):
         per_hop[0] = 0.0
+    overflowed = np.flatnonzero(~np.isfinite(mu_total))
+    if overflowed.size:
+        raise ValueError(f"the prior-weight total of hop {int(overflowed[0])} is not finite")
 
     denom = in_flow[1:] + mu_total[1:]
     if np.any(denom <= 0):

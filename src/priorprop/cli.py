@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import sys
 
 import numpy as np
@@ -234,8 +235,7 @@ def cmd_analyze(args) -> int:
     # the default direct config, not the solver flags: Gauss-Seidel on the soft
     # problem at a small eta can run 10,000 sweeps without converging
     soft = solve_soft(graph, labels, args.eta)
-    full = tuple(getattr(args, name, 1) for name in ("full_t", "full_m", "full_k"))
-    spectral = spectral_bound(graph, soft, labels, y, args.eta, args.delta, full)
+    spectral = spectral_bound(graph, soft, labels, y, args.eta, **_given(args, "delta_conf"))
 
     report = {
         "bound_report": bound.to_dict(),
@@ -301,10 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", required=True, help="full ground-truth labels")
     _add_prior_flags(p, "analyze")
     p.add_argument("--eta", type=float, default=0.01, help="soft weight for the spectral part")
-    p.add_argument("--delta", type=float, default=0.1, help="confidence parameter")
-    p.add_argument("--full-t", type=int, help="full spectral variant: multiplicity bound t")
-    p.add_argument("--full-m", type=float, help="full spectral variant: label magnitude M")
-    p.add_argument("--full-k", type=float, help="full spectral variant: score magnitude K")
+    delta = inspect.signature(spectral_bound).parameters["delta_conf"].default
+    p.add_argument("--delta", dest="delta_conf", type=float,
+                   help=f"confidence parameter of the spectral bound (default {delta:g})")
     _add_solver_flags(p)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_analyze)

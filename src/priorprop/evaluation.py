@@ -152,9 +152,10 @@ def generate_clusters(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
     for c in range(spec.cluster_count):
         center = np.zeros(spec.dimension)
         center[0] = c * spec.separation
-        pts = center + spec.noise_scale * rng.standard_normal(
-            (spec.points_per_cluster, spec.dimension)
-        )
+        with np.errstate(over="ignore"):  # the graph build rejects non-finite features
+            pts = center + spec.noise_scale * rng.standard_normal(
+                (spec.points_per_cluster, spec.dimension)
+            )
         feats.append(pts)
         labels.append(np.full(spec.points_per_cluster, c % 2, dtype=np.int8))
     return np.vstack(feats), np.concatenate(labels)

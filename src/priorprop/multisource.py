@@ -79,9 +79,10 @@ def reduce_to_single_prior(votes: WeakVoteMatrix, alpha: np.ndarray) -> PriorFie
     """Collapse weighted votes into one prior: h = weighted mean, mu = total weight.
 
     ``alpha`` must have the shape of the votes, be finite and non-negative,
-    and be zero wherever the labeler abstained. Nodes where every labeler
-    abstained (or all weights are zero) get ``h = 0.5, mu = 0`` - no prior
-    influence.
+    and be zero wherever the labeler abstained; each node's total must be
+    finite, and the ``ValueError`` names the first node whose total is not.
+    Nodes where every labeler abstained (or all weights are zero) get
+    ``h = 0.5, mu = 0`` - no prior influence.
     """
     a = np.asarray(alpha, dtype=np.float64)
     if a.shape != votes.votes.shape:
@@ -91,7 +92,11 @@ def reduce_to_single_prior(votes: WeakVoteMatrix, alpha: np.ndarray) -> PriorFie
     if np.any(a[~votes.cast_mask] > 0):
         raise ValueError("alpha must be zero wherever the labeler abstained")
     cast_votes = np.where(votes.cast_mask, votes.votes, 0).astype(np.float64)
-    total = a.sum(axis=1)
+    with np.errstate(over="ignore"):
+        total = a.sum(axis=1)
+    overflowed = np.flatnonzero(~np.isfinite(total))
+    if overflowed.size:
+        raise ValueError(f"the trust total of node {int(overflowed[0])} is not finite")
     weighted = (a * cast_votes).sum(axis=1)
     h = np.full(votes.node_count, 0.5)
     supported = total > 0

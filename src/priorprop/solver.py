@@ -38,8 +38,9 @@ the system is factored after all. Every factor goes through
 :func:`spd_solver`: the first factor over all of a graph's nodes records its
 minimum-degree elimination order on the graph, and later ones over all nodes
 (``lambda_2``'s shift-invert factor) reuse it instead of ordering again. A
-system that Cholesky cannot factor, or whose LU has a pivot that is not
-positive, is numerically singular and raises :class:`SingularSystemError`.
+system that Cholesky cannot factor, that LAPACK finds ill-conditioned even
+with its diagonal scaled to 1, or whose LU has a pivot that is not positive,
+is numerically singular and raises :class:`SingularSystemError`.
 :attr:`Prediction.route` names the path taken.
 
 The iterative method applies Gauss-Seidel sweeps of the update in fixed node
@@ -57,6 +58,7 @@ from __future__ import annotations
 
 import math
 import operator
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -353,9 +355,21 @@ def _direct_solve(
     b = prior.mu[solved] * prior.h[solved] + (w @ y_ext)[solved]
     wuu = w if solved.size == graph.node_count else w[solved][:, solved]
     if solved.size < DENSE_LIMIT:
+        a = np.diag(diag) - wuu.toarray()
         try:
-            return scipy.linalg.solve(np.diag(diag) - wuu.toarray(), b, assume_a="pos"), "dense"
-        except np.linalg.LinAlgError as exc:
+            with warnings.catch_warnings():
+                # LAPACK's ill-conditioning warning is of the unscaled matrix, so
+                # a huge prior weight beside unit edges (a soft solve at eta =
+                # 1e308) gets a second try with the diagonal scaled to 1; a
+                # warning there too means the system is singular in floats
+                warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+                try:
+                    return scipy.linalg.solve(a, b, assume_a="pos"), "dense"
+                except scipy.linalg.LinAlgWarning:
+                    s = 1.0 / np.sqrt(diag)
+                    x = s * scipy.linalg.solve(s[:, None] * a * s, s * b, assume_a="pos")
+                    return x, "dense"
+        except (np.linalg.LinAlgError, scipy.linalg.LinAlgWarning) as exc:
             raise _singular(diag) from exc
     a = (sp.diags(diag) - wuu).tocsr()
     if _factor_pays(graph, prior.mu[solved], solved, diag):

@@ -2,10 +2,11 @@
 
 The bound compares the empirical squared error on the labeled sample with the
 squared error over all nodes for the soft-constrained solution, in terms of
-the Laplacian's second smallest eigenvalue. The full variant carries the
-(multiplicity, label magnitude, score magnitude) parameters ``(t, M, K)``; the
-simplified variant, the default, is ``t = M = K = 1``. A :class:`SpectralReport`
-stores the bound's inputs and derives ``beta`` and the bound from them.
+the Laplacian's second smallest eigenvalue. It has one form: the hypothesis
+constants ``(t, M, K)`` (label multiplicity, label magnitude, score
+magnitude) are 1, because the inputs fix them there (see
+:func:`spectral_bound`). A :class:`SpectralReport` stores the bound's inputs
+and derives ``beta`` and the bound from them.
 
 The eigenvalue ``lambda_2`` of a connected graph takes one of three routes:
 
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, ClassVar
 
 import numpy as np
 import scipy.linalg
@@ -119,32 +120,35 @@ def _lanczos(graph: Graph, lap: sp.csr_matrix) -> float:
 class SpectralReport:
     """Spectral bound inputs; ``beta``, ``bound`` and ``finite`` are derived from them."""
 
+    # the hypothesis constants (t, M, K), which every input spectral_bound accepts fixes at 1
+    t: ClassVar[int] = 1
+    m_bound: ClassVar[float] = 1.0
+    k_bound: ClassVar[float] = 1.0
+
     lambda1: float
     eta: float
     n_labeled: int
     delta_conf: float
-    t: int
-    m_bound: float
-    k_bound: float
     empirical_error: float
     generalization_error: float
 
     @property
     def finite(self) -> bool:
-        return self.lambda1 - self.eta * self.t > 0
+        return math.isfinite(self.bound)
 
     @property
     def beta(self) -> float:
         gap = self.lambda1 - self.eta * self.t
         if not gap > 0:
             return math.inf
-        eta, n = self.eta, self.n_labeled
-        return 3.0 * eta**2 * math.sqrt(self.t * n) / gap**2 + 4.0 * eta * self.m_bound / gap
+        r = self.eta / gap  # scale-free: weights and eta scaled together leave r as is
+        return 3.0 * r * r * math.sqrt(self.t * self.n_labeled) + 4.0 * r * self.m_bound
 
     @property
     def bound(self) -> float:
         n, beta = self.n_labeled, self.beta
-        deviation = math.sqrt(2.0 * math.log(2.0 / self.delta_conf) / n)
+        # log 2 - log delta, since 2 / delta overflows for a subnormal delta
+        deviation = math.sqrt(2.0 * (math.log(2.0) - math.log(self.delta_conf)) / n)
         return beta + deviation * (n * beta + (self.k_bound + self.m_bound) ** 2)
 
     def to_dict(self) -> dict[str, Any]:
@@ -162,14 +166,13 @@ def spectral_bound(
     true_labels_full,
     eta: float,
     delta_conf: float = 0.1,
-    full_params: tuple[int, float, float] = (1, 1.0, 1.0),
 ) -> SpectralReport:
     """Evaluate the spectral generalization bound for a soft solution.
 
-    ``full_params = (t, M, K)`` are the full variant's parameters; the
-    default is the simplified ``t = M = K = 1`` form (its deviation term is
-    then ``(K + M)^2 = 4``). When ``lambda1 <= eta * t`` the bound is reported
-    as infinite with ``finite=False``.
+    Its hypothesis constants ``(t, M, K)`` are 1 for every accepted input: a
+    :class:`LabelSet` labels a node at most once (t), labels are 0 or 1 (M),
+    and every score must lie in [0, 1] (K; the solvers clip theirs, and the
+    first node outside is named). When ``lambda1 <= eta`` the bound is infinite.
     """
     eta = float(eta)
     delta = float(delta_conf)
@@ -181,16 +184,15 @@ def spectral_bound(
     n = len(labels)
     if n < 4:
         raise ValueError("the bound requires at least 4 labeled points")
-    t, m_bound, k_bound = full_params
-    # an integral t is checked before int(), which truncates 1.5 and overflows on inf
-    t_ok = math.isfinite(t) and t == math.trunc(t) and t >= 1
-    if not t_ok or not (0 < m_bound < math.inf) or not (0 < k_bound < math.inf):
-        raise ValueError("full parameters (t, M, K) must be positive and finite, t an integer")
 
     f = scores(prediction)
     y = _as_truth(true_labels_full, graph.node_count)
     if f.shape != y.shape:
         raise ValueError("prediction must cover every node")
+    outside = np.flatnonzero((f < 0) | (f > 1))
+    if outside.size:
+        i = int(outside[0])
+        raise ValueError(f"node {i} has prediction {float(f[i])!r} outside [0, 1]")
     r_emp = float(np.mean((f[labels.indices] - labels.values.astype(np.float64)) ** 2))
     r_gen = float(np.mean((f - y) ** 2))
     return SpectralReport(
@@ -198,9 +200,6 @@ def spectral_bound(
         eta=eta,
         n_labeled=n,
         delta_conf=delta,
-        t=int(t),
-        m_bound=float(m_bound),
-        k_bound=float(k_bound),
         empirical_error=r_emp,
         generalization_error=r_gen,
     )

@@ -178,6 +178,16 @@ class TestPropagate:
         assert "--eta (soft solve) cannot be combined" in capsys.readouterr().err
         assert not (workspace / "x.txt").exists()
 
+    def test_overflowing_trust_total_exits_2_naming_the_node(self, workspace, capsys):
+        votes = fileio.load_votes(workspace / "votes.txt")
+        node = int(np.flatnonzero(votes.cast_mask.sum(axis=1) >= 2)[0])
+        assert run(["propagate", "--graph", workspace / "graph.txt",
+                    "--labels", workspace / "labels.txt", "--votes", workspace / "votes.txt",
+                    "--alpha-scheme", "constant", "--alpha-constant", "1e308",
+                    "--output", workspace / "x.txt"]) == 2
+        assert f"the trust total of node {node} is not finite" in capsys.readouterr().err
+        assert not (workspace / "x.txt").exists()
+
     def test_features_without_t_exits_2(self, workspace, capsys):
         assert run(["propagate", "--features", workspace / "features.txt",
                     "--labels", workspace / "labels.txt", "--output", workspace / "x.txt"]) == 2
@@ -499,11 +509,15 @@ def test_numerically_singular_dense_solve_exits_2(tmp_path, capsys, command, n):
     assert not (tmp_path / "out").exists()
 
 
-def optional_flags(command):
-    """The first option string of each optional flag of ``command``'s parser."""
+def subcommand_actions(command):
     parser = build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return [a.option_strings[0] for a in sub.choices[command]._actions
+    return sub.choices[command]._actions
+
+
+def optional_flags(command):
+    """The first option string of each optional flag of ``command``'s parser."""
+    return [a.option_strings[0] for a in subcommand_actions(command)
             if a.option_strings and not a.required and not isinstance(a, argparse._HelpAction)]
 
 
@@ -515,7 +529,6 @@ FLAG_VALUES = {
     "--alpha-constant": "0.3", "--k-neighbors": "3", "--eta": "0.5", "--truth": "truth.txt",
     "--epsilon": "0.2", "--method": "iterative", "--tolerance": "1e-3",
     "--max-iterations": "3", "--metrics-output": "m.json", "--delta": "0.2",
-    "--full-t": "2", "--full-m": "2", "--full-k": "2",
 }
 GRAPH = ["--graph", "graph.txt"]
 VOTES = ["--votes", "votes.txt"]
@@ -573,13 +586,55 @@ def test_every_flag_changes_the_output_or_exits_2(workspace, monkeypatch, capsys
         assert got != expected, f"{command} {' '.join(mode)} ignores {flag}"
 
 
+@pytest.mark.parametrize("flag", ["--unreachable-fill", "--full-t", "--full-m", "--full-k"])
 @pytest.mark.parametrize("command", ["propagate", "analyze"])
-def test_unreachable_fill_is_not_a_flag(workspace, command):
+def test_removed_flags_are_not_flags(workspace, command, flag):
     with pytest.raises(SystemExit) as exc:
         run([command, "--graph", workspace / "graph.txt", "--labels", workspace / "labels.txt",
-             "--truth", workspace / "truth.txt", "--unreachable-fill", "0.5",
+             "--truth", workspace / "truth.txt", flag, "2",
              "--output", workspace / "out.txt"])
     assert exc.value.code == 2
+
+
+def float_flags(command):
+    """The first option string of each float flag of ``command``'s parser."""
+    return [a.option_strings[0] for a in subcommand_actions(command) if a.type is float]
+
+
+# what each float flag of propagate and analyze needs besides the graph to be read
+EXTREME_MODES = {
+    "--epsilon": ["--truth", "truth.txt"],
+    "--tolerance": ["--method", "iterative", "--max-iterations", "50"],
+    "--alpha-constant": VOTES + ["--alpha-scheme", "constant"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c in ("propagate", "analyze", "demo")
+                                           for f in float_flags(c)])
+def test_extreme_float_flags_exit_0_or_2(workspace, monkeypatch, capsys, command, flag):
+    """The smallest subnormal and a near-overflow value are input errors at
+    worst, never internal ones, and a written spectral bound is null exactly
+    when it is reported infinite."""
+    monkeypatch.chdir(workspace)
+    # a ring joins the workspace graph's components, so the spectral bound can be finite
+    graph = fileio.load_graph("graph.txt")
+    ring = [(i, (i + 1) % graph.node_count, 1.0) for i in range(graph.node_count)]
+    fileio.save_graph(pp.Graph.from_edges(graph.node_count, [*graph.edge_list(), *ring]),
+                      "connected.txt")
+    if command == "demo":
+        base = ["demo", "--points-per-cluster", "20", "--labeled", "8"]
+    else:
+        inputs = ["--features", "features.txt"] if flag == "--t" else ["--graph", "connected.txt"]
+        base = [command, "--labels", "labels.txt", *inputs, *EXTREME_MODES.get(flag, [])]
+        if command == "analyze":
+            base += ["--truth", "truth.txt"]
+    for value in ("5e-324", "1e308"):
+        out = workspace / f"{command}{flag}{value}"
+        code = run(base + [flag, value, "--output", out])
+        assert code in (0, 2), capsys.readouterr().err
+        if command == "analyze" and code == 0:
+            spectral = json.loads(out.read_text())["spectral_report"]
+            assert (spectral["bound"] is None) == (not spectral["finite"])
 
 
 class TestAnalyze:
@@ -685,17 +740,15 @@ class TestAnalyze:
         assert run(args[:-4] + ["--output", workspace / "default.json"]) == 0
         assert (workspace / "default.json").read_bytes() == text
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--full-t", "0"), ("--full-m", "0"), ("--full-k", "0"),
-        ("--full-m", "nan"), ("--full-k", "inf"),
-    ])
-    def test_invalid_full_parameter_rejected(self, workspace, capsys, flag, value):
+    def test_overflowing_hop_prior_total_exits_2_naming_the_hop(self, workspace, capsys):
+        # every node's weight is finite, but hop 1's total overflows
+        out = workspace / "r.json"
         code = run(["analyze", "--graph", workspace / "graph.txt",
                     "--labels", workspace / "labels.txt", "--truth", workspace / "truth.txt",
-                    flag, value, "--output", workspace / "r.json"])
+                    "--mu", "1e308", "--output", out])
         assert code == 2
-        assert "(t, M, K) must be positive" in capsys.readouterr().err
-        assert not (workspace / "r.json").exists()
+        assert "the prior-weight total of hop 1 is not finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_truth_is_usage_error(self, workspace):
         with pytest.raises(SystemExit) as exc:

@@ -352,6 +352,22 @@ class TestSolveSoft:
         )
         assert np.max(np.abs(pred.f - np.clip(f_star, 0, 1))) < 1e-5
 
+    def test_huge_eta_gives_the_hard_solution(self):
+        # the unscaled dense matrix looks singular (rcond ~1e-308); with unit
+        # diagonal it is not, and the soft solution tends to the hard one
+        g = Graph.from_edges(6, [(i, i + 1, 1.0) for i in range(5)] + [(0, 5, 0.5)])
+        labels = LabelSet([0, 3], [1, 0])
+        pred = solve_soft(g, labels, 1e308)
+        assert pred.route == "dense"
+        np.testing.assert_allclose(pred.f, solve_standard(g, labels).f, rtol=0, atol=1e-12)
+
+    def test_tiny_eta_is_numerically_singular(self):
+        # L + 5e-16 on the labeled nodes is ill-conditioned even with unit
+        # diagonal: Cholesky succeeds, but gives 0.32 on every node, not 0.5
+        g = Graph.from_edges(6, [(i, i + 1, 1.0) for i in range(5)] + [(0, 5, 0.5)])
+        with pytest.raises(SingularSystemError, match="system of 6 unknowns is numerically"):
+            solve_soft(g, LabelSet([0, 3], [1, 0]), 1e-15)
+
     def test_label_free_component_half_and_flagged(self):
         g = Graph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
         pred = solve_soft(g, LabelSet([0], [1]), eta=1.0)

@@ -227,36 +227,39 @@ class TestSpectralBound:
         assert math.isinf(rep.bound)
         assert rep.to_dict()["bound"] is None
 
-    def test_full_version_parameters(self):
-        eta, delta = 0.3, 0.05
-        t, m_b, k_b = 2, 1.5, 2.0
-        rep = spectral_bound(
-            self.g, self.y.astype(float), self.labels, self.y,
-            eta=eta, delta_conf=delta, full_params=(t, m_b, k_b),
-        )
-        lam1 = rep.lambda1
-        gap = lam1 - eta * t
-        beta = 3 * eta**2 * math.sqrt(t * 4) / gap**2 + 4 * eta * m_b / gap
-        bound = beta + math.sqrt(2 * math.log(2 / delta) / 4) * (4 * beta + (k_b + m_b) ** 2)
-        assert rep.beta == pytest.approx(beta, rel=1e-12)
-        assert rep.bound == pytest.approx(bound, rel=1e-12)
-
-    def test_simplified_equals_full_with_unit_parameters(self):
-        rep_a = spectral_bound(self.g, self.y.astype(float), self.labels, self.y, eta=1.0)
-        rep_b = spectral_bound(
-            self.g, self.y.astype(float), self.labels, self.y, eta=1.0,
-            full_params=(1, 1.0, 1.0),
-        )
-        assert rep_a.bound == rep_b.bound
-
     def test_beta_and_bound_follow_the_inputs(self):
         # derived when read, so a report cannot carry a bound its inputs contradict
         f = self.y.astype(float)
         rep = spectral_bound(self.g, f, self.labels, self.y, eta=0.3)
-        full = spectral_bound(self.g, f, self.labels, self.y, eta=0.3, full_params=(2, 1.5, 2.0))
-        moved = dataclasses.replace(rep, t=2, m_bound=1.5, k_bound=2.0)
-        assert (moved.beta, moved.bound) == (full.beta, full.bound)
-        assert moved.to_dict() == full.to_dict()
+        other = spectral_bound(self.g, f, self.labels, self.y, eta=1.5, delta_conf=0.05)
+        moved = dataclasses.replace(rep, eta=1.5, delta_conf=0.05)
+        assert (moved.beta, moved.bound) != (rep.beta, rep.bound)
+        assert (moved.beta, moved.bound) == (other.beta, other.bound)
+        assert moved.to_dict() == other.to_dict()
+
+    def test_hypothesis_constants_are_one(self):
+        rep = spectral_bound(self.g, self.y.astype(float), self.labels, self.y, eta=1.0)
+        assert len(dataclasses.fields(rep)) == 6
+        assert [rep.to_dict()[key] for key in ("t", "m_bound", "k_bound")] == [1, 1.0, 1.0]
+
+    def test_subnormal_delta_gives_a_finite_bound(self):
+        # 2 / delta overflows at delta = 1e-320; log 2 - log delta does not
+        rep = spectral_bound(self.g, self.y.astype(float), self.labels, self.y,
+                             eta=1.0, delta_conf=1e-320)
+        deviation = math.sqrt(2 * (math.log(2) - math.log(1e-320)) / 4)
+        assert rep.finite
+        assert rep.bound == pytest.approx(rep.beta + deviation * (4 * rep.beta + 4), rel=1e-12)
+        assert rep.to_dict()["bound"] == rep.bound
+
+    @pytest.mark.parametrize("factor", [1e-170, 2.0**-20, 2.0**20])
+    def test_scaling_weights_and_eta_together_keeps_beta_and_bound(self, factor):
+        # the stability bound is scale-free; at 1e-170 gap**2 underflows to 0
+        f = self.y.astype(float)
+        rep = spectral_bound(self.g, f, self.labels, self.y, eta=1.0)
+        moved = spectral_bound(scaled(self.g, factor), f, self.labels, self.y, eta=factor)
+        assert moved.finite
+        assert moved.beta == pytest.approx(rep.beta, rel=1e-12)
+        assert moved.bound == pytest.approx(rep.bound, rel=1e-12)
 
     def test_requires_four_labeled(self):
         labels = LabelSet([0, 1], [1, 0])
@@ -279,12 +282,12 @@ class TestSpectralBound:
         with pytest.raises(ValueError, match="prediction must cover every node"):
             spectral_bound(self.g, self.y[:3].astype(float), self.labels, self.y, eta=1.0)
 
-    @pytest.mark.parametrize("t", [1.5, np.inf, np.nan])
-    def test_rejects_a_t_that_is_not_an_integer(self, t):
-        # int() used to truncate 1.5 to 1 and raise OverflowError on inf
-        with pytest.raises(ValueError, match="t an integer"):
-            spectral_bound(self.g, self.y.astype(float), self.labels, self.y, eta=1.0,
-                           full_params=(t, 1.0, 1.0))
+    def test_rejects_a_score_outside_0_1(self):
+        # K = 1 needs every score in [0, 1]; the solvers clip theirs
+        f = self.y.astype(float)
+        f[1] = 1.5
+        with pytest.raises(ValueError, match=r"node 1 has prediction 1.5 outside \[0, 1\]"):
+            spectral_bound(self.g, f, self.labels, self.y, eta=1.0)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
