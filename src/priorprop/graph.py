@@ -361,6 +361,25 @@ def _distances(x: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return np.sqrt(total)
 
 
+def _check_feature_span(x: np.ndarray) -> None:
+    """Reject features whose squared distances can overflow.
+
+    No squared distance between rows of ``x`` exceeds the sum of the squared
+    spans of their bounding box; a kd-tree over features where that sum is
+    not finite fails with an overflow that names neither.
+    """
+    if x.shape[0] < 2:
+        return
+    with np.errstate(over="ignore"):
+        span = x.max(axis=0) - x.min(axis=0)
+        overflows = not np.isfinite(np.sum(span * span))
+    if overflows:
+        raise ValueError(
+            f"features span up to {float(span.max()):g} along an axis; the squared "
+            "distances across their bounding box overflow"
+        )
+
+
 def build_threshold_graph(features: np.ndarray, t: float) -> Graph:
     """Euclidean distance-threshold graph with unit edge weights.
 
@@ -403,6 +422,7 @@ def build_threshold_graph(features: np.ndarray, t: float) -> Graph:
     need = (hi - n) // 2 + 1
     if need <= 0:  # the threshold is a self-zero, and no distance is below it
         return Graph.from_edges(n, np.empty((0, 3)))
+    _check_feature_span(x)
     from scipy.spatial import cKDTree
 
     tree = cKDTree(x)

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from priorprop.graph import LabelSet, _as_truth
+from priorprop.graph import LabelSet, _as_truth, _check_feature_span
 from priorprop.solver import PriorField, _check_count
 
 ABSTAIN = -1
@@ -195,7 +195,8 @@ def alpha_probabilistic(
     exponentiated estimate (capped at ``1 / RESIDUAL_FLOOR``). A labeler with
     no cast vote on any labeled node gets the trust 0.5, its Laplace-estimated
     accuracy (0 + 1) / (0 + 2). Every feature must be finite; the
-    ``ValueError`` names the first node with one that is not.
+    ``ValueError`` names the first node with one that is not, or the span of
+    features whose squared distances overflow.
     """
     _check_count("k_neighbors", k_neighbors)
     x = np.asarray(features, dtype=np.float64)
@@ -204,6 +205,7 @@ def alpha_probabilistic(
     non_finite = np.flatnonzero(~np.isfinite(x).all(axis=1))
     if non_finite.size:
         raise ValueError(f"node {int(non_finite[0])} has a non-finite feature")
+    _check_feature_span(x)
     labels.validate_against(votes.node_count)
     n, k = votes.votes.shape
     a = np.zeros((n, k))

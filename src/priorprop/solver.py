@@ -31,17 +31,21 @@ connected graph the factor is used when both of the gate's tests pass:
 an O(nnz) reverse Cuthill-McKee pass made once per graph and shared with
 ``lambda_2``. On a disconnected graph every sparse system goes to CG.
 
-Otherwise CG runs, and its answer is kept only when every row's residual,
-scaled by the row's diagonal, is at most ``CG_LIMIT`` and every unknown lies
-within ``CG_LIMIT`` of [0, 1], where the exact solution lies; failing that,
-the system is factored after all. Every factor goes through
+Otherwise Jacobi-preconditioned CG runs. It is the package's own loop
+(:func:`_jacobi_pcg`), which takes scipy's ``cg`` steps one for one, without
+scipy's per-step operator wrappers, so its answers are scipy's bit for bit.
+Its answer is kept only when every row's residual, scaled by the row's
+diagonal, is at most ``CG_LIMIT`` and every unknown lies within ``CG_LIMIT``
+of [0, 1], where the exact solution lies; failing that, the system is
+factored after all. Every factor goes through
 :func:`spd_solver`: the first factor over all of a graph's nodes records its
 minimum-degree elimination order on the graph, and later ones over all nodes
 (``lambda_2``'s shift-invert factor) reuse it instead of ordering again. A
 system that Cholesky cannot factor, that LAPACK finds ill-conditioned even
 with its diagonal scaled to 1, or whose LU has a pivot that is not positive,
 is numerically singular and raises :class:`SingularSystemError`.
-:attr:`Prediction.route` names the path taken.
+:attr:`Prediction.route` names the path taken and
+:attr:`Prediction.iterations` counts its CG steps.
 
 The iterative method applies Gauss-Seidel sweeps of the update in fixed node
 order, with the sweep's triangular split built once per solve (see
@@ -149,6 +153,8 @@ class Prediction:
     fixed-point residual, for soft solves that of their prior problem.
     ``route`` is the path that solved it: ``dense``, ``pcg``, ``factor``,
     ``pcg+factor`` (CG's answer rejected, then factored) or ``gauss-seidel``.
+    ``iterations`` counts the CG steps of ``pcg`` and ``pcg+factor`` and the
+    sweeps of ``gauss-seidel``; it is 0 on ``dense`` and ``factor``.
     ``method``, derived when read, is ``iterative`` for ``gauss-seidel`` and
     ``direct`` for every other route.
     """
@@ -246,7 +252,7 @@ def solve_with_prior(
     route = "dense" if config.method == "direct" else "gauss-seidel"
     if solved.size:
         if config.method == "direct":
-            f[solved], route = _direct_solve(graph, labels, prior, solved)
+            f[solved], route, iterations = _direct_solve(graph, labels, prior, solved)
         else:
             iterations, converged = _iterative_solve(graph, labels, prior, config, f, solved)
 
@@ -346,8 +352,8 @@ def _factor_pays(
 
 def _direct_solve(
     graph: Graph, labels: LabelSet, prior: PriorField, solved: np.ndarray
-) -> tuple[np.ndarray, str]:
-    """The unknowns on ``solved`` and the route that found them."""
+) -> tuple[np.ndarray, str, int]:
+    """The unknowns on ``solved``, the route that found them and its CG steps."""
     w = graph.matrix
     diag = graph.degrees[solved] + prior.mu[solved]
     y_ext = np.zeros(graph.node_count)
@@ -364,24 +370,60 @@ def _direct_solve(
                 # warning there too means the system is singular in floats
                 warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
                 try:
-                    return scipy.linalg.solve(a, b, assume_a="pos"), "dense"
+                    return scipy.linalg.solve(a, b, assume_a="pos"), "dense", 0
                 except scipy.linalg.LinAlgWarning:
                     s = 1.0 / np.sqrt(diag)
                     x = s * scipy.linalg.solve(s[:, None] * a * s, s * b, assume_a="pos")
-                    return x, "dense"
+                    return x, "dense", 0
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgWarning) as exc:
             raise _singular(diag) from exc
     a = (sp.diags(diag) - wuu).tocsr()
     if _factor_pays(graph, prior.mu[solved], solved, diag):
-        return _factor_solve(graph, a, b), "factor"
+        return _factor_solve(graph, a, b), "factor", 0
     # on a system that is singular in floats, CG can stall, break down into
     # nans or solve it to a point outside [0, 1]; the factor then finds out
     with np.errstate(divide="ignore", invalid="ignore"):
-        x, info = spla.cg(a, b, rtol=1e-13, atol=0.0, maxiter=20 * b.size, M=sp.diags(1.0 / diag))
+        x, info, steps = _jacobi_pcg(a, b, 1.0 / diag, 1e-13, 20 * b.size)
         resid = np.max(np.abs(a @ x - b) / diag)
     if info == 0 and resid <= CG_LIMIT and -CG_LIMIT <= x.min() and x.max() <= 1 + CG_LIMIT:
-        return x, "pcg"
-    return _factor_solve(graph, a, b), "pcg+factor"
+        return x, "pcg", steps
+    return _factor_solve(graph, a, b), "pcg+factor", steps
+
+
+def _jacobi_pcg(
+    a: sp.csr_matrix, b: np.ndarray, inv_diag: np.ndarray, rtol: float, maxiter: int
+) -> tuple[np.ndarray, int, int]:
+    """Jacobi-preconditioned CG from ``x = 0``: ``(x, info, steps)``.
+
+    Step for step the arithmetic of scipy's ``cg(a, b, rtol=rtol, atol=0,
+    maxiter=maxiter, M=diags(inv_diag))``, so ``x`` and ``info`` (0 once the
+    residual norm is below ``rtol * |b|``, else ``maxiter``) are that call's,
+    bit for bit. ``steps`` counts the steps taken.
+    """
+    bnrm2 = math.sqrt(np.dot(b, b))
+    # scipy tests |b|, not the tolerance: rtol * |b| can underflow to 0
+    if bnrm2 == 0:
+        return b, 0, 0
+    atol = rtol * bnrm2
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = rho_prev = None
+    for step in range(maxiter):
+        if math.sqrt(np.dot(r, r)) < atol:
+            return x, 0, step
+        z = inv_diag * r
+        rho = np.dot(r, z)
+        if p is None:
+            p = z
+        else:
+            p *= rho / rho_prev
+            p += z
+        q = a @ p
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, maxiter, maxiter
 
 
 def _factor_solve(graph: Graph, a: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
@@ -441,6 +483,8 @@ def solve_soft(
     eta = float(eta)
     if not (eta > 0) or not np.isfinite(eta):
         raise ValueError("eta must be positive and finite")
+    if eta / 2.0 == 0:
+        raise ValueError(f"eta {eta!r} underflows to 0 when halved into the labels' prior weight")
     labels.validate_against(graph.node_count)
     h = np.full(graph.node_count, 0.5)
     mu = np.zeros(graph.node_count)

@@ -637,6 +637,16 @@ def test_extreme_float_flags_exit_0_or_2(workspace, monkeypatch, capsys, command
             assert (spectral["bound"] is None) == (not spectral["finite"])
 
 
+@pytest.mark.parametrize("command", ["propagate", "analyze"])
+def test_eta_that_underflows_when_halved_exits_2_naming_it(workspace, capsys, command):
+    out = workspace / "out.json"
+    code = run([command, "--graph", workspace / "graph.txt", "--labels", workspace / "labels.txt",
+                "--truth", workspace / "truth.txt", "--eta", "5e-324", "--output", out])
+    assert code == 2
+    assert "error: eta 5e-324 underflows to 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestAnalyze:
     def test_smooth_fixture_zero_bound_column(self, tmp_path):
         feats = np.vstack([
@@ -822,6 +832,14 @@ class TestDemo:
         assert run(["demo", flag, "nan", "--output", tmp_path / "d.json"]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "d.json").exists()
+
+    def test_separation_whose_squared_distances_overflow_exits_2(self, tmp_path, capsys):
+        args = ["demo", "--points-per-cluster", "20", "--labeled", "8", "--no-bounds"]
+        assert run(args + ["--separation", "1e308", "--output", tmp_path / "d.json"]) == 2
+        assert ("error: features span up to 1e+308 along an axis; the squared distances"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "d.json").exists()
+        assert run(args + ["--separation", "1e153", "--output", tmp_path / "d.json"]) == 0
 
     def test_malformed_list_is_a_usage_error_naming_its_type(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -273,6 +273,23 @@ class TestRowSumsMatchLoopReference:
 
 
 class TestThresholdGraph:
+    @staticmethod
+    def spread_points(spans):
+        """60 random points whose bounding box spans ``spans``."""
+        x = np.random.default_rng(4).uniform(0, 1, size=(60, len(spans)))
+        x[0], x[1] = 0.0, 1.0
+        return x * np.asarray(spans)
+
+    @pytest.mark.parametrize("spans, largest", [((1e155,), "1e+155"),
+                                                ((1.1e154, 1.1e154), "1.1e+154")])
+    def test_features_whose_squared_distances_overflow_rejected(self, spans, largest):
+        with pytest.raises(ValueError, match=f"features span up to {re.escape(largest)} along"):
+            build_threshold_graph(self.spread_points(spans), t=5.0)
+
+    def test_features_whose_squared_distances_stay_finite_build(self):
+        g = build_threshold_graph(self.spread_points((1e153, 1.0)), t=5.0)
+        assert g.edge_count > 0
+
     def test_collinear_points_complete_when_threshold_high(self):
         feats = np.array([[0.0], [1.0], [2.0]])
         g = build_threshold_graph(feats, t=6.0)

@@ -352,6 +352,14 @@ class TestAlphaProbabilistic:
         with pytest.raises(ValueError, match="node 2 has a non-finite feature"):
             vote_prior(votes, "probabilistic", labels, features=feats, k_neighbors=2)
 
+    def test_features_whose_squared_distances_overflow_rejected(self):
+        votes = WeakVoteMatrix(np.array([0, 1, 0, 1, 1], dtype=np.int8)[:, None])
+        feats = np.arange(10, dtype=float).reshape(5, 2) * 1.1e154 / 8
+        labels = LabelSet([0, 1], [0, 1])
+        with pytest.raises(ValueError, match=r"features span up to 1\.1e\+154 along an axis"):
+            alpha_probabilistic(votes, feats, labels, k_neighbors=2)
+        assert alpha_probabilistic(votes, feats / 10, labels, k_neighbors=2).shape == (5, 1)
+
     @pytest.mark.parametrize("shape", [(5,), (4, 2), (5, 2, 1)])
     def test_features_of_the_wrong_shape_rejected(self, shape):
         votes = WeakVoteMatrix(np.array([0, 1, 0, 1, 1], dtype=np.int8)[:, None])

@@ -187,14 +187,15 @@ class TestSolveWithPrior:
         monkeypatch.setattr(solver_mod, "DENSE_LIMIT", DENSE_LIMIT)
         cg_calls = []
 
-        def failing_cg(a, b, **kwargs):
+        def failing_cg(a, b, inv_diag, rtol, maxiter):
             cg_calls.append(b.size)
-            return np.zeros_like(b), 1
+            return np.zeros_like(b), maxiter, maxiter
 
-        monkeypatch.setattr(solver_mod.spla, "cg", failing_cg)
+        monkeypatch.setattr(solver_mod, "_jacobi_pcg", failing_cg)
         pred = solve_with_prior(g, labels, prior, SolverConfig(method="direct"))
         assert cg_calls == [n - len(labels)]
         assert (dense.route, pred.route) == ("dense", "pcg+factor")
+        assert (dense.iterations, pred.iterations) == (0, 20 * (n - len(labels)))
         np.testing.assert_allclose(pred.f, dense.f, rtol=0.0, atol=1e-10)
 
     def test_inaccurate_cg_answer_is_replaced_by_the_factor(self):
@@ -216,7 +217,7 @@ class TestSolveWithPrior:
         # singular in floats; the gate factors it (a path, nearly singular),
         # and its factor has a negative pivot
         g, labels = heavy_path(606)
-        monkeypatch.setattr(solver_mod.spla, "cg", None)
+        monkeypatch.setattr(solver_mod, "_jacobi_pcg", None)
         with pytest.raises(SingularSystemError, match="system of 606 unknowns is numerically"):
             solve_soft(g, LabelSet(labels.indices, values), 0.01)
 
@@ -226,6 +227,57 @@ class TestSolveWithPrior:
             solve_with_prior(g, LabelSet([0], [1]), PriorField.constant(3))
         with pytest.raises(ValueError):
             solve_standard(g, LabelSet([], []))
+
+
+class TestJacobiPcg:
+    """The package's CG loop against scipy's ``cg`` with the same Jacobi
+    preconditioner: the same ``x``, sign bits included, the same ``info``,
+    and one step per scipy callback."""
+
+    @staticmethod
+    def spd_system(seed):
+        # the unlabeled block of a random graph's system with random priors
+        rng = np.random.default_rng(seed)
+        n = DENSE_LIMIT + 100 * (seed + 1)
+        g = Graph.from_edges(n, random_connected_graph(rng, n, extra_edges=n))
+        mu = rng.uniform(0, 1, n) * (rng.random(n) < 0.5)
+        y = np.zeros(n)
+        labeled = rng.choice(n, 10, replace=False)
+        y[labeled] = rng.integers(0, 2, 10)
+        solved = np.setdiff1d(np.arange(n), labeled)
+        diag = g.degrees[solved] + mu[solved]
+        a = (sp.diags(diag) - g.matrix[solved][:, solved]).tocsr()
+        b = mu[solved] * rng.uniform(0, 1, n)[solved] + (g.matrix @ y)[solved]
+        return a, b, 1.0 / diag
+
+    @staticmethod
+    def assert_matches_scipy(a, b, inv_diag, maxiter):
+        calls = []
+        want, want_info = spla.cg(a, b, rtol=1e-13, atol=0.0, maxiter=maxiter,
+                                  M=sp.diags(inv_diag), callback=calls.append)
+        x, info, steps = solver_mod._jacobi_pcg(a, b, inv_diag, 1e-13, maxiter)
+        np.testing.assert_array_equal(x, want)
+        np.testing.assert_array_equal(np.signbit(x), np.signbit(want))
+        assert (info, steps) == (want_info, len(calls))
+        return x, info, steps
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_spd_systems_converge_as_scipy_does(self, seed):
+        a, b, inv_diag = self.spd_system(seed)
+        _, info, steps = self.assert_matches_scipy(a, b, inv_diag, 20 * b.size)
+        assert info == 0 and steps > 0
+
+    def test_zero_right_hand_side_is_returned_with_its_signs(self):
+        a, b, inv_diag = self.spd_system(0)
+        zero = np.zeros(b.size)
+        zero[::3] = -0.0
+        x, info, steps = self.assert_matches_scipy(a, zero, inv_diag, 20 * b.size)
+        assert x is zero and (info, steps) == (0, 0)
+
+    def test_a_run_cut_off_reports_maxiter(self):
+        a, b, inv_diag = self.spd_system(1)
+        _, info, steps = self.assert_matches_scipy(a, b, inv_diag, 3)
+        assert (info, steps) == (3, 3)
 
 
 def votes_prior(graph, labels, seed=0):
@@ -378,6 +430,11 @@ class TestSolveSoft:
         g = Graph.from_edges(2, [(0, 1, 1.0)])
         with pytest.raises(ValueError):
             solve_soft(g, LabelSet([0], [1]), eta=0.0)
+
+    def test_eta_that_underflows_when_halved_is_named(self):
+        g = Graph.from_edges(2, [(0, 1, 1.0)])
+        with pytest.raises(ValueError, match="eta 5e-324 underflows to 0"):
+            solve_soft(g, LabelSet([0], [1]), eta=5e-324)
 
 
 def disjoint_components(rng, sizes, labeled):
