@@ -25,8 +25,10 @@ Everything per hop lives in one table. ``hop_stats`` validates one analysis
 (truth, prior, the hop layering, which holds its graph, and the prediction
 being analyzed) and computes every quantity above once, as a
 :class:`HopStats` column indexed by hop and named after the report's JSON
-key (``c_k`` is ``local_term``): a per-hop sum is ``np.sum`` over the hop's
-nodes, and ``s_k`` adds up its nodes' disagreements one by one.
+key (``c_k`` is ``local_term``). Each hop's nodes are gathered once, as one
+C-contiguous block holding every per-node quantity summed over hops, so each
+per-hop sum adds in the order ``np.sum`` over the hop's nodes does; ``s_k``
+adds up its nodes' disagreements one by one.
 ``compute_bound`` adds the columns ``d_k``, certified bound and bound source,
 and its report derives the informal bound from ``d_k`` when read; the
 report's JSON has one row per hop, read across the columns.
@@ -173,24 +175,34 @@ def hop_stats(
     l = partition.max_hop
     sizes = np.array([h.size for h in partition.hops])
 
-    def hop_sums(values: np.ndarray) -> np.ndarray:
-        return np.array([values[h].sum() for h in partition.hops])
+    # one row per quantity summed over each hop; take gathers a hop's columns
+    # as a C-contiguous block, whose rows sum as np.sum sums each one alone
+    # (a strided table[:, h] would add in another order)
+    mu = prior.mu
+    table = np.empty((11, graph.node_count))
+    table[:4] = inw, betw, outw, err
+    table[7], table[8] = mu, pull
+    sums = np.empty((11, l + 1))
+    # an overflowing prior-weight total is reported below; a flow total that
+    # overflows stays inf, and its flow-weighted error sum nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(table[:3], err, out=table[4:7])
+        np.multiply(mu, pull, out=table[9])
+        np.multiply(mu, err, out=table[10])
+        for k, h in enumerate(partition.hops):
+            sums[:, k] = table.take(h, axis=1).sum(axis=1)
+    (in_flow, between, out_weight, err_sum, *flow_err,
+     mu_total, pull_sum, pull_error, mu_error) = sums
 
-    in_flow, between, out_weight = (hop_sums(w) for w in (inw, betw, outw))
-
-    avg = hop_sums(err) / sizes
+    avg = err_sum / sizes
     with np.errstate(invalid="ignore", divide="ignore"):
         e_in, e_bet, e_out = (
-            np.where(flow > 0, hop_sums(w * err) / flow, np.nan)
-            for w, flow in ((inw, in_flow), (betw, between), (outw, out_weight))
+            np.where(flow > 0, fe / flow, np.nan)
+            for fe, flow in zip(flow_err, (in_flow, between, out_weight))
         )
         a = np.where(avg > 0, e_in / avg, np.nan)
         b = np.where(avg > 0, e_out / avg, np.nan)
-
-    mu = prior.mu
-    with np.errstate(over="ignore"):  # an overflowing total is reported below
-        mu_total, pull_error, mu_error = (hop_sums(v) for v in (mu, mu * pull, mu * err))
-    a_err = hop_sums(pull) / sizes
+    a_err = pull_sum / sizes
     # bincount adds in node order, as a running ``total += v`` over each hop does
     reached = partition.hop_of >= 0
     s = np.bincount(partition.hop_of[reached], weights=node_s[reached], minlength=l + 1)

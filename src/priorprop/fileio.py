@@ -14,9 +14,10 @@ round-trips bit-exactly and repeated runs give byte-identical output.
 from __future__ import annotations
 
 import io
-import json
+import math
 import re
 import warnings
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 from typing import Any
 
@@ -44,7 +45,7 @@ def fmt_float(x: float) -> str:
 
 
 def _json_number(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError("non-finite numbers cannot be serialized; map them to null first")
     s = fmt_float(x)
     if not any(c in s for c in ".eE"):
@@ -56,23 +57,24 @@ def dumps_json(obj: Any) -> str:
     """Deterministic JSON indented by 2, floats to 17 significant digits."""
 
     def emit(o: Any, depth: int) -> str:
-        pad = "  " * depth
-        pad_in = "  " * (depth + 1)
-        if o is None:
-            return "null"
-        if isinstance(o, bool) or isinstance(o, np.bool_):
-            return "true" if o else "false"
-        if isinstance(o, (int, np.integer)):
-            return str(int(o))
+        # the leaf types are disjoint, so testing the common ones first changes no output
         if isinstance(o, (float, np.floating)):
             return _json_number(float(o))
         if isinstance(o, str):
-            return json.dumps(o)
+            return _json_string(o)
+        if o is None:
+            return "null"
+        if isinstance(o, (bool, np.bool_)):
+            return "true" if o else "false"
+        if isinstance(o, (int, np.integer)):
+            return str(int(o))
+        pad = "  " * depth
+        pad_in = "  " * (depth + 1)
         if isinstance(o, dict):
             if not o:
                 return "{}"
             items = [
-                f"{pad_in}{json.dumps(str(k))}: {emit(v, depth + 1)}" for k, v in o.items()
+                f"{pad_in}{_json_string(str(k))}: {emit(v, depth + 1)}" for k, v in o.items()
             ]
             return "{\n" + ",\n".join(items) + "\n" + pad + "}"
         if isinstance(o, (list, tuple, np.ndarray)):

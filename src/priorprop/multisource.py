@@ -190,13 +190,14 @@ def alpha_probabilistic(
     """Per-node inverse-variance trust from log-residual regression.
 
     For each labeler, the log squared residual ``log((vote - y)^2 + floor)``
-    on labeled cast votes is carried to every node by k-nearest-neighbor
-    averaging in feature space, and the trust is the inverse of the
-    exponentiated estimate (capped at ``1 / RESIDUAL_FLOOR``). A labeler with
-    no cast vote on any labeled node gets the trust 0.5, its Laplace-estimated
-    accuracy (0 + 1) / (0 + 2). Every feature must be finite; the
-    ``ValueError`` names the first node with one that is not, or the span of
-    features whose squared distances overflow.
+    on labeled cast votes is carried to every node where the labeler voted by
+    k-nearest-neighbor averaging in feature space, and the trust is the
+    inverse of the exponentiated estimate (capped at ``1 / RESIDUAL_FLOOR``).
+    An abstention gets the trust 0 without a neighbor query. A labeler with
+    no cast vote on any labeled node trusts each of its votes 0.5, its
+    Laplace-estimated accuracy (0 + 1) / (0 + 2). Every feature must be
+    finite; the ``ValueError`` names the first node with one that is not, or
+    the span of features whose squared distances overflow.
     """
     _check_count("k_neighbors", k_neighbors)
     x = np.asarray(features, dtype=np.float64)
@@ -209,16 +210,18 @@ def alpha_probabilistic(
     labels.validate_against(votes.node_count)
     n, k = votes.votes.shape
     a = np.zeros((n, k))
+    cast = votes.cast_mask
     for j in range(k):
-        cast_lab = votes.votes[labels.indices, j] != ABSTAIN
+        voters = np.flatnonzero(cast[:, j])
+        cast_lab = cast[labels.indices, j]
         support = labels.indices[cast_lab]
         if support.size == 0:
-            a[:, j] = votes.cast_mask[:, j] * 0.5
+            a[voters, j] = 0.5
             continue
         resid = (votes.votes[support, j] - labels.values[cast_lab]) ** 2
         log_resid = np.log(resid.astype(np.float64) + RESIDUAL_FLOOR)
-        g = _knn_mean(x, x[support], log_resid, min(k_neighbors, support.size))
-        a[:, j] = votes.cast_mask[:, j] * (1.0 / np.exp(g))
+        g = _knn_mean(x[voters], x[support], log_resid, min(k_neighbors, support.size))
+        a[voters, j] = 1.0 / np.exp(g)
     return a
 
 

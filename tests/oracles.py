@@ -7,9 +7,11 @@ to problems the library solves as prior problems: the anchor graph of a
 weak-labeler problem, built here record by record and then solved with the
 library's plain solver, and the soft-constrained problem, solved here
 component by component in its own penalized form. The ``loop_load_*`` file
-readers build the library's own result types from their line-by-line parse.
+readers build the library's own result types from their line-by-line parse,
+and ``reference_dumps_json`` writes every JSON leaf with ``json.dumps``.
 """
 
+import json
 import math
 from collections import deque
 from pathlib import Path
@@ -434,6 +436,11 @@ def loop_hop_errors(graph, f, y, partition):
     return avg, e_in, e_bet, e_out, a, b
 
 
+def loop_hop_sums(values, partition):
+    """``values`` summed over each hop, one ``np.sum`` per hop."""
+    return np.array([values[h].sum() for h in partition.hops])
+
+
 def loop_prior_terms(prior, f, y, partition):
     """``(mu_total, pull_error, mu_error, prior_error)`` per hop, 0 at hop 0:
     the sums of ``mu``, ``mu |h - y|`` and ``mu |f - y|`` and the mean of
@@ -579,3 +586,44 @@ def loop_load_prediction(path):
     f = np.array([entries[i][0] for i in range(len(entries))])
     flags = [entries[i][1] for i in range(len(entries))]
     return f, flags
+
+
+def reference_dumps_json(obj):
+    """JSON indented by 2 with floats to 17 significant digits, each leaf
+    written by ``json.dumps`` and tested with ``np.isfinite``."""
+
+    def number(x):
+        if not np.isfinite(x):
+            raise ValueError("non-finite numbers cannot be serialized; map them to null first")
+        s = format(float(x), ".17g")
+        if not any(c in s for c in ".eE"):
+            s += ".0"
+        return s
+
+    def emit(o, depth):
+        pad = "  " * depth
+        pad_in = "  " * (depth + 1)
+        if o is None:
+            return "null"
+        if isinstance(o, bool) or isinstance(o, np.bool_):
+            return "true" if o else "false"
+        if isinstance(o, (int, np.integer)):
+            return str(int(o))
+        if isinstance(o, (float, np.floating)):
+            return number(float(o))
+        if isinstance(o, str):
+            return json.dumps(o)
+        if isinstance(o, dict):
+            if not o:
+                return "{}"
+            items = [f"{pad_in}{json.dumps(str(k))}: {emit(v, depth + 1)}" for k, v in o.items()]
+            return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        if isinstance(o, (list, tuple, np.ndarray)):
+            seq = list(o)
+            if not seq:
+                return "[]"
+            items = [f"{pad_in}{emit(v, depth + 1)}" for v in seq]
+            return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        raise TypeError(f"cannot serialize {type(o).__name__}")
+
+    return emit(obj, 0) + "\n"

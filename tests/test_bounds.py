@@ -19,8 +19,10 @@ from test_acceptance import _bound_instance
 
 from oracles import (
     loop_conductance,
+    loop_directional_weights,
     loop_flows,
     loop_hop_errors,
+    loop_hop_sums,
     loop_node_error,
     loop_prior_terms,
     loop_smoothness,
@@ -460,7 +462,79 @@ def mixed_row_length_instance(seed, n=300):
     return g, labels, y, prior, compute_neighborhoods(g, labels)
 
 
+def layered_instance(sizes, seed):
+    """Hop ``k`` has ``sizes[k]`` nodes, under shuffled ids: each node past
+    hop 0 is joined to a random node one hop in, and as many random edges
+    again run one hop in and within the hop, with weights and prior weights
+    over six decades, so that the order of a sum shows in its last bits.
+    The scores are random off the labeled set."""
+    rng = np.random.default_rng(seed)
+    starts = np.cumsum([0, *sizes])
+    pairs = []
+    for k in range(1, len(sizes)):
+        lo, mid, hi = starts[k - 1], starts[k], starts[k + 1]
+        child = np.arange(mid, hi)
+        pairs += [np.column_stack((rng.integers(lo, mid, child.size), child)),
+                  np.column_stack((rng.integers(lo, mid, child.size), rng.permutation(child))),
+                  np.column_stack((rng.integers(mid, hi, child.size), child))]
+    pairs = np.sort(np.concatenate(pairs), axis=1)
+    pairs = np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)
+    n = int(starts[-1])
+    node = rng.permutation(n)  # the id of the node at each position
+    w = rng.uniform(0.5, 2.0, len(pairs)) * 10.0 ** rng.integers(-3, 3, len(pairs))
+    g = Graph.from_edges(n, np.column_stack((node[pairs], w)))
+    y = rng.integers(0, 2, n).astype(np.int8)
+    labeled = node[: sizes[0]]
+    labels = LabelSet(labeled, y[labeled])
+    prior = PriorField(rng.uniform(0, 1, n), rng.uniform(0.5, 2.0, n) * 10.0 ** rng.integers(-3, 3, n))
+    f = rng.uniform(0, 1, n)
+    f[labeled] = y[labeled]
+    return g, y, prior, compute_neighborhoods(g, labels), f
+
+
 class TestHopStats:
+    @pytest.mark.parametrize("sizes", [
+        [1, 7, 8, 9, 127, 128, 129, 1100],
+        [9, 1, 129, 8, 1500, 7, 127, 1],
+        [128, 1, 1200, 127, 9],
+    ])
+    def test_every_column_bitwise_equal_to_per_hop_sums(self, sizes):
+        g, y, prior, part, f = layered_instance(sizes, len(sizes))
+        assert [h.size for h in part.hops] == sizes
+        stats = hop_stats(y, prior, part, f)
+
+        def hop_sums(values):
+            return loop_hop_sums(values, part)
+
+        inw, betw, outw = loop_directional_weights(g, part)
+        err, pull, mu = np.abs(f - y), np.abs(prior.h - y), prior.mu
+        size = np.array(sizes)
+        in_flow, between, out_weight = hop_sums(inw), hop_sums(betw), hop_sums(outw)
+        avg = hop_sums(err) / size
+        with np.errstate(invalid="ignore", divide="ignore"):
+            e_in, e_bet, e_out = (np.where(flow > 0, hop_sums(w * err) / flow, np.nan)
+                                  for w, flow in ((inw, in_flow), (betw, between), (outw, out_weight)))
+            a, b = (np.where(avg > 0, e / avg, np.nan) for e in (e_in, e_out))
+        mu_total, pull_error, mu_error = hop_sums(mu), hop_sums(mu * pull), hop_sums(mu * err)
+        prior_error = hop_sums(pull) / size
+        smoothness = np.array([loop_smoothness(g, y, part, k) for k in range(len(sizes))])
+        for column in (mu_total, pull_error, mu_error, prior_error, smoothness):
+            column[0] = 0.0
+        denom = in_flow[1:] + mu_total[1:]
+        local_term, gamma = np.zeros((2, len(sizes)))
+        local_term[1:] = (smoothness[1:] + pull_error[1:]) / denom
+        gamma[1:-1] = in_flow[2:] / denom[:-1]
+        want = {
+            "size": size, "in_flow": in_flow, "between_flow": between,
+            "out_flow": np.append(in_flow[1:], 0.0), "mu_total": mu_total,
+            "pull_error": pull_error, "mu_error": mu_error, "smoothness": smoothness,
+            "prior_error": prior_error, "local_term": local_term, "gamma": gamma,
+            "avg_error": avg, "in_error": e_in, "between_error": e_bet, "out_error": e_out,
+            "in_error_ratio": a, "out_error_ratio": b,
+        }
+        for name, column in want.items():
+            assert getattr(stats, name).tobytes() == column.tobytes(), name
+
     @pytest.mark.parametrize("seed", range(3))
     def test_smoothness_and_node_error_bitwise_equal_to_loops(self, seed):
         g, labels, y, prior, part = mixed_row_length_instance(seed + 80)

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import tempfile
 from pathlib import Path
@@ -20,6 +21,7 @@ from priorprop.multisource import ALPHA_SCHEMES
 from oracles import anchor_graph_solve
 
 DATA = Path(__file__).parent / "data"
+BENCHMARK = Path(__file__).parents[1] / "perfbench"
 
 
 @pytest.fixture()
@@ -795,6 +797,19 @@ class TestDemo:
         out = tmp_path / "demo.json"
         assert run(self.GOLDEN_ARGS + ["--output", out]) == 0
         assert out.read_bytes() == (DATA / "demo_golden.json").read_bytes()
+
+    def test_benchmark_instance_reproduces_its_digest_and_accuracies(self, tmp_path):
+        # the benchmark's demo-2.5k job at seed 0: 2 x 1250 points, all eight methods
+        out = tmp_path / "demo.json"
+        assert run(["demo", "--clusters", "2", "--points-per-cluster", "1250", "--labeled",
+                    "250", "--t", "10", "--seed", "0", "--output", out]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "1db9eca19c0f954c717b9c5f93b39f97ae9b80b3ba30f120e3fd98c530d57b94")
+        recorded = json.loads((BENCHMARK / "demo_accuracies.json").read_text())["accuracies"]["0"]
+        got = {r["method"]: r["metrics"]["accuracy"] for r in json.loads(out.read_text())["results"]}
+        assert got.keys() == recorded.keys()
+        for method, accuracy in recorded.items():
+            assert abs(got[method] - accuracy) <= 1e-9, method
 
     def test_perfect_labelers_full_accuracy(self, tmp_path, capsys):
         out = tmp_path / "demo.json"

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from priorprop import fileio
 from priorprop.graph import Graph, GraphFormatError, LabelSet
@@ -19,6 +19,7 @@ from oracles import (
     loop_load_prediction,
     loop_load_votes,
     random_connected_graph,
+    reference_dumps_json,
 )
 
 LOADERS = ("load_graph", "load_labels", "load_features", "load_votes", "load_accuracies",
@@ -168,6 +169,33 @@ class TestOtherFormats:
             fileio.load_prediction(path)
 
 
+# Leaves of every type dumps_json writes: numpy scalars beside Python ones,
+# text with control, non-ASCII and surrogate characters, and arrays of several
+# dtypes, empty ones too. Containers are dicts with keys of several types,
+# lists, tuples and arrays of arrays.
+JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(st.characters(exclude_categories=()))
+    | st.builds(np.float64, st.floats(allow_nan=False, allow_infinity=False))
+    | st.builds(np.float32, st.floats(allow_nan=False, allow_infinity=False, width=32))
+    | st.builds(np.int64, st.integers(-2**63, 2**63 - 1))
+    | st.builds(np.uint8, st.integers(0, 255))
+    | st.builds(np.bool_, st.booleans())
+    | st.builds(np.array, st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=5))
+    | st.builds(lambda v: np.array(v, dtype=np.int8).reshape(-1, 1),
+                st.lists(st.integers(-128, 127), max_size=4))
+    | st.builds(lambda v: np.array(v, dtype=bool), st.lists(st.booleans(), max_size=4))
+)
+JSON_KEYS = st.text() | st.integers() | st.floats(allow_nan=False) | st.booleans() | st.none()
+
+
+def json_values():
+    return st.recursive(JSON_LEAVES, lambda inner: (
+        st.lists(inner, max_size=4) | st.builds(tuple, st.lists(inner, max_size=4))
+        | st.dictionaries(JSON_KEYS, inner, max_size=4)
+    ), max_leaves=20)
+
+
 class TestCanonicalJson:
     def test_float_precision_round_trips(self):
         vals = [0.1, 1.0 / 3.0, 2.4000000000000004, 1e-300, 123456.789]
@@ -190,6 +218,36 @@ class TestCanonicalJson:
     def test_numpy_scalars_supported(self):
         text = fileio.dumps_json({"i": np.int64(3), "f": np.float64(0.5), "b": np.bool_(True)})
         assert json.loads(text) == {"i": 3, "f": 0.5, "b": True}
+
+    @settings(max_examples=300)
+    @given(json_values())
+    @example({"\x00\t\x1f\"\\/": ["\u00e9\u2028\U0001f600\ud800", 2 ** 70, -0.0], 1.5: {}})
+    def test_bytewise_equal_to_json_dumps_leaves(self, obj):
+        assert fileio.dumps_json(obj) == reference_dumps_json(obj)
+
+    @pytest.mark.parametrize("obj", [
+        [1.0, float("nan")],
+        {"a": {"b": np.float32("inf")}},
+        (np.array([0.5, -np.inf]),),
+        {3: [None, np.float64("-inf")]},
+    ], ids=["nan", "float32-inf", "ndarray", "int-key"])
+    def test_non_finite_raises_as_the_reference_does(self, obj):
+        with pytest.raises(ValueError) as want:
+            reference_dumps_json(obj)
+        with pytest.raises(ValueError) as got:
+            fileio.dumps_json(obj)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("leaf", [
+        {1, 2}, object(), b"bytes", 1 + 2j, np.complex128(1.0), np.datetime64("2020-01-01"),
+    ], ids=["set", "object", "bytes", "complex", "np-complex", "datetime64"])
+    def test_unknown_type_raises_as_the_reference_does(self, leaf):
+        obj = {"ok": [1, 2.5], "bad": [leaf]}
+        with pytest.raises(TypeError) as want:
+            reference_dumps_json(obj)
+        with pytest.raises(TypeError) as got:
+            fileio.dumps_json(obj)
+        assert str(got.value) == str(want.value)
 
 
 # Tables for the loader-vs-reference tests. A token is nearly always well

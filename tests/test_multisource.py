@@ -424,6 +424,34 @@ class TestAlphaProbabilistic:
         monkeypatch.setattr(multisource, "_knn_mean", block_knn_mean)
         assert got.tobytes() == alpha_probabilistic(votes, x, labels).tobytes()
 
+    def test_only_cast_rows_are_queried(self, monkeypatch):
+        x, y = generate_clusters(SyntheticSpec(points_per_cluster=300, seed=4))
+        n = y.size
+        rng = np.random.default_rng(4)
+        votes = random_votes(rng, n, 3, abstain_rate=0.4)
+        chosen = rng.choice(n, size=60, replace=False)
+        labels = LabelSet(chosen, y[chosen])
+        first_asked = []
+
+        class CountingTree(cKDTree):
+            def query(self, rows, k):
+                if not hasattr(self, "asked"):
+                    self.asked = True
+                    first_asked.append(np.array(rows))
+                return super().query(rows, k)
+
+        # _knn_mean imports the kd-tree when called, so patch its source
+        monkeypatch.setattr("scipy.spatial.cKDTree", CountingTree)
+        got = alpha_probabilistic(votes, x, labels)
+        cast = votes.cast_mask
+        assert len(first_asked) == 3
+        for j, rows in enumerate(first_asked):
+            assert rows.tobytes() == x[cast[:, j]].tobytes()
+        assert np.all(got[cast] > 0)
+        assert np.all(got[~cast] == 0) and not np.any(np.signbit(got[~cast]))
+        monkeypatch.setattr(multisource, "_knn_mean", block_knn_mean)
+        assert got.tobytes() == alpha_probabilistic(votes, x, labels).tobytes()
+
     def test_ten_thousand_nodes_allocate_no_node_by_support_array(self):
         n, labeled = 10_000, 1_000
         x, y = generate_clusters(SyntheticSpec(points_per_cluster=n // 2))
