@@ -232,10 +232,7 @@ def cmd_analyze(args) -> int:
     stats = hop_stats(y, prior, partition, prediction)
     bound = compute_bound(stats)
     audit = audit_inequalities(stats)
-    # the default direct config, not the solver flags: Gauss-Seidel on the soft
-    # problem at a small eta can run 10,000 sweeps without converging
-    soft = solve_soft(graph, labels, args.eta)
-    spectral = spectral_bound(graph, soft, labels, y, args.eta, **_given(args, "delta_conf"))
+    spectral = spectral_bound(graph, labels, y, args.eta, **_given(args, "delta_conf"))
 
     report = {
         "bound_report": bound.to_dict(),

@@ -101,8 +101,9 @@ class Graph:
         (zero included) conflict, whatever their order. Endpoints must be
         integral; self-loops, negative or non-finite weights, out-of-range
         endpoints and conflicts are rejected, naming the first offending
-        record in input order. Zero-weight records are dropped: they
-        contribute nothing to any propagation or flow formula.
+        record in input order, and so is a node whose weights sum past the
+        float range, naming the first such node. Zero-weight records are
+        dropped: they contribute nothing to any propagation or flow formula.
 
         The cost is one stable sort of the records by their edge, which is
         close to a linear pass when they already come in canonical order (as
@@ -155,11 +156,18 @@ class Graph:
             (np.concatenate((w_k, w_k)), (np.concatenate((hi, lo)), np.concatenate((lo, hi)))),
             shape=(node_count, node_count),
         ).tocsr()
-        return cls(
+        graph = cls(
             indptr=adj.indptr.astype(np.int64),
             indices=adj.indices.astype(np.int64),
             weights=adj.data,
         )
+        with np.errstate(over="ignore"):
+            overflowed = np.flatnonzero(~np.isfinite(graph.degrees))
+        if overflowed.size:
+            raise GraphFormatError(
+                f"the edge weights at node {int(overflowed[0])} sum past the float range"
+            )
+        return graph
 
     @property
     def node_count(self) -> int:

@@ -31,16 +31,18 @@ connected graph the factor is used when both of the gate's tests pass:
 an O(nnz) reverse Cuthill-McKee pass made once per graph and shared with
 ``lambda_2``. On a disconnected graph every sparse system goes to CG.
 
-Otherwise Jacobi-preconditioned CG runs. It is the package's own loop
-(:func:`_jacobi_pcg`), which takes scipy's ``cg`` steps one for one, without
-scipy's per-step operator wrappers, so its answers are scipy's bit for bit.
-Its answer is kept only when every row's residual, scaled by the row's
-diagonal, is at most ``CG_LIMIT`` and every unknown lies within ``CG_LIMIT``
-of [0, 1], where the exact solution lies; failing that, the system is
-factored after all. Every factor goes through
+Otherwise Jacobi-preconditioned CG runs. CG is the package's own loop
+(:func:`_pcg`), which takes scipy's ``cg`` steps one for one with the
+preconditioner it is given, without scipy's per-step operator wrappers, so
+its answers are scipy's bit for bit. Its answer is kept only when every
+row's residual, scaled by the row's diagonal, is at most ``CG_LIMIT`` and
+every unknown lies within ``CG_LIMIT`` of [0, 1], where the exact solution
+lies; failing that, the system is factored after all. The spectral bound
+applies the same rule to the soft solve it preconditions with ``lambda_2``'s
+factor (see :mod:`priorprop.spectral`). Every factor goes through
 :func:`spd_solver`: the first factor over all of a graph's nodes records its
 minimum-degree elimination order on the graph, and later ones over all nodes
-(``lambda_2``'s shift-invert factor) reuse it instead of ordering again. A
+reuse it instead of ordering again. A
 system that Cholesky cannot factor, that LAPACK finds ill-conditioned even
 with its diagonal scaled to 1, or whose LU has a pivot that is not positive,
 is numerically singular and raises :class:`SingularSystemError`.
@@ -380,25 +382,48 @@ def _direct_solve(
     a = (sp.diags(diag) - wuu).tocsr()
     if _factor_pays(graph, prior.mu[solved], solved, diag):
         return _factor_solve(graph, a, b), "factor", 0
-    # on a system that is singular in floats, CG can stall, break down into
-    # nans or solve it to a point outside [0, 1]; the factor then finds out
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x, info, steps = _jacobi_pcg(a, b, 1.0 / diag, 1e-13, 20 * b.size)
-        resid = np.max(np.abs(a @ x - b) / diag)
-    if info == 0 and resid <= CG_LIMIT and -CG_LIMIT <= x.min() and x.max() <= 1 + CG_LIMIT:
+    inv_diag = 1.0 / diag
+    x, steps = _accepted_pcg(a, b, lambda r: inv_diag * r, 20 * b.size)
+    if x is not None:
         return x, "pcg", steps
     return _factor_solve(graph, a, b), "pcg+factor", steps
 
 
-def _jacobi_pcg(
-    a: sp.csr_matrix, b: np.ndarray, inv_diag: np.ndarray, rtol: float, maxiter: int
-) -> tuple[np.ndarray, int, int]:
-    """Jacobi-preconditioned CG from ``x = 0``: ``(x, info, steps)``.
+def _accepted_pcg(
+    a: sp.csr_matrix,
+    b: np.ndarray,
+    precondition: Callable[[np.ndarray], np.ndarray],
+    maxiter: int,
+) -> tuple[np.ndarray | None, int]:
+    """CG's answer to ``a x = b`` to rtol 1e-13 and its steps; the answer is
+    None unless it passes the acceptance rule: every row's residual, scaled by
+    the row's diagonal, at most ``CG_LIMIT`` and every unknown within
+    ``CG_LIMIT`` of [0, 1]."""
+    # on a system that is singular in floats, CG can stall, break down into
+    # nans or solve it to a point outside [0, 1]; a factor then finds out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x, info, steps = _pcg(a, b, precondition, 1e-13, maxiter)
+        resid = np.max(np.abs(a @ x - b) / a.diagonal())
+    if info == 0 and resid <= CG_LIMIT and -CG_LIMIT <= x.min() and x.max() <= 1 + CG_LIMIT:
+        return x, steps
+    return None, steps
 
-    Step for step the arithmetic of scipy's ``cg(a, b, rtol=rtol, atol=0,
-    maxiter=maxiter, M=diags(inv_diag))``, so ``x`` and ``info`` (0 once the
-    residual norm is below ``rtol * |b|``, else ``maxiter``) are that call's,
-    bit for bit. ``steps`` counts the steps taken.
+
+def _pcg(
+    a: sp.csr_matrix,
+    b: np.ndarray,
+    precondition: Callable[[np.ndarray], np.ndarray],
+    rtol: float,
+    maxiter: int,
+) -> tuple[np.ndarray, int, int]:
+    """Preconditioned CG from ``x = 0``: ``(x, info, steps)``.
+
+    ``precondition(r)`` returns a new array, the preconditioner applied to
+    ``r``. Step for step the arithmetic of scipy's ``cg(a, b, rtol=rtol,
+    atol=0, maxiter=maxiter, M=LinearOperator(matvec=precondition))``, so
+    ``x`` and ``info`` (0 once the residual norm is below ``rtol * |b|``,
+    else ``maxiter``) are that call's, bit for bit. ``steps`` counts the
+    steps taken.
     """
     bnrm2 = math.sqrt(np.dot(b, b))
     # scipy tests |b|, not the tolerance: rtol * |b| can underflow to 0
@@ -411,7 +436,7 @@ def _jacobi_pcg(
     for step in range(maxiter):
         if math.sqrt(np.dot(r, r)) < atol:
             return x, 0, step
-        z = inv_diag * r
+        z = precondition(r)
         rho = np.dot(r, z)
         if p is None:
             p = z
@@ -480,6 +505,11 @@ def solve_soft(
     Connected components with no labeled node carry no prior weight and get
     the ``unreachable`` fill.
     """
+    return solve_with_prior(graph, LabelSet([], []), _soft_prior(graph, labels, eta), config)
+
+
+def _soft_prior(graph: Graph, labels: LabelSet, eta: float) -> PriorField:
+    """The prior of the soft problem: ``h = y`` and ``mu = eta / 2`` on the labels."""
     eta = float(eta)
     if not (eta > 0) or not np.isfinite(eta):
         raise ValueError("eta must be positive and finite")
@@ -490,7 +520,7 @@ def solve_soft(
     mu = np.zeros(graph.node_count)
     h[labels.indices] = labels.values
     mu[labels.indices] = eta / 2.0
-    return solve_with_prior(graph, LabelSet([], []), PriorField(h, mu), config)
+    return PriorField(h, mu)
 
 
 def objective_value(

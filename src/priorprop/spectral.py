@@ -26,16 +26,23 @@ runs when ``band**3 <= FACTOR_GATE * n_edges * sqrt(d_max / R)``: on long,
 thin and planar-like graphs (paths, rings, grids, 2-D geometric graphs)
 Lanczos crawls and the factor stays small, while on expanders and geometric
 graphs of higher dimension the factor fills in and Lanczos converges fast.
-The factor goes through :func:`priorprop.solver.spd_solver`, so when a soft
-solve over every node of the same graph was factored first, ``L - sigma I``
-reuses its minimum-degree order and no second ordering runs.
+
+The bound needs ``lambda_2`` and the soft solution at ``eta`` of one graph,
+and :func:`spectral_bound` makes one sparse factor for both where it can:
+on the shift-invert route, while ``eta / 2 <= R``, the factor of
+``L - sigma I`` also preconditions CG on the soft system, which differs
+from it by the labels' diagonal and the shift. At a larger ``eta`` the soft
+solve runs first, by its own route. Every factor goes through
+:func:`priorprop.solver.spd_solver`, so where that route factors the soft
+system, ``L - sigma I`` reuses its minimum-degree order and no second
+ordering runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, ClassVar
+from typing import Any, Callable, ClassVar
 
 import numpy as np
 import scipy.linalg
@@ -43,10 +50,21 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from priorprop.graph import Graph, LabelSet, _as_truth
-from priorprop.solver import factor_is_cheap, scores, spd_solver
+from priorprop.solver import (
+    PriorField,
+    _accepted_pcg,
+    _soft_prior,
+    factor_is_cheap,
+    solve_soft,
+    spd_solver,
+)
 
 DENSE_EIG_LIMIT = 300
 EIG_TOL = 1e-9
+# the CG steps of a soft solve preconditioned by lambda_2's factor; at
+# eta / 2 <= R it took 5-26 on the graphs measured (2-D geometric graphs,
+# grids, paths and rings of 2k-12k nodes, 0.2-100% of them labeled)
+SHARED_CG_STEPS = 50
 
 
 def laplacian(graph: Graph) -> sp.csr_matrix:
@@ -70,20 +88,33 @@ def second_smallest_eigenvalue(graph: Graph) -> float:
     if int(graph.component_of.max()) > 0:
         return 0.0
     lap = laplacian(graph)
+    if _takes_shift_invert(graph):
+        return _shift_invert(graph, lap)[0]
     if n < DENSE_EIG_LIMIT:
         vals = scipy.linalg.eigvalsh(lap.toarray())
         return float(vals[1])
-    if factor_is_cheap(graph):
-        return _shift_invert(graph, lap)
     return _lanczos(graph, lap)
 
 
-def _shift_invert(graph: Graph, lap: sp.csr_matrix) -> float:
+def _takes_shift_invert(graph: Graph) -> bool:
+    """Whether :func:`second_smallest_eigenvalue` takes the shift-invert route."""
+    return (
+        graph.node_count >= DENSE_EIG_LIMIT
+        and int(graph.component_of.max()) == 0
+        and factor_is_cheap(graph)
+    )
+
+
+def _shift_invert(
+    graph: Graph, lap: sp.csr_matrix
+) -> tuple[float, Callable[[np.ndarray], np.ndarray]]:
     """``lambda_2`` as ``sigma + 1 / mu`` for the top eigenvalue ``mu`` of
-    ``(L - sigma I)^-1`` with the constant vector projected out.
+    ``(L - sigma I)^-1`` with the constant vector projected out, and the
+    solve ``b -> (L - sigma I)^-1 b`` by the factor it made.
 
     ``sigma = -1e-3 R`` is negative, so ``L - sigma I`` is positive definite,
-    and it scales with the weights, so the route is scale-free.
+    and it scales with the weights, so the route is scale-free. The matrix is
+    strictly diagonally dominant, so its factor's pivots are not checked.
     """
     n = lap.shape[0]
     sigma = -1e-3 * graph.rcm_profile[1]
@@ -97,7 +128,7 @@ def _shift_invert(graph: Graph, lap: sp.csr_matrix) -> float:
     v0 = np.random.default_rng(0).standard_normal(n)
     v0 -= v0.mean()
     vals = spla.eigsh(op, k=1, which="LA", tol=EIG_TOL, v0=v0, return_eigenvectors=False)
-    return float(1.0 / vals[0] + sigma)
+    return float(1.0 / vals[0] + sigma), solve
 
 
 def _lanczos(graph: Graph, lap: sp.csr_matrix) -> float:
@@ -161,45 +192,68 @@ class SpectralReport:
 
 def spectral_bound(
     graph: Graph,
-    prediction,
     labels: LabelSet,
     true_labels_full,
     eta: float,
     delta_conf: float = 0.1,
 ) -> SpectralReport:
-    """Evaluate the spectral generalization bound for a soft solution.
+    """Evaluate the spectral generalization bound for the soft solution at ``eta``.
 
-    Its hypothesis constants ``(t, M, K)`` are 1 for every accepted input: a
-    :class:`LabelSet` labels a node at most once (t), labels are 0 or 1 (M),
-    and every score must lie in [0, 1] (K; the solvers clip theirs, and the
-    first node outside is named). When ``lambda1 <= eta`` the bound is infinite.
+    The errors are those of the scores of ``solve_soft(graph, labels, eta)``
+    under the default solver configuration, within its tolerances (see
+    :func:`_soft_scores_and_lambda`). The hypothesis constants ``(t, M, K)``
+    are 1 for every accepted input: a :class:`LabelSet` labels a node at most
+    once (t), labels are 0 or 1 (M), and the soft scores lie in [0, 1] (K;
+    the solvers clip them). When ``lambda1 <= eta`` the bound is infinite.
     """
-    eta = float(eta)
+    prior = _soft_prior(graph, labels, eta)  # checks eta and the labels
     delta = float(delta_conf)
-    if not (eta > 0) or not math.isfinite(eta):
-        raise ValueError("eta must be positive and finite")
     if not (0 < delta < 1):
         raise ValueError("delta_conf must lie in (0, 1)")
-    labels.validate_against(graph.node_count)
     n = len(labels)
     if n < 4:
         raise ValueError("the bound requires at least 4 labeled points")
-
-    f = scores(prediction)
     y = _as_truth(true_labels_full, graph.node_count)
-    if f.shape != y.shape:
-        raise ValueError("prediction must cover every node")
-    outside = np.flatnonzero((f < 0) | (f > 1))
-    if outside.size:
-        i = int(outside[0])
-        raise ValueError(f"node {i} has prediction {float(f[i])!r} outside [0, 1]")
+    eta = float(eta)
+    f, lambda1 = _soft_scores_and_lambda(graph, labels, eta, prior)
     r_emp = float(np.mean((f[labels.indices] - labels.values.astype(np.float64)) ** 2))
     r_gen = float(np.mean((f - y) ** 2))
     return SpectralReport(
-        lambda1=second_smallest_eigenvalue(graph),
+        lambda1=lambda1,
         eta=eta,
         n_labeled=n,
         delta_conf=delta,
         empirical_error=r_emp,
         generalization_error=r_gen,
     )
+
+
+def _soft_scores_and_lambda(
+    graph: Graph, labels: LabelSet, eta: float, prior: PriorField
+) -> tuple[np.ndarray, float]:
+    """The soft solution's scores and ``lambda_2``, from one sparse factor
+    where it can serve both.
+
+    Where ``lambda_2`` takes the shift-invert route and ``eta / 2 <= R``, the
+    factor of ``F = L - sigma I`` preconditions CG on the soft system
+    ``S = L + diag(mu)``. ``S - F = diag(mu) + sigma I`` is the labels'
+    diagonal, at most ``R``, plus a shift that is small beside every
+    eigenvalue of ``F`` but the constant vector's, so ``F^-1 S`` stays close
+    to the identity and CG needs few steps. Its answer is kept under the
+    solver's CG acceptance rule, within ``SHARED_CG_STEPS`` steps; otherwise
+    :func:`~priorprop.solver.solve_soft` solves ``S`` by its own route,
+    whose factor, if it makes one, has its pivots checked.
+    Above ``eta / 2 = R``, CG would take more steps than a second factor
+    costs, so ``solve_soft`` runs first by its own route, and ``lambda_2``'s
+    factor reuses the minimum-degree order of its factor if it made one.
+    """
+    if _takes_shift_invert(graph) and eta / 2.0 <= graph.rcm_profile[1]:
+        lap = laplacian(graph)
+        lambda1, solve = _shift_invert(graph, lap)
+        soft = (lap + sp.diags(prior.mu)).tocsr()
+        x, _ = _accepted_pcg(soft, prior.mu * prior.h, solve, SHARED_CG_STEPS)
+        if x is not None:
+            return np.clip(x, 0.0, 1.0), lambda1
+        return solve_soft(graph, labels, eta).f, lambda1
+    f = solve_soft(graph, labels, eta).f
+    return f, second_smallest_eigenvalue(graph)

@@ -335,7 +335,7 @@ def test_criterion_8_spectral_components():
     labels = pp.LabelSet([0, 1, 2, 3], [1, 0, 1, 0])
     y = np.array([1, 0, 1, 0], dtype=np.int8)
     eta, delta = 1.0, 0.1
-    rep = pp.spectral_bound(k4, y.astype(float), labels, y, eta=eta, delta_conf=delta)
+    rep = pp.spectral_bound(k4, labels, y, eta=eta, delta_conf=delta)
     gap = rep.lambda1 - eta
     beta = 3 * eta**2 * math.sqrt(4) / gap**2 + 4 * eta / gap
     bound = beta + math.sqrt(2 * math.log(2 / delta) / 4) * (4 * beta + 4)
@@ -343,7 +343,7 @@ def test_criterion_8_spectral_components():
     assert abs(rep.bound - bound) <= 1e-12
 
     disc = pp.Graph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
-    rep_d = pp.spectral_bound(disc, y.astype(float), labels, y, eta=0.5)
+    rep_d = pp.spectral_bound(disc, labels, y, eta=0.5)
     assert rep_d.lambda1 == 0.0
     assert math.isinf(rep_d.bound) and not rep_d.finite
     certify(8, f"lambda1(K4) = {lam_k4!r}, lambda1(P4) - (2 - sqrt 2) = {lam_p4 - (2 - math.sqrt(2)):.1e}; "

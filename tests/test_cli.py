@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import priorprop as pp
+import priorprop.solver as solver_mod
+import priorprop.spectral as spectral_mod
 from priorprop import fileio
 from priorprop.cli import build_parser, main
 from priorprop.evaluation import (
@@ -17,8 +19,9 @@ from priorprop.evaluation import (
     generate_weak_labelers,
 )
 from priorprop.multisource import ALPHA_SCHEMES
+from priorprop.solver import factor_spd
 
-from oracles import anchor_graph_solve
+from oracles import anchor_graph_solve, geometric_graph
 
 DATA = Path(__file__).parent / "data"
 BENCHMARK = Path(__file__).parents[1] / "perfbench"
@@ -499,8 +502,10 @@ def test_numerically_singular_dense_solve_exits_2(tmp_path, capsys, command, n):
     # 1e18 edges swamp the unit ones: the soft system is singular in floats
     edges = "".join(f"{i} {i + 1} {1e18 if i < 2 else 1}\n" for i in range(n - 1))
     (tmp_path / "g.txt").write_text(f"# nodes {n}\n{edges}")
-    (tmp_path / "labels.txt").write_text(f"0 0\n{n - 1} 1\n")
-    (tmp_path / "truth.txt").write_text("".join(f"{i} {int(2 * i >= n)}\n" for i in range(n)))
+    truth = [f"{i} {int(2 * i >= n)}\n" for i in range(n)]
+    # four labels, the fewest the spectral bound accepts, so analyze reaches its soft solve
+    (tmp_path / "labels.txt").write_text("".join(truth[i] for i in (0, 3, 4, n - 1)))
+    (tmp_path / "truth.txt").write_text("".join(truth))
     code = run([command[0], "--graph", tmp_path / "g.txt", "--labels", tmp_path / "labels.txt",
                 *[tmp_path / a if a.endswith(".txt") else a for a in command[1:]],
                 "--output", tmp_path / "out"])
@@ -508,6 +513,18 @@ def test_numerically_singular_dense_solve_exits_2(tmp_path, capsys, command, n):
     err = capsys.readouterr().err
     assert f"system of {n} unknowns is numerically singular" in err
     assert "(weighted degree plus prior weight) span 1.005 to 2e+18" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["propagate", "analyze"])
+def test_weights_summing_past_the_float_range_exit_2(tmp_path, capsys, command):
+    (tmp_path / "g.txt").write_text("# nodes 4\n0 1 1e308\n0 2 1e308\n1 3 1\n")
+    (tmp_path / "labels.txt").write_text("0 1\n")
+    (tmp_path / "truth.txt").write_text("0 1\n1 1\n2 1\n3 0\n")
+    code = run([command, "--graph", tmp_path / "g.txt", "--labels", tmp_path / "labels.txt",
+                "--truth", tmp_path / "truth.txt", "--output", tmp_path / "out"])
+    assert code == 2
+    assert "edge weights at node 0 sum past the float range" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -737,6 +754,32 @@ class TestAnalyze:
         assert report["spectral_report"]["lambda1"] == 0.0
         assert report["spectral_report"]["finite"] is False
         assert report["spectral_report"]["bound"] is None
+
+    @pytest.mark.parametrize("eta, factors", [([], 1), (["--eta", "10"], 2)],
+                             ids=["default-eta", "eta-10"])
+    def test_factors_the_graph_once_at_the_default_eta(self, tmp_path, monkeypatch, eta,
+                                                        factors):
+        # above DENSE_EIG_LIMIT, connected and 2-D: lambda_2 takes the shift-invert
+        # route, and its factor preconditions the soft solve while eta / 2 <= R
+        g = pp.Graph.from_edges(600, geometric_graph(600, 2, 13.0, 1))
+        assert spectral_mod._takes_shift_invert(g)
+        assert 0.01 / 2 <= g.rcm_profile[1] < 10 / 2
+        truth = (np.arange(600) >= 300).astype(np.int8)
+        idx = np.arange(0, 600, 75)
+        fileio.save_graph(g, tmp_path / "g.txt")
+        fileio.save_labels(pp.LabelSet(idx, truth[idx]), tmp_path / "labels.txt")
+        fileio.save_labels(pp.LabelSet(np.arange(600), truth), tmp_path / "truth.txt")
+        made = []
+
+        def recording(a, *args):
+            made.append(a.shape)
+            return factor_spd(a, *args)
+
+        monkeypatch.setattr(solver_mod, "factor_spd", recording)
+        code = run(["analyze", "--graph", tmp_path / "g.txt", "--labels", tmp_path / "labels.txt",
+                    "--truth", tmp_path / "truth.txt", *eta, "--output", tmp_path / "r.json"])
+        assert code == 0
+        assert made == [(600, 600)] * factors
 
     def test_report_reparses_and_is_deterministic(self, workspace):
         args = ["analyze", "--graph", workspace / "graph.txt",

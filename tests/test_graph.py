@@ -90,6 +90,19 @@ class TestGraphConstruction:
         assert g.edge_count == 1
         assert g.degrees[0] == 0.0
 
+    @pytest.mark.parametrize("records, node", [
+        ([(0, 1, 1e308), (0, 2, 1e308), (1, 3, 1.0)], 0),
+        ([(3, 0, 1.0), (2, 1, 1e308), (3, 2, 1e308), (1, 0, 1e308)], 1),
+    ])
+    def test_weights_summing_past_the_float_range_name_the_node(self, records, node):
+        with pytest.raises(GraphFormatError,
+                           match=f"edge weights at node {node} sum past the float range"):
+            Graph.from_edges(4, records)
+
+    def test_weights_summing_just_below_the_float_range_build(self):
+        g = Graph.from_edges(4, [(0, 1, 1e308), (0, 2, 0.7e308), (1, 3, 1.0)])
+        assert g.degrees.tolist() == [1.7e308, 1e308, 0.7e308, 1.0]
+
     def test_out_of_range_index(self):
         with pytest.raises(GraphFormatError, match="out of range"):
             Graph.from_edges(2, [(0, 2, 1.0)])

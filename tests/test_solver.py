@@ -187,11 +187,11 @@ class TestSolveWithPrior:
         monkeypatch.setattr(solver_mod, "DENSE_LIMIT", DENSE_LIMIT)
         cg_calls = []
 
-        def failing_cg(a, b, inv_diag, rtol, maxiter):
+        def failing_cg(a, b, precondition, rtol, maxiter):
             cg_calls.append(b.size)
             return np.zeros_like(b), maxiter, maxiter
 
-        monkeypatch.setattr(solver_mod, "_jacobi_pcg", failing_cg)
+        monkeypatch.setattr(solver_mod, "_pcg", failing_cg)
         pred = solve_with_prior(g, labels, prior, SolverConfig(method="direct"))
         assert cg_calls == [n - len(labels)]
         assert (dense.route, pred.route) == ("dense", "pcg+factor")
@@ -217,7 +217,7 @@ class TestSolveWithPrior:
         # singular in floats; the gate factors it (a path, nearly singular),
         # and its factor has a negative pivot
         g, labels = heavy_path(606)
-        monkeypatch.setattr(solver_mod, "_jacobi_pcg", None)
+        monkeypatch.setattr(solver_mod, "_pcg", None)
         with pytest.raises(SingularSystemError, match="system of 606 unknowns is numerically"):
             solve_soft(g, LabelSet(labels.indices, values), 0.01)
 
@@ -229,10 +229,10 @@ class TestSolveWithPrior:
             solve_standard(g, LabelSet([], []))
 
 
-class TestJacobiPcg:
-    """The package's CG loop against scipy's ``cg`` with the same Jacobi
-    preconditioner: the same ``x``, sign bits included, the same ``info``,
-    and one step per scipy callback."""
+class TestPcg:
+    """The package's CG loop against scipy's ``cg`` with the same
+    preconditioner, Jacobi or a sparse factor's solve: the same ``x``, sign
+    bits included, the same ``info``, and one step per scipy callback."""
 
     @staticmethod
     def spd_system(seed):
@@ -251,32 +251,47 @@ class TestJacobiPcg:
         return a, b, 1.0 / diag
 
     @staticmethod
-    def assert_matches_scipy(a, b, inv_diag, maxiter):
+    def assert_matches_scipy(a, b, precondition, m, maxiter):
         calls = []
         want, want_info = spla.cg(a, b, rtol=1e-13, atol=0.0, maxiter=maxiter,
-                                  M=sp.diags(inv_diag), callback=calls.append)
-        x, info, steps = solver_mod._jacobi_pcg(a, b, inv_diag, 1e-13, maxiter)
+                                  M=m, callback=calls.append)
+        x, info, steps = solver_mod._pcg(a, b, precondition, 1e-13, maxiter)
         np.testing.assert_array_equal(x, want)
         np.testing.assert_array_equal(np.signbit(x), np.signbit(want))
         assert (info, steps) == (want_info, len(calls))
         return x, info, steps
 
+    @classmethod
+    def assert_jacobi_matches_scipy(cls, a, b, inv_diag, maxiter):
+        return cls.assert_matches_scipy(a, b, lambda r: inv_diag * r, sp.diags(inv_diag),
+                                        maxiter)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_spd_systems_converge_as_scipy_does(self, seed):
         a, b, inv_diag = self.spd_system(seed)
-        _, info, steps = self.assert_matches_scipy(a, b, inv_diag, 20 * b.size)
+        _, info, steps = self.assert_jacobi_matches_scipy(a, b, inv_diag, 20 * b.size)
         assert info == 0 and steps > 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_factor_preconditions_as_scipy_does(self, seed):
+        # the factor of a nearby SPD matrix, as lambda_2's shift-invert
+        # factor preconditions the soft system
+        a, b, inv_diag = self.spd_system(seed)
+        solve = factor_spd((a + sp.diags(0.01 / inv_diag)).tocsr()).solve
+        m = spla.LinearOperator(a.shape, matvec=solve, dtype=np.float64)
+        _, info, steps = self.assert_matches_scipy(a, b, solve, m, 20 * b.size)
+        assert info == 0 and 0 < steps < 20
 
     def test_zero_right_hand_side_is_returned_with_its_signs(self):
         a, b, inv_diag = self.spd_system(0)
         zero = np.zeros(b.size)
         zero[::3] = -0.0
-        x, info, steps = self.assert_matches_scipy(a, zero, inv_diag, 20 * b.size)
+        x, info, steps = self.assert_jacobi_matches_scipy(a, zero, inv_diag, 20 * b.size)
         assert x is zero and (info, steps) == (0, 0)
 
     def test_a_run_cut_off_reports_maxiter(self):
         a, b, inv_diag = self.spd_system(1)
-        _, info, steps = self.assert_matches_scipy(a, b, inv_diag, 3)
+        _, info, steps = self.assert_jacobi_matches_scipy(a, b, inv_diag, 3)
         assert (info, steps) == (3, 3)
 
 

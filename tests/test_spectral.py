@@ -10,7 +10,12 @@ import priorprop.solver as solver_mod
 import priorprop.spectral as spectral_mod
 from priorprop.graph import Graph, LabelSet
 from priorprop.solver import factor_spd, solve_soft
-from priorprop.spectral import laplacian, second_smallest_eigenvalue, spectral_bound
+from priorprop.spectral import (
+    SpectralReport,
+    laplacian,
+    second_smallest_eigenvalue,
+    spectral_bound,
+)
 
 from oracles import geometric_graph, random_connected_graph
 
@@ -165,27 +170,91 @@ class TestSecondSmallestEigenvalue:
         (n, nnz), = factors
         assert nnz <= 2 * n * (band + 1)
 
-    def test_soft_solve_and_lambda_share_one_minimum_degree_order(self, monkeypatch):
-        g = rgg(2000, 2)
-        labels = LabelSet(np.arange(0, 2000, 50), np.arange(40) % 2)
-        alone = second_smallest_eigenvalue(rgg(2000, 2))
-        orderings = []
-
-        def recording(a, permc_spec="MMD_AT_PLUS_A"):
-            orderings.append(permc_spec)
-            return factor_spd(a, permc_spec)
-
-        monkeypatch.setattr(solver_mod, "factor_spd", recording)
-        assert solve_soft(g, labels, 0.01).route == "factor"
-        lam = second_smallest_eigenvalue(g)
-        assert orderings == ["MMD_AT_PLUS_A", "NATURAL"]
-        assert lam == pytest.approx(alone, rel=1e-12)
-
     def test_laplacian_rows_sum_to_zero(self):
         g = path_graph(5)
         lap = laplacian(g).toarray()
         assert np.allclose(lap.sum(axis=1), 0.0)
         assert np.allclose(lap, lap.T)
+
+
+class TestOneFactorForTheSpectralBound:
+    """``spectral_bound`` on a 2-D geometric graph whose ``lambda_2`` takes the
+    shift-invert route, against ``solve_soft`` and ``second_smallest_eigenvalue``
+    called on fresh copies of the graph."""
+
+    labels = LabelSet(np.arange(0, 2000, 50), np.arange(40) % 2)
+    truth = (np.arange(2000) // 50) % 2
+
+    @pytest.fixture
+    def orderings(self, monkeypatch):
+        made = []
+
+        def recording(a, permc_spec="MMD_AT_PLUS_A"):
+            made.append(permc_spec)
+            return factor_spd(a, permc_spec)
+
+        monkeypatch.setattr(solver_mod, "factor_spd", recording)
+        return made
+
+    @pytest.fixture
+    def soft_calls(self, monkeypatch):
+        calls = []
+
+        def recording(graph, labels, eta, config=None):
+            calls.append(eta)
+            return solve_soft(graph, labels, eta, config)
+
+        monkeypatch.setattr(spectral_mod, "solve_soft", recording)
+        return calls
+
+    def alone(self, eta):
+        """``lambda_2``, the soft solution's two errors and its route, each
+        computed on a graph of its own."""
+        soft = solve_soft(rgg(2000, 2), self.labels, eta)
+        lam = second_smallest_eigenvalue(rgg(2000, 2))
+        empirical = np.mean((soft.f[self.labels.indices] - self.labels.values) ** 2)
+        return lam, empirical, np.mean((soft.f - self.truth) ** 2), soft.route
+
+    def assert_same_answers(self, rep, eta):
+        lam, empirical, generalization, _ = self.alone(eta)
+        assert rep.lambda1 == pytest.approx(lam, rel=1e-12)
+        assert abs(rep.empirical_error - empirical) <= 1e-10
+        assert abs(rep.generalization_error - generalization) <= 1e-10
+
+    def test_default_eta_factors_the_graph_once(self, orderings, soft_calls):
+        g = rgg(2000, 2)
+        assert spectral_mod._takes_shift_invert(g) and 0.01 / 2 <= g.rcm_profile[1]
+        rep = spectral_bound(g, self.labels, self.truth, eta=0.01)
+        assert orderings == ["MMD_AT_PLUS_A"]
+        assert soft_calls == []
+        assert self.alone(0.01)[3] == "factor"
+        self.assert_same_answers(rep, 0.01)
+
+    @pytest.mark.parametrize("eta, soft_route, want", [
+        (1.0, "factor", ["MMD_AT_PLUS_A", "NATURAL"]),
+        (10.0, "pcg", ["MMD_AT_PLUS_A"]),
+    ])
+    def test_large_eta_solves_and_factors_as_before(
+        self, orderings, soft_calls, eta, soft_route, want
+    ):
+        # eta / 2 > R: solve_soft runs first, so lambda_2's factor reuses the
+        # soft factor's minimum-degree order where there is one
+        g = rgg(2000, 2)
+        assert eta / 2 > g.rcm_profile[1]
+        rep = spectral_bound(g, self.labels, self.truth, eta=eta)
+        assert (orderings, soft_calls) == (want, [eta])
+        orderings.clear()
+        assert self.alone(eta)[3] == soft_route
+        self.assert_same_answers(rep, eta)
+
+    def test_rejected_cg_answer_falls_back_to_solve_soft(
+        self, monkeypatch, orderings, soft_calls
+    ):
+        monkeypatch.setattr(spectral_mod, "SHARED_CG_STEPS", 1)
+        rep = spectral_bound(rgg(2000, 2), self.labels, self.truth, eta=0.01)
+        assert orderings == ["MMD_AT_PLUS_A", "NATURAL"]
+        assert soft_calls == [0.01]
+        self.assert_same_answers(rep, 0.01)
 
 
 class TestSpectralBound:
@@ -194,24 +263,33 @@ class TestSpectralBound:
         self.labels = LabelSet([0, 1, 2, 3], [1, 0, 1, 0])
         self.y = np.array([1, 0, 1, 0], dtype=np.int8)
 
+    @staticmethod
+    def report(**fields):
+        inputs = dict(lambda1=4.0, eta=1.0, n_labeled=4, delta_conf=0.1,
+                      empirical_error=0.0, generalization_error=0.0)
+        return SpectralReport(**{**inputs, **fields})
+
+    def test_errors_are_those_of_the_soft_solution(self):
+        eta = 0.7
+        f = solve_soft(self.g, self.labels, eta).f
+        rep = spectral_bound(self.g, self.labels, self.y, eta=eta)
+        assert rep.empirical_error == np.mean((f - self.labels.values) ** 2) > 0
+        assert rep.generalization_error == np.mean((f - self.y) ** 2)
+
     def test_exact_prediction_zero_errors(self):
-        rep = spectral_bound(self.g, self.y.astype(float), self.labels, self.y, eta=1.0)
-        assert rep.empirical_error == 0.0
-        assert rep.generalization_error == 0.0
+        rep = self.report()
         assert abs(rep.empirical_error - rep.generalization_error) <= rep.bound
 
     def test_eta_to_zero_limit(self):
         delta = 0.1
-        rep = spectral_bound(self.g, self.y.astype(float), self.labels, self.y,
-                             eta=1e-9, delta_conf=delta)
+        rep = self.report(eta=1e-9, delta_conf=delta)
         residual_term = math.sqrt(2 * math.log(2 / delta) / 4) * 4
         assert rep.beta == pytest.approx(0.0, abs=1e-8)
         assert rep.bound == pytest.approx(residual_term, rel=1e-6)
 
     def test_formula_oracle_fixed_instance(self):
         eta, delta = 1.0, 0.1
-        soft = solve_soft(self.g, self.labels, eta)
-        rep = spectral_bound(self.g, soft, self.labels, self.y, eta=eta, delta_conf=delta)
+        rep = spectral_bound(self.g, self.labels, self.y, eta=eta, delta_conf=delta)
         lam1 = rep.lambda1
         beta = 3 * eta**2 * math.sqrt(4) / (lam1 - eta) ** 2 + 4 * eta / (lam1 - eta)
         bound = beta + math.sqrt(2 * math.log(2 / delta) / 4) * (4 * beta + 4)
@@ -221,7 +299,7 @@ class TestSpectralBound:
     def test_closed_gap_reports_infinite(self):
         g = Graph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
         labels = LabelSet([0, 1, 2, 3], [1, 0, 1, 0])
-        rep = spectral_bound(g, self.y.astype(float), labels, self.y, eta=0.5)
+        rep = spectral_bound(g, labels, self.y, eta=0.5)
         assert rep.lambda1 == 0.0
         assert not rep.finite
         assert math.isinf(rep.bound)
@@ -229,23 +307,21 @@ class TestSpectralBound:
 
     def test_beta_and_bound_follow_the_inputs(self):
         # derived when read, so a report cannot carry a bound its inputs contradict
-        f = self.y.astype(float)
-        rep = spectral_bound(self.g, f, self.labels, self.y, eta=0.3)
-        other = spectral_bound(self.g, f, self.labels, self.y, eta=1.5, delta_conf=0.05)
+        rep = self.report(eta=0.3)
+        other = self.report(eta=1.5, delta_conf=0.05)
         moved = dataclasses.replace(rep, eta=1.5, delta_conf=0.05)
         assert (moved.beta, moved.bound) != (rep.beta, rep.bound)
         assert (moved.beta, moved.bound) == (other.beta, other.bound)
         assert moved.to_dict() == other.to_dict()
 
     def test_hypothesis_constants_are_one(self):
-        rep = spectral_bound(self.g, self.y.astype(float), self.labels, self.y, eta=1.0)
+        rep = spectral_bound(self.g, self.labels, self.y, eta=1.0)
         assert len(dataclasses.fields(rep)) == 6
         assert [rep.to_dict()[key] for key in ("t", "m_bound", "k_bound")] == [1, 1.0, 1.0]
 
     def test_subnormal_delta_gives_a_finite_bound(self):
         # 2 / delta overflows at delta = 1e-320; log 2 - log delta does not
-        rep = spectral_bound(self.g, self.y.astype(float), self.labels, self.y,
-                             eta=1.0, delta_conf=1e-320)
+        rep = spectral_bound(self.g, self.labels, self.y, eta=1.0, delta_conf=1e-320)
         deviation = math.sqrt(2 * (math.log(2) - math.log(1e-320)) / 4)
         assert rep.finite
         assert rep.bound == pytest.approx(rep.beta + deviation * (4 * rep.beta + 4), rel=1e-12)
@@ -254,9 +330,8 @@ class TestSpectralBound:
     @pytest.mark.parametrize("factor", [1e-170, 2.0**-20, 2.0**20])
     def test_scaling_weights_and_eta_together_keeps_beta_and_bound(self, factor):
         # the stability bound is scale-free; at 1e-170 gap**2 underflows to 0
-        f = self.y.astype(float)
-        rep = spectral_bound(self.g, f, self.labels, self.y, eta=1.0)
-        moved = spectral_bound(scaled(self.g, factor), f, self.labels, self.y, eta=factor)
+        rep = spectral_bound(self.g, self.labels, self.y, eta=1.0)
+        moved = spectral_bound(scaled(self.g, factor), self.labels, self.y, eta=factor)
         assert moved.finite
         assert moved.beta == pytest.approx(rep.beta, rel=1e-12)
         assert moved.bound == pytest.approx(rep.bound, rel=1e-12)
@@ -264,34 +339,17 @@ class TestSpectralBound:
     def test_requires_four_labeled(self):
         labels = LabelSet([0, 1], [1, 0])
         with pytest.raises(ValueError, match="4"):
-            spectral_bound(self.g, self.y.astype(float), labels, self.y, eta=1.0)
+            spectral_bound(self.g, labels, self.y, eta=1.0)
 
     @pytest.mark.parametrize("truth", [[1, 0, np.nan, 0], [1, 0, 2, 0]])
     def test_rejects_truth_that_is_not_0_or_1(self, truth):
         with pytest.raises(ValueError, match="0 or 1"):
-            spectral_bound(self.g, self.y.astype(float), self.labels, truth, eta=1.0)
-
-    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
-    def test_rejects_non_finite_scores(self, bad):
-        f = self.y.astype(float)
-        f[2] = bad
-        with pytest.raises(ValueError, match=f"node 2 has non-finite prediction {bad!r}"):
-            spectral_bound(self.g, f, self.labels, self.y, eta=1.0)
-
-    def test_rejects_a_prediction_of_another_size(self):
-        with pytest.raises(ValueError, match="prediction must cover every node"):
-            spectral_bound(self.g, self.y[:3].astype(float), self.labels, self.y, eta=1.0)
-
-    def test_rejects_a_score_outside_0_1(self):
-        # K = 1 needs every score in [0, 1]; the solvers clip theirs
-        f = self.y.astype(float)
-        f[1] = 1.5
-        with pytest.raises(ValueError, match=r"node 1 has prediction 1.5 outside \[0, 1\]"):
-            spectral_bound(self.g, f, self.labels, self.y, eta=1.0)
+            spectral_bound(self.g, self.labels, truth, eta=1.0)
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            spectral_bound(self.g, self.y.astype(float), self.labels, self.y, eta=0.0)
-        with pytest.raises(ValueError):
-            spectral_bound(self.g, self.y.astype(float), self.labels, self.y,
-                           eta=1.0, delta_conf=1.0)
+        with pytest.raises(ValueError, match="eta must be positive"):
+            spectral_bound(self.g, self.labels, self.y, eta=0.0)
+        with pytest.raises(ValueError, match="underflows to 0"):
+            spectral_bound(self.g, self.labels, self.y, eta=5e-324)
+        with pytest.raises(ValueError, match="delta_conf"):
+            spectral_bound(self.g, self.labels, self.y, eta=1.0, delta_conf=1.0)
