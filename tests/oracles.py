@@ -281,12 +281,24 @@ def mixed_row_length_edges(rng, n):
 def feature_points(kind, n, d, seed):
     """``n`` points in ``d`` dimensions: ``"grid"`` integer points (many pairs
     tie at every distance), ``"tripled"`` points each given three times (zero
-    distances and ties), or ``"normal"`` draws."""
+    distances and ties), ``"identical"`` copies of one point, ``"piled"`` half
+    of them on one point and half drawn, ``"clusters"`` two tight clusters far
+    apart holding three quarters and one quarter of them, ``"blob"`` a quarter
+    in a tight blob among uniform outliers, or ``"normal"`` draws."""
     rng = np.random.default_rng(seed)
     if kind == "grid":
         return rng.integers(0, 4, size=(n, d)).astype(float)
     if kind == "tripled":
         return np.repeat(rng.normal(size=(n // 3, d)), 3, axis=0)
+    if kind == "identical":
+        return np.full((n, d), 0.5)
+    if kind == "piled":
+        return np.vstack((np.zeros((n // 2, d)), rng.normal(size=(n - n // 2, d))))
+    if kind == "clusters":
+        return rng.normal(size=(n, d)) * 1e-3 + (np.arange(n)[:, None] >= 3 * n // 4) * 1e3
+    if kind == "blob":
+        return np.vstack((rng.normal(size=(n // 4, d)) * 1e-3,
+                          rng.uniform(-1, 1, size=(n - n // 4, d))))
     return rng.normal(size=(n, d))
 
 

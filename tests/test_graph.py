@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from priorprop.bounds import hop_stats
 from priorprop.evaluation import SyntheticSpec, generate_clusters
@@ -17,7 +19,7 @@ from priorprop.graph import (
     build_threshold_graph,
     compute_neighborhoods,
 )
-from priorprop.graph import _lerp, _quantile_positions, _row_sums
+from priorprop.graph import _lerp, _nearest_pairs, _quantile_positions, _row_sums
 from priorprop.solver import PriorField
 
 from oracles import (
@@ -378,6 +380,13 @@ THRESHOLD_CASES = [
     ("normal", 200, 5, 10.0),
     ("normal", 200, 10, 10.0),
     ("normal", 200, 10, 1.0),
+    # the radius search of build_threshold_graph
+    ("identical", 40, 3, 10.0),  # a zero diameter: every pair, without a query
+    ("piled", 60, 2, 20.0),  # a zero first radius holds too few pairs
+    ("normal", 200, 20, 10.0),  # growth by the 20th root of the pair deficit
+    ("normal", 60, 1, 60.0),  # t = n in 1-D: every pair, at the diameter
+    ("clusters", 40, 2, 29.0),  # the last pairs needed cross a gap of 1e6 radii
+    ("blob", 1200, 2, 2.0),  # the first radius is the blob's, not the outliers'
 ]
 
 
@@ -411,6 +420,18 @@ class TestThresholdGraphMatchesDistanceMatrix:
             got = np.float64(_lerp(float(ordered[lo]), float(ordered[hi]), gamma))
             assert got.tobytes() == np.float64(np.quantile(pool, q)).tobytes(), q
 
+    def test_a_tight_blob_in_outliers_builds_in_bounded_memory(self):
+        # a first radius at the outliers' scale would return all 8M blob pairs
+        x = feature_points("blob", 16_000, 2, seed=0)
+        tracemalloc.start()
+        try:
+            g = build_threshold_graph(x, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert g.edge_count == 8_000
+
     def test_twenty_thousand_nodes_in_bounded_memory(self):
         # the N**2 distance matrix alone would take 3.2 GB
         x, _ = generate_clusters(SyntheticSpec(points_per_cluster=10_000))
@@ -422,6 +443,78 @@ class TestThresholdGraphMatchesDistanceMatrix:
             tracemalloc.stop()
         assert peak < 64 * 2**20
         assert abs(average_degree(g) - 10.0) < 2.0
+
+
+class RecordingTree(cKDTree):
+    """A kd-tree that records the radius of each ``query_pairs`` call."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.radii = []
+
+    def query_pairs(self, r, *args, **kwargs):
+        self.radii.append(r)
+        return super().query_pairs(r, *args, **kwargs)
+
+
+def search(x, k, need):
+    """``_nearest_pairs`` over a recording tree: the pairs as a set, and the radii."""
+    tree = RecordingTree(x)
+    pairs, dist = _nearest_pairs(tree, x, k, need)
+    assert dist.tobytes() == cdist(x, x)[pairs[:, 0], pairs[:, 1]].tobytes()
+    return set(map(tuple, pairs.tolist())), tree.radii
+
+
+class TestRadiusSearch:
+    def test_a_need_of_every_pair_ends_at_the_diameter(self):
+        x = feature_points("normal", 60, 1, seed=0)
+        pairs, radii = search(x, 59, 60 * 59 // 2)
+        assert pairs == {(i, j) for i in range(60) for j in range(i + 1, 60)}
+        assert radii and all(a < b for a, b in zip(radii, radii[1:]))
+        assert radii[-1] < float(np.ptp(x)) <= 2 * radii[-1]  # the 1-D diameter
+
+    def test_identical_points_take_every_pair_without_a_query(self):
+        pairs, radii = search(feature_points("identical", 30, 3, seed=0), 5, 10)
+        assert len(pairs) == 30 * 29 // 2 and radii == []
+
+    def test_a_zero_first_radius_moves_to_a_positive_one(self):
+        x = feature_points("piled", 60, 2, seed=0)
+        pairs, radii = search(x, 20, 30 * 29 // 2 + 1)
+        assert radii[0] == 0 < radii[1]
+        assert len(pairs) > 30 * 29 // 2
+
+    def test_a_gap_is_crossed_by_doubling(self):
+        x = feature_points("clusters", 40, 2, seed=0)
+        within = 30 * 29 // 2 + 10 * 9 // 2
+        pairs, radii = search(x, 29, within + 1)
+        assert len(pairs) > within
+        assert radii[-1] > 1e5 * radii[0]
+        assert len(radii) < 40  # a rise of 1e5 at 1.1 per round takes 120
+
+    @pytest.mark.parametrize("kind, d", [("grid", 2), ("tripled", 3), ("normal", 20)])
+    def test_every_need_ends_with_the_nearest_pairs(self, kind, d):
+        x = feature_points(kind, 45, d, seed=d)
+        dist = cdist(x, x)
+        iu, ju = np.triu_indices(45, 1)
+        order = np.argsort(dist[iu, ju], kind="stable")
+        for need in (1, 2, 17, 45, 300, 989, 990):
+            pairs, _ = search(x, 3, need)
+            # any pair tied with the need-th nearest may stand in for another
+            cut = dist[iu, ju][order[need - 1]]
+            assert {(i, j) for i, j in zip(iu, ju) if dist[i, j] < cut} <= pairs
+            assert sum(dist[i, j] <= cut for i, j in pairs) >= need
+
+    def test_demo_features_take_at_most_three_queries(self, monkeypatch):
+        trees = []
+
+        def recording(x):
+            trees.append(RecordingTree(x))
+            return trees[-1]
+
+        monkeypatch.setattr("scipy.spatial.cKDTree", recording)
+        x, _ = generate_clusters(SyntheticSpec(points_per_cluster=1250, seed=0))
+        build_threshold_graph(x, 10.0)
+        assert 1 <= len(trees[0].radii) <= 3
 
 
 class TestLabelSet:
@@ -586,3 +679,13 @@ class TestDerivedFields:
             NeighborhoodPartition(g, LabelSet([0], [1]), hop_of=np.array([0, 1, 2, 3]))
         with pytest.raises(ValueError, match="read-only"):
             part.hop_of[0] = 1
+
+    @pytest.mark.parametrize("graph", [
+        Graph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)]),
+        Graph.from_edges(2, []),
+        Graph.from_edges(1, []),
+    ], ids=["two-components", "no-edges", "one-node"])
+    def test_rcm_profile_needs_a_connected_graph_of_two_nodes(self, graph):
+        with pytest.raises(ValueError, match="connected graph of two nodes or more"):
+            graph.rcm_profile
+
