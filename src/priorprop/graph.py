@@ -4,8 +4,10 @@ The graph is stored as a CSR adjacency structure with sorted neighbor lists,
 so every traversal is deterministic. Its hop decomposition, a
 :class:`NeighborhoodPartition`, holds the graph and the labeled set and
 derives each node's hop from them, so a layering cannot belong to another
-graph. Instances are immutable after construction, apart from caches of
-values derived from them; reads are safe to share across threads.
+graph. Instances are immutable after construction, apart from cached
+properties that are functions of the constructor's arrays alone, so no
+result depends on which of them were read before; reads are safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -84,10 +86,6 @@ class Graph:
     indptr: np.ndarray
     indices: np.ndarray
     weights: np.ndarray
-    # the minimum-degree elimination order that the first sparse factor over
-    # every node records (see solver.spd_solver); it depends on the sparsity
-    # pattern alone, so every later factor over every node can reuse it
-    elimination_order: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def from_edges(

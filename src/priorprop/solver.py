@@ -38,14 +38,14 @@ its answers are scipy's bit for bit. Its answer is kept only when every
 row's residual, scaled by the row's diagonal, is at most ``CG_LIMIT`` and
 every unknown lies within ``CG_LIMIT`` of [0, 1], where the exact solution
 lies; failing that, the system is factored after all. The spectral bound
-applies the same rule to the soft solve it preconditions with ``lambda_2``'s
-factor (see :mod:`priorprop.spectral`). Every factor goes through
-:func:`spd_solver`: the first factor over all of a graph's nodes records its
-minimum-degree elimination order on the graph, and later ones over all nodes
-reuse it instead of ordering again. A
-system that Cholesky cannot factor, that LAPACK finds ill-conditioned even
-with its diagonal scaled to 1, or whose LU has a pivot that is not positive,
-is numerically singular and raises :class:`SingularSystemError`.
+applies the same rule to the soft solve that it preconditions with
+``lambda_2``'s factor where ``eta / 2 <= R`` or where this gate would factor
+the soft system (see :mod:`priorprop.spectral`). Every sparse factor is made by
+:func:`factor_spd` in a minimum-degree order of its own, and is freed when
+the call that made it returns. A system that Cholesky cannot factor, that
+LAPACK finds ill-conditioned even with its diagonal scaled to 1, or whose LU
+has a pivot that is not positive, is numerically singular and raises
+:class:`SingularSystemError`.
 :attr:`Prediction.route` names the path taken and
 :attr:`Prediction.iterations` counts its CG steps.
 
@@ -276,51 +276,20 @@ def _singular(diag: np.ndarray) -> SingularSystemError:
     )
 
 
-def factor_spd(a: sp.spmatrix, permc_spec: str = "MMD_AT_PLUS_A") -> spla.SuperLU:
+def factor_spd(a: sp.spmatrix) -> spla.SuperLU:
     """SuperLU factor of a symmetric positive-definite sparse matrix.
 
-    Minimum-degree ordering on the symmetric pattern, or ``"NATURAL"`` for a
-    matrix already permuted into an elimination order; diagonal pivots only:
+    Minimum-degree ordering on the symmetric pattern and diagonal pivots only:
     an SPD matrix needs no pivoting, so the fill is that of the ordering.
     """
     return spla.splu(
         # a is symmetric, so the transpose of a CSR matrix is its CSC form
         # without a copy
         a.T.tocsc(),
-        permc_spec=permc_spec,
+        permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
     )
-
-
-def spd_solver(
-    graph: Graph, a: sp.spmatrix
-) -> tuple[Callable[[np.ndarray], np.ndarray], spla.SuperLU]:
-    """``b -> a^-1 b`` by a sparse factor of the SPD matrix ``a``, and that factor.
-
-    ``a`` has the pattern of ``graph``'s adjacency over some of its nodes,
-    plus the diagonal. When it spans every node, the first such factor
-    records its minimum-degree order on the graph, and later ones factor
-    ``a`` permuted into that order instead of ordering it again; the
-    diagonal of the factor's ``U`` holds the pivots either way. No factor
-    outlives the returned function.
-    """
-    full = a.shape[0] == graph.node_count
-    order = graph.elimination_order if full else None
-    if order is None:
-        lu = factor_spd(a)
-        if full:
-            # Graph is frozen; the order is a value derived from its pattern
-            object.__setattr__(graph, "elimination_order", np.argsort(lu.perm_c))
-        return lu.solve, lu
-    lu = factor_spd(a.tocsr()[order][:, order], "NATURAL")
-
-    def solve(b):
-        x = np.empty_like(b)
-        x[order] = lu.solve(b[order])
-        return x
-
-    return solve, lu
 
 
 def factor_is_cheap(graph: Graph) -> bool:
@@ -347,8 +316,10 @@ def _factor_pays(
     outside = np.ones(graph.node_count)
     outside[solved] = 0.0
     # 1^T A 1 summed without cancellation: the prior weight plus the weight
-    # of the edges that leave U
-    rho1 = (mu.sum() + (graph.matrix @ outside)[solved].sum()) / diag.sum()
+    # of the edges that leave U; a huge prior weight overflows it to a nan
+    # rho_1, which fails the test
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho1 = (mu.sum() + (graph.matrix @ outside)[solved].sum()) / diag.sum()
     return rho1 * float(graph.degrees.max()) <= graph.rcm_profile[1] and factor_is_cheap(graph)
 
 
@@ -381,12 +352,12 @@ def _direct_solve(
             raise _singular(diag) from exc
     a = (sp.diags(diag) - wuu).tocsr()
     if _factor_pays(graph, prior.mu[solved], solved, diag):
-        return _factor_solve(graph, a, b), "factor", 0
+        return _factor_solve(a, b), "factor", 0
     inv_diag = 1.0 / diag
     x, steps = _accepted_pcg(a, b, lambda r: inv_diag * r, 20 * b.size)
     if x is not None:
         return x, "pcg", steps
-    return _factor_solve(graph, a, b), "pcg+factor", steps
+    return _factor_solve(a, b), "pcg+factor", steps
 
 
 def _accepted_pcg(
@@ -399,9 +370,10 @@ def _accepted_pcg(
     None unless it passes the acceptance rule: every row's residual, scaled by
     the row's diagonal, at most ``CG_LIMIT`` and every unknown within
     ``CG_LIMIT`` of [0, 1]."""
-    # on a system that is singular in floats, CG can stall, break down into
-    # nans or solve it to a point outside [0, 1]; a factor then finds out
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # on a system that is singular in floats, CG can stall, overflow, break
+    # down into nans or solve it to a point outside [0, 1]; a factor then
+    # finds out
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         x, info, steps = _pcg(a, b, precondition, 1e-13, maxiter)
         resid = np.max(np.abs(a @ x - b) / a.diagonal())
     if info == 0 and resid <= CG_LIMIT and -CG_LIMIT <= x.min() and x.max() <= 1 + CG_LIMIT:
@@ -423,7 +395,9 @@ def _pcg(
     atol=0, maxiter=maxiter, M=LinearOperator(matvec=precondition))``, so
     ``x`` and ``info`` (0 once the residual norm is below ``rtol * |b|``,
     else ``maxiter``) are that call's, bit for bit. ``steps`` counts the
-    steps taken.
+    steps taken. One exception: once the residual norm is not finite, it can
+    never fall below the tolerance, so the loop ends there with ``info =
+    maxiter``, where scipy takes the rest of its ``maxiter`` steps on nans.
     """
     bnrm2 = math.sqrt(np.dot(b, b))
     # scipy tests |b|, not the tolerance: rtol * |b| can underflow to 0
@@ -434,8 +408,11 @@ def _pcg(
     r = b.copy()
     p = rho_prev = None
     for step in range(maxiter):
-        if math.sqrt(np.dot(r, r)) < atol:
+        rnorm = math.sqrt(np.dot(r, r))
+        if rnorm < atol:
             return x, 0, step
+        if not math.isfinite(rnorm):
+            return x, maxiter, step
         z = precondition(r)
         rho = np.dot(r, z)
         if p is None:
@@ -451,11 +428,12 @@ def _pcg(
     return x, maxiter, maxiter
 
 
-def _factor_solve(graph: Graph, a: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
-    solve, lu = spd_solver(graph, a)
+def _factor_solve(a: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
+    lu = factor_spd(a)
+    # the diagonal of U holds the pivots
     if not np.all(lu.U.diagonal() > 0):
         raise _singular(a.diagonal())
-    return solve(b)
+    return lu.solve(b)
 
 
 def _iterative_solve(

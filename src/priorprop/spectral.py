@@ -28,14 +28,15 @@ Lanczos crawls and the factor stays small, while on expanders and geometric
 graphs of higher dimension the factor fills in and Lanczos converges fast.
 
 The bound needs ``lambda_2`` and the soft solution at ``eta`` of one graph,
-and :func:`spectral_bound` makes one sparse factor for both where it can:
-on the shift-invert route, while ``eta / 2 <= R``, the factor of
-``L - sigma I`` also preconditions CG on the soft system, which differs
-from it by the labels' diagonal and the shift. At a larger ``eta`` the soft
-solve runs first, by its own route. Every factor goes through
-:func:`priorprop.solver.spd_solver`, so where that route factors the soft
-system, ``L - sigma I`` reuses its minimum-degree order and no second
-ordering runs.
+and :func:`spectral_bound` makes one sparse factor for both where that
+pays. It computes ``lambda_2`` first, by the route above. On the
+shift-invert route the factor of ``L - sigma I`` then preconditions CG on
+the soft system, which differs from it by the labels' diagonal and the
+shift, wherever ``eta / 2 <= R`` or the solver's gate would factor the soft
+system itself. Elsewhere, and where CG's answer is rejected, the soft solve
+takes its own route. Every factor is made afresh by
+:func:`priorprop.solver.factor_spd` and freed when the call returns, so no
+result depends on what was computed on the graph before.
 """
 
 from __future__ import annotations
@@ -49,21 +50,16 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from priorprop import solver
 from priorprop.graph import Graph, LabelSet, _as_truth
-from priorprop.solver import (
-    PriorField,
-    _accepted_pcg,
-    _soft_prior,
-    factor_is_cheap,
-    solve_soft,
-    spd_solver,
-)
+from priorprop.solver import PriorField, solve_soft
 
 DENSE_EIG_LIMIT = 300
 EIG_TOL = 1e-9
 # the CG steps of a soft solve preconditioned by lambda_2's factor; at
 # eta / 2 <= R it took 5-26 on the graphs measured (2-D geometric graphs,
-# grids, paths and rings of 2k-12k nodes, 0.2-100% of them labeled)
+# grids, paths and rings of 2k-12k nodes, 0.2-100% of them labeled), and
+# 12-22 above it where the solver's gate factors the soft system
 SHARED_CG_STEPS = 50
 
 
@@ -82,27 +78,24 @@ def second_smallest_eigenvalue(graph: Graph) -> float:
     and otherwise Lanczos on the Laplacian with the constant vector deflated
     by a rank-one shift. Both sparse routes converge to ``EIG_TOL``.
     """
-    n = graph.node_count
-    if n < 2:
+    return _lambda2(graph, laplacian(graph))[0]
+
+
+def _lambda2(
+    graph: Graph, lap: sp.csr_matrix
+) -> tuple[float, Callable[[np.ndarray], np.ndarray] | None]:
+    """``lambda_2`` of ``graph``, whose Laplacian is ``lap``, and on the
+    shift-invert route the solve ``b -> (L - sigma I)^-1 b`` by its factor;
+    None on every other route."""
+    if graph.node_count < 2:
         raise ValueError("need at least two nodes")
     if int(graph.component_of.max()) > 0:
-        return 0.0
-    lap = laplacian(graph)
-    if _takes_shift_invert(graph):
-        return _shift_invert(graph, lap)[0]
-    if n < DENSE_EIG_LIMIT:
-        vals = scipy.linalg.eigvalsh(lap.toarray())
-        return float(vals[1])
-    return _lanczos(graph, lap)
-
-
-def _takes_shift_invert(graph: Graph) -> bool:
-    """Whether :func:`second_smallest_eigenvalue` takes the shift-invert route."""
-    return (
-        graph.node_count >= DENSE_EIG_LIMIT
-        and int(graph.component_of.max()) == 0
-        and factor_is_cheap(graph)
-    )
+        return 0.0, None
+    if graph.node_count < DENSE_EIG_LIMIT:
+        return float(scipy.linalg.eigvalsh(lap.toarray())[1]), None
+    if solver.factor_is_cheap(graph):
+        return _shift_invert(graph, lap)
+    return _lanczos(graph, lap), None
 
 
 def _shift_invert(
@@ -118,7 +111,7 @@ def _shift_invert(
     """
     n = lap.shape[0]
     sigma = -1e-3 * graph.rcm_profile[1]
-    solve, _ = spd_solver(graph, lap + sp.diags(np.full(n, -sigma)))
+    solve = solver.factor_spd(lap + sp.diags(np.full(n, -sigma))).solve
 
     def matvec(x):
         y = solve(x)
@@ -206,7 +199,7 @@ def spectral_bound(
     once (t), labels are 0 or 1 (M), and the soft scores lie in [0, 1] (K;
     the solvers clip them). When ``lambda1 <= eta`` the bound is infinite.
     """
-    prior = _soft_prior(graph, labels, eta)  # checks eta and the labels
+    prior = solver._soft_prior(graph, labels, eta)  # checks eta and the labels
     delta = float(delta_conf)
     if not (0 < delta < 1):
         raise ValueError("delta_conf must lie in (0, 1)")
@@ -234,26 +227,33 @@ def _soft_scores_and_lambda(
     """The soft solution's scores and ``lambda_2``, from one sparse factor
     where it can serve both.
 
-    Where ``lambda_2`` takes the shift-invert route and ``eta / 2 <= R``, the
-    factor of ``F = L - sigma I`` preconditions CG on the soft system
-    ``S = L + diag(mu)``. ``S - F = diag(mu) + sigma I`` is the labels'
-    diagonal, at most ``R``, plus a shift that is small beside every
-    eigenvalue of ``F`` but the constant vector's, so ``F^-1 S`` stays close
+    ``lambda_2`` comes first. On its shift-invert route, the factor of
+    ``F = L - sigma I`` preconditions CG on the soft system
+    ``S = L + diag(mu)`` where ``eta / 2 <= R``, or where the solver's gate
+    (:func:`~priorprop.solver._factor_pays`, with every node unknown) would
+    factor ``S``. ``S - F = diag(mu) + sigma I`` is the labels' diagonal
+    plus a shift that is small beside every eigenvalue of ``F`` but the
+    constant vector's. At ``eta / 2 <= R`` that diagonal is at most ``R``,
+    and where the gate factors ``S`` the labels' total weight is small
+    beside the graph's (``rho_1 <= R / d_max``), so ``F^-1 S`` stays close
     to the identity and CG needs few steps. Its answer is kept under the
-    solver's CG acceptance rule, within ``SHARED_CG_STEPS`` steps; otherwise
-    :func:`~priorprop.solver.solve_soft` solves ``S`` by its own route,
-    whose factor, if it makes one, has its pivots checked.
-    Above ``eta / 2 = R``, CG would take more steps than a second factor
-    costs, so ``solve_soft`` runs first by its own route, and ``lambda_2``'s
-    factor reuses the minimum-degree order of its factor if it made one.
+    solver's CG acceptance rule, within ``SHARED_CG_STEPS`` steps.
+    Otherwise, and outside both cases, :func:`~priorprop.solver.solve_soft`
+    solves ``S`` by its own route, whose factor, if it makes one, has its
+    pivots checked. Outside both cases that route is Jacobi-PCG or a dense
+    solve, where the shared CG was no faster or, at a large ``eta``, stopped
+    unaccepted.
     """
-    if _takes_shift_invert(graph) and eta / 2.0 <= graph.rcm_profile[1]:
-        lap = laplacian(graph)
-        lambda1, solve = _shift_invert(graph, lap)
+    lap = laplacian(graph)
+    lambda1, solve = _lambda2(graph, lap)
+    n = graph.node_count
+    if solve is not None and (
+        eta / 2.0 <= graph.rcm_profile[1]
+        or (n >= solver.DENSE_LIMIT
+            and solver._factor_pays(graph, prior.mu, np.arange(n), graph.degrees + prior.mu))
+    ):
         soft = (lap + sp.diags(prior.mu)).tocsr()
-        x, _ = _accepted_pcg(soft, prior.mu * prior.h, solve, SHARED_CG_STEPS)
+        x, _ = solver._accepted_pcg(soft, prior.mu * prior.h, solve, SHARED_CG_STEPS)
         if x is not None:
             return np.clip(x, 0.0, 1.0), lambda1
-        return solve_soft(graph, labels, eta).f, lambda1
-    f = solve_soft(graph, labels, eta).f
-    return f, second_smallest_eigenvalue(graph)
+    return solve_soft(graph, labels, eta).f, lambda1

@@ -9,7 +9,6 @@ import pytest
 
 import priorprop as pp
 import priorprop.solver as solver_mod
-import priorprop.spectral as spectral_mod
 from priorprop import fileio
 from priorprop.cli import build_parser, main
 from priorprop.evaluation import (
@@ -755,14 +754,15 @@ class TestAnalyze:
         assert report["spectral_report"]["finite"] is False
         assert report["spectral_report"]["bound"] is None
 
-    @pytest.mark.parametrize("eta, factors", [([], 1), (["--eta", "10"], 2)],
+    @pytest.mark.parametrize("eta, factors", [([], 1), (["--eta", "10"], 1)],
                              ids=["default-eta", "eta-10"])
     def test_factors_the_graph_once_at_the_default_eta(self, tmp_path, monkeypatch, eta,
                                                         factors):
         # above DENSE_EIG_LIMIT, connected and 2-D: lambda_2 takes the shift-invert
-        # route, and its factor preconditions the soft solve while eta / 2 <= R
+        # route, and its factor preconditions the soft solve while eta / 2 <= R,
+        # and at eta 10 too, where the solver's gate would factor the soft system
         g = pp.Graph.from_edges(600, geometric_graph(600, 2, 13.0, 1))
-        assert spectral_mod._takes_shift_invert(g)
+        assert solver_mod.factor_is_cheap(g)
         assert 0.01 / 2 <= g.rcm_profile[1] < 10 / 2
         truth = (np.arange(600) >= 300).astype(np.int8)
         idx = np.arange(0, 600, 75)
@@ -771,9 +771,9 @@ class TestAnalyze:
         fileio.save_labels(pp.LabelSet(np.arange(600), truth), tmp_path / "truth.txt")
         made = []
 
-        def recording(a, *args):
+        def recording(a):
             made.append(a.shape)
-            return factor_spd(a, *args)
+            return factor_spd(a)
 
         monkeypatch.setattr(solver_mod, "factor_spd", recording)
         code = run(["analyze", "--graph", tmp_path / "g.txt", "--labels", tmp_path / "labels.txt",

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 
@@ -663,6 +664,10 @@ class TestDerivedFields:
             assert g.degrees.tobytes() == np.array(want, dtype=np.float64).tobytes()
             with pytest.raises(ValueError, match="read-only"):
                 g.degrees[0] = 2 * g.degrees[0]
+
+    def test_a_graph_holds_its_csr_arrays_and_nothing_else(self):
+        # everything else is a function of these, cached or computed
+        assert [f.name for f in dataclasses.fields(Graph)] == ["indptr", "indices", "weights"]
 
     def test_constructors_take_only_the_source_fields(self):
         g = Graph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])

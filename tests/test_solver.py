@@ -289,6 +289,17 @@ class TestPcg:
         x, info, steps = self.assert_jacobi_matches_scipy(a, zero, inv_diag, 20 * b.size)
         assert x is zero and (info, steps) == (0, 0)
 
+    def test_a_non_finite_residual_ends_the_run_at_maxiter(self):
+        # scipy runs on to maxiter on nans; the loop stops at the first
+        # non-finite residual norm with the same info
+        a, b, inv_diag = self.spd_system(0)
+        huge = 1e300 * b
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, want_info = spla.cg(a, huge, rtol=1e-13, atol=0.0, maxiter=50,
+                                   M=sp.diags(inv_diag))
+            _, info, steps = solver_mod._pcg(a, huge, lambda r: inv_diag * r, 1e-13, 50)
+        assert (info, steps) == (want_info, 0) == (50, 0)
+
     def test_a_run_cut_off_reports_maxiter(self):
         a, b, inv_diag = self.spd_system(1)
         _, info, steps = self.assert_jacobi_matches_scipy(a, b, inv_diag, 3)
@@ -427,6 +438,16 @@ class TestSolveSoft:
         pred = solve_soft(g, labels, 1e308)
         assert pred.route == "dense"
         np.testing.assert_allclose(pred.f, solve_standard(g, labels).f, rtol=0, atol=1e-12)
+
+    def test_huge_eta_on_a_sparse_graph_skips_cg_without_warnings(self):
+        # at eta 1e308 the right-hand side's norm overflows, so CG stops before
+        # its first step, and the gate's rho_1 and CG's sums overflow
+        # silently; the factor solves it
+        g = Graph.from_edges(2000, geometric_graph(2000, 2, 13.0, 1))
+        labels = LabelSet(np.arange(0, 2000, 50), np.arange(40) % 2)
+        pred = solve_soft(g, labels, 1e308)
+        assert (pred.route, pred.iterations) == ("pcg+factor", 0)
+        np.testing.assert_allclose(pred.f, solve_standard(g, labels).f, rtol=0, atol=1e-10)
 
     def test_tiny_eta_is_numerically_singular(self):
         # L + 5e-16 on the labeled nodes is ill-conditioned even with unit

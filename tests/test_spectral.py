@@ -64,11 +64,11 @@ def permuted_bandwidth(graph):
 @pytest.fixture
 def factors(monkeypatch):
     """Record ``(n, L.nnz + U.nnz)`` of every sparse factor, which the
-    shift-invert route makes through ``solver.spd_solver``."""
+    shift-invert route makes through ``solver.factor_spd``."""
     made = []
 
-    def recording(a, *args):
-        lu = factor_spd(a, *args)
+    def recording(a):
+        lu = factor_spd(a)
         made.append((a.shape[0], lu.L.nnz + lu.U.nnz))
         return lu
 
@@ -187,11 +187,13 @@ class TestOneFactorForTheSpectralBound:
 
     @pytest.fixture
     def orderings(self, monkeypatch):
+        """The shape of every sparse factor, each made in a minimum-degree
+        order of its own."""
         made = []
 
-        def recording(a, permc_spec="MMD_AT_PLUS_A"):
-            made.append(permc_spec)
-            return factor_spd(a, permc_spec)
+        def recording(a):
+            made.append(a.shape)
+            return factor_spd(a)
 
         monkeypatch.setattr(solver_mod, "factor_spd", recording)
         return made
@@ -207,54 +209,100 @@ class TestOneFactorForTheSpectralBound:
         monkeypatch.setattr(spectral_mod, "solve_soft", recording)
         return calls
 
-    def alone(self, eta):
+    def alone(self, eta, labels=labels):
         """``lambda_2``, the soft solution's two errors and its route, each
         computed on a graph of its own."""
-        soft = solve_soft(rgg(2000, 2), self.labels, eta)
+        soft = solve_soft(rgg(2000, 2), labels, eta)
         lam = second_smallest_eigenvalue(rgg(2000, 2))
-        empirical = np.mean((soft.f[self.labels.indices] - self.labels.values) ** 2)
+        empirical = np.mean((soft.f[labels.indices] - labels.values) ** 2)
         return lam, empirical, np.mean((soft.f - self.truth) ** 2), soft.route
 
-    def assert_same_answers(self, rep, eta):
-        lam, empirical, generalization, _ = self.alone(eta)
-        assert rep.lambda1 == pytest.approx(lam, rel=1e-12)
+    def assert_same_answers(self, rep, eta, labels=labels):
+        lam, empirical, generalization, _ = self.alone(eta, labels)
+        assert rep.lambda1 == lam
         assert abs(rep.empirical_error - empirical) <= 1e-10
         assert abs(rep.generalization_error - generalization) <= 1e-10
 
     def test_default_eta_factors_the_graph_once(self, orderings, soft_calls):
         g = rgg(2000, 2)
-        assert spectral_mod._takes_shift_invert(g) and 0.01 / 2 <= g.rcm_profile[1]
+        assert solver_mod.factor_is_cheap(g) and 0.01 / 2 <= g.rcm_profile[1]
         rep = spectral_bound(g, self.labels, self.truth, eta=0.01)
-        assert orderings == ["MMD_AT_PLUS_A"]
+        assert orderings == [(2000, 2000)]
         assert soft_calls == []
         assert self.alone(0.01)[3] == "factor"
         self.assert_same_answers(rep, 0.01)
 
     @pytest.mark.parametrize("eta, soft_route, want", [
-        (1.0, "factor", ["MMD_AT_PLUS_A", "NATURAL"]),
-        (10.0, "pcg", ["MMD_AT_PLUS_A"]),
+        (1.0, "factor", []),
+        (10.0, "pcg", [10.0]),
+        (0.5, "factor", []),
+        (5.0, "factor", []),
     ])
     def test_large_eta_solves_and_factors_as_before(
         self, orderings, soft_calls, eta, soft_route, want
     ):
-        # eta / 2 > R: solve_soft runs first, so lambda_2's factor reuses the
-        # soft factor's minimum-degree order where there is one
+        # eta / 2 > R: lambda_2's factor is the only one. It preconditions the
+        # soft solve where the solver's gate would factor the soft system (eta
+        # 0.5 to 5, the window's edges on this graph); solve_soft runs by its
+        # own route where the gate would not (eta 10)
         g = rgg(2000, 2)
+        prior = solver_mod._soft_prior(g, self.labels, eta)
         assert eta / 2 > g.rcm_profile[1]
+        factors = solver_mod._factor_pays(g, prior.mu, np.arange(2000), g.degrees + prior.mu)
+        assert factors == (soft_route == "factor")
         rep = spectral_bound(g, self.labels, self.truth, eta=eta)
-        assert (orderings, soft_calls) == (want, [eta])
+        assert (orderings, soft_calls) == ([(2000, 2000)], want)
         orderings.clear()
         assert self.alone(eta)[3] == soft_route
         self.assert_same_answers(rep, eta)
 
+    def test_many_labels_below_r_share_the_factor_where_the_solver_runs_pcg(
+        self, orderings, soft_calls
+    ):
+        # nine nodes in ten labeled: eta / 2 <= R, but the labels' weight fails
+        # the gate's rho_1 test, so solve_soft takes Jacobi-PCG; the shared CG
+        # runs all the same
+        idx = np.flatnonzero(np.arange(2000) % 10)
+        labels = LabelSet(idx, self.truth[idx])
+        g = rgg(2000, 2)
+        assert 0.2 / 2 <= g.rcm_profile[1]
+        rep = spectral_bound(g, labels, self.truth, eta=0.2)
+        assert (orderings, soft_calls) == ([(2000, 2000)], [])
+        assert self.alone(0.2, labels)[3] == "pcg"
+        self.assert_same_answers(rep, 0.2, labels)
+
     def test_rejected_cg_answer_falls_back_to_solve_soft(
         self, monkeypatch, orderings, soft_calls
     ):
+        # the only path that orders the graph twice: lambda_2's factor, then
+        # the soft solve's own
         monkeypatch.setattr(spectral_mod, "SHARED_CG_STEPS", 1)
         rep = spectral_bound(rgg(2000, 2), self.labels, self.truth, eta=0.01)
-        assert orderings == ["MMD_AT_PLUS_A", "NATURAL"]
+        assert orderings == [(2000, 2000)] * 2
         assert soft_calls == [0.01]
         self.assert_same_answers(rep, 0.01)
+
+
+class TestNoCallHistory:
+    """Results on a graph do not depend on what was computed on it before."""
+
+    labels = TestOneFactorForTheSpectralBound.labels
+    truth = TestOneFactorForTheSpectralBound.truth
+
+    def test_lambda_2_after_a_factored_soft_solve(self):
+        g = rgg(2000, 2)
+        assert solve_soft(g, self.labels, 1.0).route == "factor"
+        assert second_smallest_eigenvalue(g) == second_smallest_eigenvalue(rgg(2000, 2))
+
+    # graphs on which an order stored by lambda_2's factor used to change
+    # the soft factor's last bits
+    @pytest.mark.parametrize("seed, eta", [(1, 0.5), (2, 1.0)])
+    def test_spectral_bound_after_lambda_2(self, seed, eta):
+        g = rgg(2000, 2, seed=seed)
+        second_smallest_eigenvalue(g)
+        after = spectral_bound(g, self.labels, self.truth, eta=eta)
+        fresh = spectral_bound(rgg(2000, 2, seed=seed), self.labels, self.truth, eta=eta)
+        assert after.to_dict() == fresh.to_dict()
 
 
 class TestSpectralBound:
