@@ -25,10 +25,12 @@ Everything per hop lives in one table. ``hop_stats`` validates one analysis
 (truth, prior, the hop layering, which holds its graph, and the prediction
 being analyzed) and computes every quantity above once, as a
 :class:`HopStats` column indexed by hop and named after the report's JSON
-key (``c_k`` is ``local_term``). Each hop's nodes are gathered once, as one
-C-contiguous block holding every per-node quantity summed over hops, so each
-per-hop sum adds in the order ``np.sum`` over the hop's nodes does; ``s_k``
-adds up its nodes' disagreements one by one.
+key (``c_k`` is ``local_term``). A node's own sums (its degree, label
+disagreement and neighbours' error) add its entries one by one in CSR order,
+as the solver's products ``W @ v`` do. Each hop's nodes are gathered once, as
+one C-contiguous block holding every per-node quantity summed over hops, so
+each per-hop sum adds in the order ``np.sum`` over the hop's nodes does;
+``s_k`` adds up its nodes' disagreements one by one.
 ``compute_bound`` adds the columns ``d_k``, certified bound and bound source,
 and its report derives the informal bound from ``d_k`` when read; the
 report's JSON has one row per hop, read across the columns.
@@ -47,7 +49,7 @@ from typing import Any
 
 import numpy as np
 
-from priorprop.graph import Graph, NeighborhoodPartition, _as_truth, _row_sums
+from priorprop.graph import Graph, NeighborhoodPartition, _as_truth
 from priorprop.solver import Prediction, PriorField, scores
 
 BETWEEN_FLOW_CONVENTION = "ordered-pairs (each within-hop edge counted twice)"
@@ -170,8 +172,9 @@ def hop_stats(
 
     err = np.abs(f - y)
     pull = np.abs(prior.h - y)
-    # per node, the weighted true-label disagreement on its edges
-    node_s = _row_sums(graph.indptr, graph.weights * np.abs(y[graph.indices] - y[graph.rows]))
+    # per node, the weighted true-label disagreement on its edges: the weight
+    # to the other label's neighbours
+    node_s = np.where(y == 1, graph.matrix @ (1.0 - y), graph.matrix @ y)
     l = partition.max_hop
     sizes = np.array([h.size for h in partition.hops])
 
@@ -429,7 +432,7 @@ def audit_inequalities(stats: HopStats) -> AuditReport:
     l = stats.partition.max_hop
 
     nodes = np.concatenate([np.zeros(0, dtype=np.int64), *stats.partition.hops[1:]])
-    nbr_err = _row_sums(graph.indptr, graph.weights * err[graph.indices])[nodes]
+    nbr_err = (graph.matrix @ err)[nodes]
     mu = prior.mu[nodes]
     prior_term = mu * np.abs(prior.h[nodes] - y[nodes])
     node_rhs = (nbr_err + stats.node_smoothness[nodes] + prior_term) / (graph.degrees[nodes] + mu)

@@ -4,10 +4,12 @@ The graph is stored as a CSR adjacency structure with sorted neighbor lists,
 so every traversal is deterministic. Its hop decomposition, a
 :class:`NeighborhoodPartition`, holds the graph and the labeled set and
 derives each node's hop from them, so a layering cannot belong to another
-graph. Instances are immutable after construction, apart from cached
-properties that are functions of the constructor's arrays alone, so no
-result depends on which of them were read before; reads are safe to share
-across threads.
+graph. A node's own sums, its weighted degree among them, add its entries
+one by one in CSR order, as the solver's products ``W @ v`` do; sums over a
+hop are ``np.sum`` over the hop's nodes. Instances are immutable after
+construction, apart from cached properties that are functions of the
+constructor's arrays alone, so no result depends on which of them were read
+before; reads are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -57,21 +59,6 @@ def _raise_invalid(record: np.ndarray, node_count: int) -> None:
     if i == j:
         raise GraphFormatError(f"self-loop on node {i}")
     raise GraphFormatError(f"edge ({i}, {j}) has invalid weight {w}")
-
-
-def _row_sums(indptr: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """``np.sum`` of each CSR row of ``vals``, bit for bit.
-
-    Summing a block of equally long rows along its last axis adds each row in
-    the pairwise order ``np.sum`` uses on that row alone; ``np.add.reduceat``
-    does not, and differs from it in the last bit from 3 entries on.
-    """
-    lengths = np.diff(indptr)
-    sums = np.zeros(lengths.size)
-    for length in np.unique(lengths[lengths > 0]):
-        rows = np.flatnonzero(lengths == length)
-        sums[rows] = vals[indptr[rows, None] + np.arange(length)].sum(axis=1)
-    return sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,8 +146,7 @@ class Graph:
             indices=adj.indices.astype(np.int64),
             weights=adj.data,
         )
-        with np.errstate(over="ignore"):
-            overflowed = np.flatnonzero(~np.isfinite(graph.degrees))
+        overflowed = np.flatnonzero(~np.isfinite(graph.degrees))
         if overflowed.size:
             raise GraphFormatError(
                 f"the edge weights at node {int(overflowed[0])} sum past the float range"
@@ -198,8 +184,9 @@ class Graph:
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        """Weighted degree of each node, its row sum (shared, read-only)."""
-        degrees = _row_sums(self.indptr, self.weights)
+        """Weighted degree of each node, its row's weights added in CSR order
+        (float64, shared, read-only)."""
+        degrees = self.matrix @ np.ones(self.node_count)
         degrees.flags.writeable = False
         return degrees
 

@@ -140,8 +140,9 @@ def estimate_accuracy_from_labeled(
     """Laplace-smoothed accuracy of each labeler on the labeled nodes.
 
     ``p_j = (correct + 1) / (cast + 2)``; a labeler that never votes on a
-    labeled node gets 0.5.
+    labeled node gets 0.5. A labeled index off the votes' nodes raises.
     """
+    labels.validate_against(votes.node_count)
     sub = votes.votes[labels.indices]
     cast = sub != ABSTAIN
     correct = cast & (sub == labels.values[:, None])

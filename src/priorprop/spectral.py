@@ -10,7 +10,8 @@ and derives ``beta`` and the bound from them.
 
 The eigenvalue ``lambda_2`` of a connected graph takes one of three routes:
 
-* below ``DENSE_EIG_LIMIT`` nodes, a dense symmetric eigensolve;
+* below ``solver.DENSE_LIMIT`` nodes, where the solver's systems are dense
+  too, a dense symmetric eigensolve;
 * above it, exact shift-invert Lanczos on a sparse LU of ``L - sigma I``
   when :func:`priorprop.solver.factor_is_cheap` finds the factor cheap, and
   plain Lanczos on ``L`` when it does not.
@@ -54,7 +55,6 @@ from priorprop import solver
 from priorprop.graph import Graph, LabelSet, _as_truth
 from priorprop.solver import PriorField, solve_soft
 
-DENSE_EIG_LIMIT = 300
 EIG_TOL = 1e-9
 # the CG steps of a soft solve preconditioned by lambda_2's factor; at
 # eta / 2 <= R it took 5-26 on the graphs measured (2-D geometric graphs,
@@ -72,7 +72,7 @@ def second_smallest_eigenvalue(graph: Graph) -> float:
     """Second smallest eigenvalue of the Laplacian.
 
     Exactly 0.0 for a disconnected graph (the zero eigenvalue has higher
-    multiplicity). Dense symmetric solve below ``DENSE_EIG_LIMIT`` nodes;
+    multiplicity). Dense symmetric solve below ``solver.DENSE_LIMIT`` nodes;
     above that, shift-invert Lanczos when the O(nnz) graph test
     :func:`~priorprop.solver.factor_is_cheap` finds the sparse factor cheap,
     and otherwise Lanczos on the Laplacian with the constant vector deflated
@@ -91,7 +91,7 @@ def _lambda2(
         raise ValueError("need at least two nodes")
     if int(graph.component_of.max()) > 0:
         return 0.0, None
-    if graph.node_count < DENSE_EIG_LIMIT:
+    if graph.node_count < solver.DENSE_LIMIT:
         return float(scipy.linalg.eigvalsh(lap.toarray())[1]), None
     if solver.factor_is_cheap(graph):
         return _shift_invert(graph, lap)
@@ -249,8 +249,7 @@ def _soft_scores_and_lambda(
     n = graph.node_count
     if solve is not None and (
         eta / 2.0 <= graph.rcm_profile[1]
-        or (n >= solver.DENSE_LIMIT
-            and solver._factor_pays(graph, prior.mu, np.arange(n), graph.degrees + prior.mu))
+        or solver._factor_pays(graph, prior.mu, np.arange(n), graph.degrees + prior.mu)
     ):
         soft = (lap + sp.diags(prior.mu)).tocsr()
         x, _ = solver._accepted_pcg(soft, prior.mu * prior.h, solve, SHARED_CG_STEPS)

@@ -250,13 +250,19 @@ def loop_from_edges(node_count, edges):
     return indptr, cols, vals, loop_row_sums(indptr, vals)
 
 
+def loop_sum(values):
+    """Running ``total += v`` over ``values`` in order, from 0.0."""
+    total = 0.0
+    for v in values:
+        total += float(v)
+    return total
+
+
 def loop_row_sums(indptr, vals):
-    """Row by row ``np.sum`` of CSR values: the weighted degree when ``vals``
-    are the edge weights."""
-    sums = np.zeros(indptr.size - 1, dtype=np.float64)
-    for i in np.flatnonzero(np.diff(indptr)).tolist():  # empty rows sum to 0
-        sums[i] = float(np.sum(vals[indptr[i] : indptr[i + 1]]))
-    return sums
+    """Row by row running totals of CSR values, entry by entry: the weighted
+    degree when ``vals`` are the edge weights."""
+    return np.array([loop_sum(vals[indptr[i] : indptr[i + 1]].tolist())
+                     for i in range(indptr.size - 1)], dtype=np.float64)
 
 
 def mixed_row_length_edges(rng, n):
@@ -337,19 +343,20 @@ def neighbors(graph, i):
 
 
 def loop_smoothness(graph, y, partition, k):
-    """Node by node total of ``w |y_j - y_i|`` over the edges of hop ``k``."""
+    """Node by node total of ``w |y_j - y_i|`` over the edges of hop ``k``,
+    each node's own total added neighbor by neighbor."""
     y = np.asarray(y, dtype=np.float64)
     total = 0.0
     for i in partition.hops[k]:
         nbrs, w = neighbors(graph, int(i))
-        total += float(np.sum(w * np.abs(y[nbrs] - y[i])))
+        total += loop_sum(w * np.abs(y[nbrs] - y[i]))
     return total
 
 
 def loop_node_error(graph, y, prior, f, partition):
     """``(node, lhs, rhs)`` of the per-node error inequality, hop by hop:
     ``|f_i - y_i| <= (sum_j w_ij (|f_j - y_j| + |y_j - y_i|) + mu_i |h_i - y_i|)
-    / (deg_i + mu_i)``."""
+    / (deg_i + mu_i)``, each sum over j added neighbor by neighbor."""
     y = np.asarray(y, dtype=np.float64)
     err = np.abs(np.asarray(f, dtype=np.float64) - y)
     out = []
@@ -357,10 +364,10 @@ def loop_node_error(graph, y, prior, f, partition):
         for i in partition.hops[k]:
             i = int(i)
             nbrs, w = neighbors(graph, i)
-            denom = float(np.sum(w)) + prior.mu[i]
+            denom = loop_sum(w) + prior.mu[i]
             rhs = (
-                float(np.sum(w * err[nbrs]))
-                + float(np.sum(w * np.abs(y[nbrs] - y[i])))
+                loop_sum(w * err[nbrs])
+                + loop_sum(w * np.abs(y[nbrs] - y[i]))
                 + prior.mu[i] * abs(prior.h[i] - y[i])
             ) / denom
             out.append((i, float(err[i]), float(rhs)))

@@ -758,7 +758,7 @@ class TestAnalyze:
                              ids=["default-eta", "eta-10"])
     def test_factors_the_graph_once_at_the_default_eta(self, tmp_path, monkeypatch, eta,
                                                         factors):
-        # above DENSE_EIG_LIMIT, connected and 2-D: lambda_2 takes the shift-invert
+        # above DENSE_LIMIT, connected and 2-D: lambda_2 takes the shift-invert
         # route, and its factor preconditions the soft solve while eta / 2 <= R,
         # and at eta 10 too, where the solver's gate would factor the soft system
         g = pp.Graph.from_edges(600, geometric_graph(600, 2, 13.0, 1))

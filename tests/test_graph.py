@@ -20,7 +20,7 @@ from priorprop.graph import (
     build_threshold_graph,
     compute_neighborhoods,
 )
-from priorprop.graph import _lerp, _nearest_pairs, _quantile_positions, _row_sums
+from priorprop.graph import _lerp, _nearest_pairs, _quantile_positions
 from priorprop.solver import PriorField
 
 from oracles import (
@@ -280,12 +280,19 @@ class TestRowSumsMatchLoopReference:
         assert lengths.min() < 8 and np.any((lengths >= 8) & (lengths <= 128))
         assert lengths.max() > 128
         assert g.degrees.tobytes() == loop_row_sums(g.indptr, g.weights).tobytes()
-        vals = g.weights * rng.uniform(0, 1, g.weights.size)
-        assert _row_sums(g.indptr, vals).tobytes() == loop_row_sums(g.indptr, vals).tobytes()
+        # each node's label disagreement, added entry by entry like its degree
+        y = rng.integers(0, 2, 400).astype(np.float64)
+        part = compute_neighborhoods(g, LabelSet([0], [int(y[0])]))
+        stats = hop_stats(y, PriorField.constant(400), part, y)
+        disagreement = g.weights * np.abs(y[g.indices] - np.repeat(y, lengths))
+        want = loop_row_sums(g.indptr, disagreement)
+        assert stats.node_smoothness.tobytes() == want.tobytes()
 
     def test_empty_rows_sum_to_zero(self):
-        indptr = np.array([0, 0, 2, 2], dtype=np.int64)
-        assert _row_sums(indptr, np.array([1.5, 2.0])).tolist() == [0.0, 3.5, 0.0]
+        degrees = Graph.from_edges(4, [(1, 2, 1.5)]).degrees
+        assert degrees.dtype == np.float64 and degrees.tolist() == [0.0, 1.5, 1.5, 0.0]
+        degrees = Graph.from_edges(3, np.empty((0, 3))).degrees
+        assert degrees.dtype == np.float64 and degrees.tolist() == [0.0, 0.0, 0.0]
 
 
 class TestThresholdGraph:
@@ -660,8 +667,7 @@ class TestDerivedFields:
     def test_degrees_are_read_only_row_sums(self):
         for g, _ in bound_instance_graphs():
             assert g.node_count == g.indptr.size - 1
-            want = [np.sum(g.weights[g.indptr[i]:g.indptr[i + 1]]) for i in range(g.node_count)]
-            assert g.degrees.tobytes() == np.array(want, dtype=np.float64).tobytes()
+            assert g.degrees.tobytes() == loop_row_sums(g.indptr, g.weights).tobytes()
             with pytest.raises(ValueError, match="read-only"):
                 g.degrees[0] = 2 * g.degrees[0]
 

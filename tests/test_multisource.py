@@ -315,6 +315,16 @@ class TestVotePrior:
             vote_prior(votes, scheme, labels, accuracy=LabelerAccuracy([0.7, 0.8]),
                        features=feats, truth=y)
 
+    @pytest.mark.parametrize("scheme", ["accuracy", "boosting"])
+    @pytest.mark.parametrize("index, message", [(-1, "labeled index negative"),
+                                                (16, "labeled index out of range")])
+    def test_estimated_accuracy_rejects_a_label_off_the_votes(self, instance, scheme, index,
+                                                              message):
+        # a negative index would read the last node's votes, one past them index nothing
+        votes, _, _, _ = instance
+        with pytest.raises(ValueError, match=message):
+            vote_prior(votes, scheme, LabelSet([index, 3], [1, 0]))
+
 
 class TestEstimateAccuracy:
     def test_laplace_smoothing(self):

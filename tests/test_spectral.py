@@ -97,7 +97,7 @@ class TestSecondSmallestEigenvalue:
         n = 80
         g = Graph.from_edges(n, random_connected_graph(rng, n, extra_edges=2 * n))
         dense = second_smallest_eigenvalue(g)
-        monkeypatch.setattr(spectral_mod, "DENSE_EIG_LIMIT", 10)
+        monkeypatch.setattr(solver_mod, "DENSE_LIMIT", 10)
         lanczos = second_smallest_eigenvalue(g)
         assert lanczos == pytest.approx(dense, rel=1e-7, abs=1e-9)
 
@@ -121,7 +121,7 @@ class TestSecondSmallestEigenvalue:
     def test_sparse_routes_match_dense(self, monkeypatch, factors, make, shift_invert):
         g = make()
         dense = scipy.linalg.eigvalsh(laplacian(g).toarray())[1]
-        monkeypatch.setattr(spectral_mod, "DENSE_EIG_LIMIT", 10)
+        monkeypatch.setattr(solver_mod, "DENSE_LIMIT", 10)
         lam = second_smallest_eigenvalue(g)
         assert len(factors) == int(shift_invert)
         assert lam == pytest.approx(dense, rel=1e-9)
