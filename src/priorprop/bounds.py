@@ -55,23 +55,6 @@ from priorprop.solver import Prediction, PriorField, scores
 BETWEEN_FLOW_CONVENTION = "ordered-pairs (each within-hop edge counted twice)"
 
 
-def _directional_weights(
-    partition: NeighborhoodPartition,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-node edge weight going one hop in, within the hop, one hop out.
-
-    The unreachable nodes count as one more hop, two past the last, so every
-    edge of the layering joins hops at most one apart.
-    """
-    graph, hop_of = partition.graph, partition.hop_of
-    rows = graph.rows
-    hops = np.where(hop_of < 0, hop_of.max() + 2, hop_of)
-    # 0, 1 and 2 for a neighbor one hop in, within the hop and one hop out
-    bins = 3 * rows + hops[graph.indices] - hops[rows] + 1
-    sums = np.bincount(bins, weights=graph.weights, minlength=3 * graph.node_count)
-    return tuple(sums.reshape(-1, 3).T)
-
-
 @dataclass(frozen=True, eq=False)
 class HopStats:
     """One prediction's per-hop table, read by the bound and the audit.
@@ -154,7 +137,9 @@ def hop_stats(
     every labeled node, since the bound and the audit take the labeled set's
     error to be exactly 0; the first node that breaks either rule is named in
     the ``ValueError``. So is the first hop past 0 whose prior-weight total
-    overflows.
+    overflows. The per-node flows come from the partition
+    (:attr:`~priorprop.graph.NeighborhoodPartition.directional_weights`),
+    which computes them once for every analysis of its layering.
     """
     graph = partition.graph
     y = _as_truth(true_labels_full, graph.node_count)
@@ -163,7 +148,7 @@ def hop_stats(
         raise ValueError("prediction does not cover every node")
     if prior.node_count != graph.node_count:
         raise ValueError("prior size does not match graph")
-    inw, betw, outw = _directional_weights(partition)
+    inw, betw, outw = partition.directional_weights
     labeled = partition.hops[0]
     wrong = np.flatnonzero(f[labeled] != y[labeled])
     if wrong.size:

@@ -12,6 +12,7 @@ desk-scale experiments; everything is deterministic under the spec seed.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import asdict, dataclass
 from typing import Any, Sequence
@@ -125,6 +126,10 @@ class SyntheticSpec:
             _check_count(name, getattr(self, name))
         if not (hasattr(type(self.seed), "__index__") and operator.index(self.seed) >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        for name in ("separation", "noise_scale", "mu"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.separation <= 0 or self.noise_scale < 0:
             raise ValueError("separation must be positive, noise_scale non-negative")
         if len(self.labeler_accuracies) != len(self.labeler_coverages):

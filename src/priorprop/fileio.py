@@ -47,10 +47,9 @@ def fmt_float(x: float) -> str:
 def _json_number(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError("non-finite numbers cannot be serialized; map them to null first")
-    s = fmt_float(x)
-    if not any(c in s for c in ".eE"):
-        s += ".0"
-    return s
+    # a finite float under ".17g" has no "E", and no "." or "e" only when integral
+    s = format(x, ".17g")
+    return s if "." in s or "e" in s else s + ".0"
 
 
 def dumps_json(obj: Any) -> str:

@@ -10,6 +10,16 @@ hop are ``np.sum`` over the hop's nodes. Instances are immutable after
 construction, apart from cached properties that are functions of the
 constructor's arrays alone, so no result depends on which of them were read
 before; reads are safe to share across threads.
+
+Every linear system the package solves or factors, ``diag(d) - W_UU`` on a
+node set ``U``, comes from :meth:`Graph.system`. It copies one layout cached
+on the graph, the CSR of ``-W`` with a slot for each row's diagonal, writes
+``d`` into the slots and, for a proper subset, keeps the entries between the
+nodes of ``U``. The layout is a function of the three CSR arrays, so caching
+it keeps the rule above; a system depends on ``U`` and ``d``, which the
+labels and the prior set, and is never stored. A partition caches its
+per-node directional weights the same way: they are a function of its graph
+and labels alone.
 """
 
 from __future__ import annotations
@@ -199,6 +209,60 @@ class Graph:
         )
 
     @cached_property
+    def _layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``-W`` in CSR with one slot per row for the diagonal, in sorted
+        position: ``indptr``, ``indices``, the values (0 in the slots) and each
+        row's slot (shared, read-only).
+
+        Every row is sorted, so the slot of row ``i`` is
+        ``indptr[i] + i + (the neighbours of i below i)``.
+        """
+        n, rows = self.node_count, self.rows
+        slot = self.indptr[:-1] + np.arange(n) + np.bincount(rows[self.indices < rows], minlength=n)
+        # the index type scipy gives W, so a system's arrays need no conversion
+        index = self.matrix.indices.dtype
+        indptr = (self.indptr + np.arange(n + 1)).astype(index)
+        entry = np.ones(indptr[-1], dtype=bool)
+        entry[slot] = False
+        indices = np.empty(entry.size, dtype=index)
+        indices[slot] = np.arange(n)
+        indices[entry] = self.indices
+        values = np.zeros(entry.size)
+        values[entry] = -self.weights
+        layout = (indptr, indices, values, slot)
+        for array in layout:
+            array.flags.writeable = False
+        return layout
+
+    def system(self, nodes: np.ndarray, diag: np.ndarray) -> sp.csr_matrix:
+        """``diag(diag) - W[nodes][:, nodes]`` as CSR, for ascending ``nodes``.
+
+        Its arrays are those of ``(sp.diags(diag) - W[nodes][:, nodes]).tocsr()``
+        bit for bit: canonical, without the entries that are exactly zero (a
+        zero ``diag`` value, a stored zero weight). The values are the
+        layout's, with ``diag`` written into the slots of ``nodes``; a proper
+        subset keeps the entries between its nodes and renumbers the columns.
+        """
+        indptr, indices, values, slot = self._layout
+        data = values.copy()
+        data[slot[nodes]] = diag
+        keep = data != 0
+        if nodes.size == self.node_count and keep.all():
+            return sp.csr_matrix((data, indices, indptr), shape=(nodes.size, nodes.size))
+        inside = np.zeros(self.node_count, dtype=bool)
+        inside[nodes] = True
+        keep &= inside.take(indices)
+        keep &= np.repeat(inside, np.diff(indptr))
+        kept = np.flatnonzero(keep)
+        # a node's column is its position in nodes
+        columns = (np.cumsum(inside, dtype=indices.dtype) - 1).take(indices.take(kept))
+        # the rows outside nodes keep nothing, so each row of nodes keeps what
+        # lies between its start and the next one's
+        sub_indptr = np.zeros(nodes.size + 1, dtype=indices.dtype)
+        np.cumsum(np.add.reduceat(keep, indptr[nodes], dtype=indices.dtype), out=sub_indptr[1:])
+        return sp.csr_matrix((data.take(kept), columns, sub_indptr), shape=(nodes.size, nodes.size))
+
+    @cached_property
     def component_of(self) -> np.ndarray:
         """Connected-component id per node."""
         n_comp, comp = connected_components(self.matrix, directed=False)
@@ -317,6 +381,22 @@ class NeighborhoodPartition:
     @cached_property
     def unreachable(self) -> np.ndarray:
         return np.flatnonzero(self.hop_of < 0)
+
+    @cached_property
+    def directional_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-node edge weight going one hop in, within the hop, one hop out,
+        each added in CSR order (shared, read-only).
+
+        The unreachable nodes count as one more hop, two past the last, so every
+        edge of the layering joins hops at most one apart.
+        """
+        graph, rows = self.graph, self.graph.rows
+        hops = np.where(self.hop_of < 0, self.hop_of.max() + 2, self.hop_of)
+        # 0, 1 and 2 for a neighbor one hop in, within the hop and one hop out
+        bins = 3 * rows + hops[graph.indices] - hops[rows] + 1
+        sums = np.bincount(bins, weights=graph.weights, minlength=3 * graph.node_count)
+        sums.flags.writeable = False
+        return tuple(sums.reshape(-1, 3).T)
 
     @property
     def max_hop(self) -> int:

@@ -15,9 +15,11 @@ instead of fixing them, is the same problem with no hard labels, ``h = y`` and
 residual is therefore the fixed-point residual too.
 
 The direct method solves the symmetric positive-definite system
-``A = diag(deg_U + mu_U) - W_UU`` over the unlabeled nodes ``U``: dense
-Cholesky below ``DENSE_LIMIT`` unknowns; above it, one gate chooses between
-a sparse LU factor and Jacobi-preconditioned conjugate gradient. On a
+``A = diag(deg_U + mu_U) - W_UU`` over the unlabeled nodes ``U``, built,
+like every system of the package, by :meth:`Graph.system
+<priorprop.graph.Graph.system>`. It takes dense Cholesky below
+``DENSE_LIMIT`` unknowns; above it, one gate chooses between a sparse LU
+factor and Jacobi-preconditioned conjugate gradient. On a
 connected graph the factor is used when both of the gate's tests pass:
 
 * the system is nearly singular on the graph's own scale: its constant-vector
@@ -329,14 +331,13 @@ def _direct_solve(
     graph: Graph, labels: LabelSet, prior: PriorField, solved: np.ndarray
 ) -> tuple[np.ndarray, str, int]:
     """The unknowns on ``solved``, the route that found them and its CG steps."""
-    w = graph.matrix
     diag = graph.degrees[solved] + prior.mu[solved]
     y_ext = np.zeros(graph.node_count)
     y_ext[labels.indices] = labels.values
-    b = prior.mu[solved] * prior.h[solved] + (w @ y_ext)[solved]
-    wuu = w if solved.size == graph.node_count else w[solved][:, solved]
+    b = prior.mu[solved] * prior.h[solved] + (graph.matrix @ y_ext)[solved]
+    a = graph.system(solved, diag)
     if solved.size < DENSE_LIMIT:
-        a = np.diag(diag) - wuu.toarray()
+        a = a.toarray()
         try:
             with warnings.catch_warnings():
                 # LAPACK's ill-conditioning warning is of the unscaled matrix, so
@@ -352,11 +353,10 @@ def _direct_solve(
                     return x, "dense", 0
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgWarning) as exc:
             raise _singular(diag) from exc
-    a = (sp.diags(diag) - wuu).tocsr()
     if _factor_pays(graph, prior.mu[solved], solved, diag):
         return _factor_solve(a, b), "factor", 0
     inv_diag = 1.0 / diag
-    x, steps = _accepted_pcg(a, b, lambda r: inv_diag * r, 20 * b.size)
+    x, steps = _accepted_pcg(a, diag, b, lambda r: inv_diag * r, 20 * b.size)
     if x is not None:
         return x, "pcg", steps
     return _factor_solve(a, b), "pcg+factor", steps
@@ -364,20 +364,21 @@ def _direct_solve(
 
 def _accepted_pcg(
     a: sp.csr_matrix,
+    diag: np.ndarray,
     b: np.ndarray,
     precondition: Callable[[np.ndarray], np.ndarray],
     maxiter: int,
 ) -> tuple[np.ndarray | None, int]:
-    """CG's answer to ``a x = b`` to rtol 1e-13 and its steps; the answer is
-    None unless it passes the acceptance rule: every row's residual, scaled by
-    the row's diagonal, at most ``CG_LIMIT`` and every unknown within
-    ``CG_LIMIT`` of [0, 1]."""
+    """CG's answer to ``a x = b`` to rtol 1e-13 and its steps, for ``a`` of
+    diagonal ``diag``; the answer is None unless it passes the acceptance
+    rule: every row's residual, scaled by the row's diagonal, at most
+    ``CG_LIMIT`` and every unknown within ``CG_LIMIT`` of [0, 1]."""
     # on a system that is singular in floats, CG can stall, overflow, break
     # down into nans or solve it to a point outside [0, 1]; a factor then
     # finds out
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         x, info, steps = _pcg(a, b, precondition, 1e-13, maxiter)
-        resid = np.max(np.abs(a @ x - b) / a.diagonal())
+        resid = np.max(np.abs(a @ x - b) / diag)
     if info == 0 and resid <= CG_LIMIT and -CG_LIMIT <= x.min() and x.max() <= 1 + CG_LIMIT:
         return x, steps
     return None, steps

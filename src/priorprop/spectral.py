@@ -35,7 +35,11 @@ shift-invert route the factor of ``L - sigma I`` then preconditions CG on
 the soft system, which differs from it by the labels' diagonal and the
 shift, wherever ``eta / 2 <= R`` or the solver's gate would factor the soft
 system itself. Elsewhere, and where CG's answer is rejected, the soft solve
-takes its own route. Every factor is made afresh by
+takes its own route. The Laplacian, the shifted matrix ``L - sigma I`` and
+the soft system all come from :meth:`Graph.system
+<priorprop.graph.Graph.system>`, with the degrees, the degrees less
+``sigma`` and the degrees plus the labels' weights on the diagonal. Every
+factor is made afresh by
 :func:`priorprop.solver.factor_spd` and freed when the call returns, so no
 result depends on what was computed on the graph before.
 """
@@ -64,8 +68,8 @@ SHARED_CG_STEPS = 50
 
 
 def laplacian(graph: Graph) -> sp.csr_matrix:
-    """Combinatorial Laplacian D - W."""
-    return (sp.diags(graph.degrees) - graph.matrix).tocsr()
+    """Combinatorial Laplacian D - W, as :meth:`Graph.system` builds it."""
+    return graph.system(np.arange(graph.node_count), graph.degrees)
 
 
 def second_smallest_eigenvalue(graph: Graph) -> float:
@@ -78,29 +82,24 @@ def second_smallest_eigenvalue(graph: Graph) -> float:
     and otherwise Lanczos on the Laplacian with the constant vector deflated
     by a rank-one shift. Both sparse routes converge to ``EIG_TOL``.
     """
-    return _lambda2(graph, laplacian(graph))[0]
+    return _lambda2(graph)[0]
 
 
-def _lambda2(
-    graph: Graph, lap: sp.csr_matrix
-) -> tuple[float, Callable[[np.ndarray], np.ndarray] | None]:
-    """``lambda_2`` of ``graph``, whose Laplacian is ``lap``, and on the
-    shift-invert route the solve ``b -> (L - sigma I)^-1 b`` by its factor;
-    None on every other route."""
+def _lambda2(graph: Graph) -> tuple[float, Callable[[np.ndarray], np.ndarray] | None]:
+    """``lambda_2`` of ``graph`` and, on the shift-invert route, the solve
+    ``b -> (L - sigma I)^-1 b`` by its factor; None on every other route."""
     if graph.node_count < 2:
         raise ValueError("need at least two nodes")
     if int(graph.component_of.max()) > 0:
         return 0.0, None
     if graph.node_count < solver.DENSE_LIMIT:
-        return float(scipy.linalg.eigvalsh(lap.toarray())[1]), None
+        return float(scipy.linalg.eigvalsh(laplacian(graph).toarray())[1]), None
     if solver.factor_is_cheap(graph):
-        return _shift_invert(graph, lap)
-    return _lanczos(graph, lap), None
+        return _shift_invert(graph)
+    return _lanczos(graph), None
 
 
-def _shift_invert(
-    graph: Graph, lap: sp.csr_matrix
-) -> tuple[float, Callable[[np.ndarray], np.ndarray]]:
+def _shift_invert(graph: Graph) -> tuple[float, Callable[[np.ndarray], np.ndarray]]:
     """``lambda_2`` as ``sigma + 1 / mu`` for the top eigenvalue ``mu`` of
     ``(L - sigma I)^-1`` with the constant vector projected out, and the
     solve ``b -> (L - sigma I)^-1 b`` by the factor it made.
@@ -109,9 +108,9 @@ def _shift_invert(
     and it scales with the weights, so the route is scale-free. The matrix is
     strictly diagonally dominant, so its factor's pivots are not checked.
     """
-    n = lap.shape[0]
+    n = graph.node_count
     sigma = -1e-3 * graph.rcm_profile[1]
-    solve = solver.factor_spd(lap + sp.diags(np.full(n, -sigma))).solve
+    solve = solver.factor_spd(graph.system(np.arange(n), graph.degrees - sigma)).solve
 
     def matvec(x):
         y = solve(x)
@@ -124,9 +123,9 @@ def _shift_invert(
     return float(1.0 / vals[0] + sigma), solve
 
 
-def _lanczos(graph: Graph, lap: sp.csr_matrix) -> float:
+def _lanczos(graph: Graph) -> float:
     """Smallest eigenvalue of ``L + shift * 11^T / n``, which is ``lambda_2``."""
-    n = graph.node_count
+    n, lap = graph.node_count, laplacian(graph)
     # shift the constant eigenvector's eigenvalue above the spectrum's top
     shift = 2.0 * float(graph.degrees.max()) + 1.0
     ones = np.full(n, 1.0 / n)
@@ -244,15 +243,13 @@ def _soft_scores_and_lambda(
     solve, where the shared CG was no faster or, at a large ``eta``, stopped
     unaccepted.
     """
-    lap = laplacian(graph)
-    lambda1, solve = _lambda2(graph, lap)
-    n = graph.node_count
+    lambda1, solve = _lambda2(graph)
+    nodes, diag = np.arange(graph.node_count), graph.degrees + prior.mu
     if solve is not None and (
-        eta / 2.0 <= graph.rcm_profile[1]
-        or solver._factor_pays(graph, prior.mu, np.arange(n), graph.degrees + prior.mu)
+        eta / 2.0 <= graph.rcm_profile[1] or solver._factor_pays(graph, prior.mu, nodes, diag)
     ):
-        soft = (lap + sp.diags(prior.mu)).tocsr()
-        x, _ = solver._accepted_pcg(soft, prior.mu * prior.h, solve, SHARED_CG_STEPS)
+        soft = graph.system(nodes, diag)
+        x, _ = solver._accepted_pcg(soft, diag, prior.mu * prior.h, solve, SHARED_CG_STEPS)
         if x is not None:
             return np.clip(x, 0.0, 1.0), lambda1
     return solve_soft(graph, labels, eta).f, lambda1

@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-import priorprop.bounds as bounds_mod
 from priorprop import fileio
 from priorprop.bounds import (
     AUDIT_SLACK,
@@ -576,20 +575,29 @@ class TestHopStats:
         assert stats.size.tolist() == [h.size for h in part.hops]
 
     def test_directional_weights_built_once(self, monkeypatch):
+        # seven analyses of one layering, one per prior, as a demo job makes them
         g, labels, y, prior, part = mixed_row_length_instance(7)
-        pred = solve_with_prior(g, labels, prior)
+        weights = type(part).directional_weights
         calls = []
-        original = bounds_mod._directional_weights
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
+        def counted(partition):
+            calls.append(partition)
+            return original(partition)
 
-        monkeypatch.setattr(bounds_mod, "_directional_weights", counted)
-        stats = hop_stats(y, prior, part, pred)
-        audit_inequalities(stats)
-        compute_bound(stats)
-        assert len(calls) == 1
+        original = weights.func
+        monkeypatch.setattr(weights, "func", counted)
+        rng = np.random.default_rng(7)
+        for _ in range(7):
+            prior = PriorField(rng.uniform(0, 1, g.node_count), rng.uniform(0, 2, g.node_count))
+            stats = hop_stats(y, prior, part, solve_with_prior(g, labels, prior))
+            audit_inequalities(stats)
+            compute_bound(stats)
+        assert calls == [part]
+        want = loop_directional_weights(g, part)
+        for got, expected in zip(part.directional_weights, want):
+            assert got.tobytes() == np.asarray(expected).tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = 1.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_scores_rejected_naming_the_first_node(self, bad):

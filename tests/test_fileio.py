@@ -211,6 +211,22 @@ class TestCanonicalJson:
         with pytest.raises(ValueError):
             fileio.dumps_json({"x": float("inf")})
 
+    def test_number_leaf_follows_the_digit_rule(self):
+        # the rule as first written: ".0" unless the digits hold ".", "e" or "E"
+        def former(x):
+            s = format(float(x), ".17g")
+            return s if any(c in s for c in ".eE") else s + ".0"
+
+        rng = np.random.default_rng(0)
+        # random bit patterns: every sign, exponent and mantissa
+        doubles = rng.integers(0, 2**64, 2000, dtype=np.uint64).view(np.float64)
+        values = [0.0, -0.0, 1.0, -3.0, 1e15, 1e16, -1e16, 2.0**53, 1e22, 1e300, 1e-300,
+                  5e-324, -5e-324, 2.2250738585072009e-308, 1.5e-310,
+                  1.7976931348623157e308, *rng.integers(-10**6, 10**6, 200).astype(float),
+                  *doubles[np.isfinite(doubles)]]
+        for x in map(float, values):
+            assert fileio._json_number(x) == former(x), x
+
     def test_deterministic_output(self):
         obj = {"b": [1, 2.5, None, True], "a": {"nested": "x"}}
         assert fileio.dumps_json(obj) == fileio.dumps_json(obj)

@@ -1,9 +1,13 @@
+import ast
 import dataclasses
 import re
 import tracemalloc
+from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
@@ -21,7 +25,8 @@ from priorprop.graph import (
     compute_neighborhoods,
 )
 from priorprop.graph import _lerp, _nearest_pairs, _quantile_positions
-from priorprop.solver import PriorField
+from priorprop.solver import PriorField, solve_with_prior
+from priorprop.spectral import spectral_bound
 
 from oracles import (
     cdist_threshold_graph,
@@ -36,6 +41,8 @@ from oracles import (
     random_labels,
 )
 from test_acceptance import _bound_instance
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "priorprop"
 
 
 def brute_force_threshold_edges(points, t):
@@ -650,6 +657,94 @@ def bound_instance_graphs():
         edges = random_connected_graph(rng, n, extra_edges=n // 2)
         cut = [(i + n, j + n, w) for i, j, w in random_connected_graph(rng, n // 2)]
         yield Graph.from_edges(n + n // 2, edges + cut), LabelSet(*random_labels(rng, n))
+
+
+def scipy_system(graph, nodes, diag):
+    """``diag(diag) - W[nodes][:, nodes]`` as scipy builds it."""
+    w = graph.matrix
+    return (sp.diags(diag) - (w if nodes.size == graph.node_count else w[nodes][:, nodes])).tocsr()
+
+
+def same_csr(a, b):
+    return a.shape == b.shape and all(
+        getattr(a, k).dtype == getattr(b, k).dtype and getattr(a, k).tobytes() == getattr(b, k).tobytes()
+        for k in ("indptr", "indices", "data"))
+
+
+def system_cases(seed):
+    """A random graph with isolated nodes, some weights stored as 0 on a quarter
+    of them, and ascending node sets (all nodes, proper subsets, none) with
+    diagonals that hold exact zeros."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 60))
+    g = Graph.from_edges(n + int(rng.integers(0, 4)),
+                         random_connected_graph(rng, n, extra_edges=int(rng.integers(0, 3 * n))))
+    if seed % 4 == 0:
+        g = Graph(g.indptr, g.indices, np.where(rng.random(g.weights.size) < 0.2, 0.0, g.weights))
+    for share in (1.0, 0.7, 0.3, 0.0):
+        nodes = np.flatnonzero(rng.random(g.node_count) < share)
+        for diag in (g.degrees[nodes], g.degrees[nodes] + rng.uniform(0, 2, nodes.size),
+                     np.where(rng.random(nodes.size) < 0.3, 0.0, g.degrees[nodes] + 1.0)):
+            yield g, nodes, diag
+
+
+class TestSystem:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_arrays_equal_scipy_construction(self, seed):
+        for g, nodes, diag in system_cases(seed):
+            assert same_csr(g.system(nodes, diag), scipy_system(g, nodes, diag))
+
+    def test_zero_diagonal_and_empty_rows_leave_no_entry(self):
+        # node 3 is isolated; node 1 gets a zero diagonal value
+        g = Graph.from_edges(5, [(0, 1, 1.0), (1, 2, 2.0), (2, 4, 0.5)])
+        for nodes in (np.arange(5), np.array([1, 2, 3, 4])):
+            diag = g.degrees[nodes].copy()
+            diag[nodes == 1] = 0.0
+            a = g.system(nodes, diag)
+            assert same_csr(a, scipy_system(g, nodes, diag))
+            row = int(np.flatnonzero(nodes == 1)[0])
+            assert row not in a.indices[a.indptr[row]:a.indptr[row + 1]]
+            empty = int(np.flatnonzero(nodes == 3)[0])
+            assert a.indptr[empty] == a.indptr[empty + 1]
+
+    def test_systems_do_not_depend_on_what_was_built_before(self):
+        rng = np.random.default_rng(3)
+        g = Graph.from_edges(80, random_connected_graph(rng, 80, extra_edges=160))
+        nodes = np.flatnonzero(rng.random(80) < 0.8)
+        first, second = (g.degrees[nodes] + rng.uniform(0, 2, nodes.size) for _ in range(2))
+        g.system(nodes, first)
+        g.system(np.arange(80), g.degrees)
+        fresh = Graph(g.indptr, g.indices, g.weights)
+        assert same_csr(g.system(nodes, second), fresh.system(nodes, second))
+        assert same_csr(g.system(nodes, first), fresh.system(nodes, first))
+
+    def test_a_graph_caches_only_functions_of_its_arrays(self):
+        # large enough for the sparse routes and the shift-invert lambda_2
+        rng = np.random.default_rng(4)
+        g = Graph.from_edges(600, geometric_graph(600, 2, 8, 4))
+        labels = LabelSet(*random_labels(rng, 600, max_labeled=30))
+        y = rng.integers(0, 2, 600)
+        y[labels.indices] = labels.values
+        prior = PriorField(rng.uniform(0, 1, 600), rng.uniform(0, 2, 600))
+        hop_stats(y, prior, compute_neighborhoods(g, labels), solve_with_prior(g, labels, prior))
+        assert len(labels) >= 4
+        spectral_bound(g, labels, y, 0.01)
+        cached = {name for name, value in vars(Graph).items() if isinstance(value, cached_property)}
+        assert "_layout" in vars(g)
+        assert set(vars(g)) - {"indptr", "indices", "weights"} <= cached
+        for array in g._layout:
+            assert not array.flags.writeable
+
+    def test_no_module_builds_a_system_another_way(self):
+        # every diagonal-minus-adjacency matrix comes from Graph.system
+        calls = []
+        for path in sorted(SRC.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    if name in ("diags", "diags_array", "spdiags", "dia_matrix", "dia_array"):
+                        calls.append(f"{path.name}:{node.lineno}")
+        assert calls == []
 
 
 class TestDerivedFields:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import priorprop as pp
+from priorprop.cli import main
 from priorprop.evaluation import SyntheticSpec, generate_weak_labelers, pipeline_report
 
 SMALL = dict(points_per_cluster=10, labeled_count=4)
@@ -42,6 +43,19 @@ TWO_LABELERS = pp.WeakVoteMatrix([[0, 1], [1, -1]])
 def test_malformed_input_is_rejected_with_its_message(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field, flag", [("mu", "--mu"), ("separation", "--separation"),
+                                         ("noise_scale", "--noise")])
+def test_non_finite_spec_field_is_rejected_naming_it(field, flag, value, tmp_path, capsys):
+    message = f"{field} must be finite, got {value!r}"
+    with pytest.raises(ValueError, match=message):
+        SyntheticSpec(**{field: value})
+    out = tmp_path / "d.json"
+    assert main(["demo", "--methods", "lpa", f"{flag}={value!r}", "--output", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_one_dimensional_features_and_a_one_node_problem_are_accepted():

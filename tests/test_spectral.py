@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 import priorprop.solver as solver_mod
@@ -175,6 +176,19 @@ class TestSecondSmallestEigenvalue:
         lap = laplacian(g).toarray()
         assert np.allclose(lap.sum(axis=1), 0.0)
         assert np.allclose(lap, lap.T)
+
+    @pytest.mark.parametrize("graph", [
+        path_graph(5),
+        Graph.from_edges(7, [(0, 1, 0.5), (1, 2, 2.0), (4, 5, 1.0)]),
+        Graph.from_edges(300, geometric_graph(300, 2, 8, 1)),
+    ], ids=["path", "isolated-nodes", "geometric"])
+    def test_laplacian_is_scipys_degree_minus_adjacency(self, graph):
+        want = (sp.diags(graph.degrees) - graph.matrix).tocsr()
+        got = laplacian(graph)
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 class TestOneFactorForTheSpectralBound:
